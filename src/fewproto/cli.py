@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--class-weight", type=float, dest="proto.class_weight")
     ev.add_argument("--mask-scale", type=float, dest="mask.scale")
     ev.add_argument("--mask-boost", type=float, dest="mask.boost")
-    ev.add_argument("--workers", type=int, default=1,
-                    help="episode-level concurrency (never changes results)")
     ev.add_argument("--out", help="report path (JSON)")
 
     sy = sub.add_parser("synth", help="write a synthetic embedding file")
@@ -95,7 +93,7 @@ def _eval_command(args: argparse.Namespace) -> int:
     for key, value in overrides.items():
         if value is not None:
             config.set_flat(key, value)
-    report = run_eval(config, workers=args.workers)
+    report = run_eval(config)
     if args.out:
         emit_report(report, args.out)
     else:

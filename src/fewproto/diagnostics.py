@@ -30,9 +30,6 @@ class Diagnostics:
     def record(self, name: str, n: int = 1) -> None:
         self.counts[name] += n
 
-    def merge(self, other: "Diagnostics") -> None:
-        self.counts.update(other.counts)
-
     def as_dict(self) -> dict[str, int]:
         return {k: self.counts[k] for k in sorted(self.counts)}
 

@@ -110,11 +110,14 @@ class Episode:
 def save_embedding_set(emb: EmbeddingSet, path) -> None:
     """Write `emb` in the binary format; load_embedding_set inverts this.
 
-    Raises ValueError if the set violates its invariants (checked before
-    any bytes are written).
+    Raises ValueError if the set violates its invariants or has a class
+    id outside [0, 2**32) (checked before any bytes are written).
     """
     # Revalidate: callers may have built the instance by hand.
     checked = EmbeddingSet.from_arrays(emb.vectors, emb.labels)
+    if checked.labels.size and checked.labels.max() >= 2 ** 32:
+        raise ValueError(f"class id {int(checked.labels.max())} does not fit "
+                         "the format's u32 class_id field")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<III", checked.dim, checked.n_records,

@@ -21,7 +21,7 @@ head parameters and support features are constants during this phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,102 +162,170 @@ def grad_total(protos: np.ndarray, head: LinearHead,
     return grad
 
 
-def _step_loss_and_grad(protos: np.ndarray, head: LinearHead,
-                        unit_rows: np.ndarray, labels: np.ndarray,
-                        weights: LossWeights) -> tuple[float, np.ndarray]:
-    """Fused loss_total/grad_total for the training loop.
+def _step_loss_and_grad(protos: np.ndarray, head_weights: np.ndarray,
+                        head_bias: np.ndarray, unit_rows: np.ndarray,
+                        labels: np.ndarray, weights: LossWeights
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Fused loss_total/grad_total for a stack of B prototype banks.
 
-    Shares the head pass and the cosine pass between value and gradient
-    and takes pre-normalized support rows; must stay numerically equal
-    to the public pair (unit-tested).
+    Shapes: protos and head_weights (B, n, e), head_bias (B, n),
+    unit_rows (B, r, e) pre-normalized support rows, labels (B, r).
+    Returns the (B,) losses and the (B, n, e) gradients. Shares the head
+    pass and the cosine pass between value and gradient; must stay
+    numerically equal to the public pair on each bank (unit-tested).
+    Every matmul runs one product per bank and every reduction runs
+    within a bank in the same axis order, so a bank's result does not
+    depend on the others in the stack. A bank with a zero-norm
+    prototype row gets a NaN loss.
     """
-    n = protos.shape[0]
-    logits = protos @ head.weights.T + head.bias
-    logits -= logits.max(axis=1, keepdims=True)
+    n_banks, n, _ = protos.shape
+    logits = protos @ head_weights.transpose(0, 2, 1) + head_bias[:, None, :]
+    logits -= logits.max(axis=2, keepdims=True)
     probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= probs.sum(axis=2, keepdims=True)
     logp = np.log(np.maximum(probs, LOG_FLOOR))
-    ent = -(probs * logp).sum(axis=1)
-    own = probs.diagonal()
-    loss = (-weights.class_weight * np.log(np.maximum(own, LOG_FLOOR)).sum()
-            + weights.entropy_weight * ent.sum()) / (n * n)
+    ent = -(probs * logp).sum(axis=2)
+    own = np.diagonal(probs, axis1=1, axis2=2)
+    log_own = np.log(np.maximum(own, LOG_FLOOR)).sum(axis=1)
+    loss = (-weights.class_weight * log_own
+            + weights.entropy_weight * ent.sum(axis=1)) / (n * n)
     delta = weights.class_weight * probs \
-        - weights.entropy_weight * probs * (logp + ent[:, None])
-    delta[np.arange(n), np.arange(n)] -= weights.class_weight
+        - weights.entropy_weight * probs * (logp + ent[:, :, None])
+    diag = np.arange(n)
+    delta[:, diag, diag] -= weights.class_weight
     delta /= n * n
-    grad = delta @ head.weights
+    grad = delta @ head_weights
 
-    proto_norms = np.sqrt(np.einsum("ij,ij->i", protos, protos))
-    if not proto_norms.all():
-        raise EpisodeAbort("zero_prototype_row",
-                           "cosine undefined for a zero-norm prototype")
-    unit_protos = protos / proto_norms[:, None]
-    scores = (unit_rows @ unit_protos.T).clip(-1.0, 1.0)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    proto_norms = np.sqrt(np.einsum("bij,bij->bi", protos, protos))
+    unit_protos = protos / proto_norms[:, :, None]
+    scores = (unit_rows @ unit_protos.transpose(0, 2, 1)).clip(-1.0, 1.0)
+    shifted = scores - scores.max(axis=2, keepdims=True)
     q = np.exp(shifted, out=shifted)
-    q /= q.sum(axis=1, keepdims=True)
-    n_rows = unit_rows.shape[0]
-    idx = np.arange(n_rows)
-    loss += -np.log(np.maximum(q[idx, labels], LOG_FLOOR)).sum() / (n_rows * n)
+    q /= q.sum(axis=2, keepdims=True)
+    n_rows = unit_rows.shape[1]
+    picked = (np.arange(n_banks)[:, None], np.arange(n_rows), labels)
+    loss += -np.log(np.maximum(q[picked], LOG_FLOOR)).sum(axis=1) \
+        / (n_rows * n)
     t = q
-    t[idx, labels] -= 1.0
+    t[picked] -= 1.0
     t /= n_rows * n
-    grad += (t.T @ unit_rows - (t * scores).sum(axis=0)[:, None] * unit_protos) \
-        / proto_norms[:, None]
-    return float(loss), grad
+    grad += (t.transpose(0, 2, 1) @ unit_rows
+             - (t * scores).sum(axis=1)[:, :, None] * unit_protos) \
+        / proto_norms[:, :, None]
+    return loss, grad
 
 
 def init_prototypes(n_classes: int, dim: int, rng: np.random.Generator,
-                    support_feats: np.ndarray | None = None,
-                    labels: np.ndarray | None = None,
                     mode: str = "random") -> np.ndarray:
-    """Starting point for training: random Gaussian rows, or class means.
+    """Starting point for training: random Gaussian rows.
 
-    Random entries have standard deviation 1/sqrt(dim) so initial row
-    norms are O(1). The means mode exists for experimentation and is off
-    by default.
+    Entries have standard deviation 1/sqrt(dim) so initial row norms are
+    O(1).
     """
-    if mode == "random":
-        return rng.normal(0.0, 1.0 / np.sqrt(dim), (n_classes, dim))
-    if mode == "means":
-        return mean_prototypes(support_feats, labels).protos.copy()
-    raise ValueError(f"unknown init mode {mode!r}")
+    if mode != "random":
+        raise ValueError(f"unknown init mode {mode!r}")
+    return rng.normal(0.0, 1.0 / np.sqrt(dim), (n_classes, dim))
+
+
+def train_prototype_banks(heads: list[LinearHead],
+                          support_feats: list[np.ndarray],
+                          labels: list[np.ndarray], weights: LossWeights,
+                          epochs: int, lr: float,
+                          rngs: list[np.random.Generator],
+                          trajectories: list[list[float]] | None = None
+                          ) -> list[PrototypeBank | EpisodeAbort]:
+    """Train one prototype bank per episode in a single batched Adam loop.
+
+    Entry j holds episode j's frozen head, aggregated support rows,
+    labels and generator; all episodes share one (rows, dim) and class
+    count. Each bank gives the bits `train_prototypes` gives for it
+    alone. Returns per episode either the trained bank or the
+    EpisodeAbort that ended it: a zero-norm support row before training;
+    a zero-norm prototype row or a non-finite loss at the epoch it
+    happens, after which the bank leaves the stack and the rest go on;
+    or a degenerate final bank. Appends each bank's per-epoch loss
+    (evaluated before each update) to `trajectories[j]` when given.
+    """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    results: list[PrototypeBank | EpisodeAbort | None] = [None] * len(heads)
+    alive, inits, unit_rows, int_labels = [], [], [], []
+    for j, (feats, lab, rng) in enumerate(zip(support_feats, labels, rngs)):
+        feats = np.asarray(feats, dtype=np.float64)
+        lab = np.asarray(lab, dtype=np.int64)
+        row_norms = np.linalg.norm(feats, axis=1)
+        if np.any(row_norms == 0.0):
+            results[j] = EpisodeAbort(
+                "zero_support_row",
+                "cosine undefined for a zero-norm support row")
+            continue
+        alive.append(j)
+        unit_rows.append(feats / row_norms[:, None])
+        int_labels.append(lab)
+        inits.append(init_prototypes(int(lab.max()) + 1, feats.shape[1], rng))
+    if not alive:
+        return results
+    alive = np.array(alive)
+    protos = np.stack(inits)
+    head_weights = np.stack([heads[j].weights for j in alive])
+    head_bias = np.stack([heads[j].bias for j in alive])
+    unit_rows, int_labels = np.stack(unit_rows), np.stack(int_labels)
+    state = AdamState.fresh(protos.shape, lr=lr)
+    # A zero-norm row (0/0) or an overflowed logit (inf - inf) shows as a
+    # NaN loss, which aborts that bank with a reason. Overflow warnings
+    # stay on: an overflowed Adam moment stalls a bank without a NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            loss, grad = _step_loss_and_grad(protos, head_weights, head_bias,
+                                             unit_rows, int_labels, weights)
+            failed = ~np.isfinite(loss)
+            if failed.any():
+                for j in np.flatnonzero(failed):
+                    # A zero row has zero squared norm, as in the fused step.
+                    zero_row = not np.einsum("ij,ij->i", protos[j],
+                                             protos[j]).all()
+                    results[alive[j]] = EpisodeAbort(
+                        "zero_prototype_row" if zero_row
+                        else "proto_loss_diverged",
+                        f"loss={loss[j]} at epoch {epoch}")
+                keep = ~failed
+                alive, protos, grad, loss = (alive[keep], protos[keep],
+                                             grad[keep], loss[keep])
+                head_weights, head_bias = head_weights[keep], head_bias[keep]
+                unit_rows, int_labels = unit_rows[keep], int_labels[keep]
+                state = replace(state, m=state.m[keep], v=state.v[keep])
+                if not alive.size:
+                    return results
+            if trajectories is not None:
+                for j, value in zip(alive, loss):
+                    trajectories[j].append(float(value))
+            state, protos = adam_update(state, protos, grad)
+    for j, bank in zip(alive, protos):
+        try:
+            validate_prototypes(bank)
+            results[j] = PrototypeBank(protos=bank, trained=True)
+        except EpisodeAbort as abort:
+            results[j] = abort
+    return results
 
 
 def train_prototypes(head: LinearHead, support_feats: np.ndarray,
                      labels: np.ndarray, weights: LossWeights, epochs: int,
                      lr: float, rng: np.random.Generator,
-                     init_mode: str = "random",
                      trajectory: list[float] | None = None) -> PrototypeBank:
     """Full-batch Adam on loss_total with the prototypes as sole parameters.
 
-    The head is frozen. Appends the per-epoch loss (evaluated before each
-    update) to `trajectory` when given. Raises EpisodeAbort on a
-    non-finite loss or a degenerate final bank.
+    The head is frozen. This is train_prototype_banks for one episode.
+    Appends the per-epoch loss (evaluated before each update) to
+    `trajectory` when given. Raises EpisodeAbort on a zero-norm support
+    row, a non-finite loss or a degenerate final bank.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    support_feats = np.asarray(support_feats, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels.max()) + 1
-    row_norms = np.linalg.norm(support_feats, axis=1)
-    if np.any(row_norms == 0.0):
-        raise EpisodeAbort("zero_support_row",
-                           "cosine undefined for a zero-norm support row")
-    unit_rows = support_feats / row_norms[:, None]
-    protos = init_prototypes(n_classes, support_feats.shape[1], rng,
-                             support_feats, labels, init_mode)
-    state = AdamState.fresh(protos.shape, lr=lr)
-    for _ in range(epochs):
-        loss, grad = _step_loss_and_grad(protos, head, unit_rows, labels,
-                                         weights)
-        if not np.isfinite(loss):
-            raise EpisodeAbort("proto_loss_diverged", f"loss={loss}")
-        if trajectory is not None:
-            trajectory.append(loss)
-        state, protos = adam_update(state, protos, grad)
-    validate_prototypes(protos)
-    return PrototypeBank(protos=protos, trained=True)
+    result, = train_prototype_banks(
+        [head], [support_feats], [labels], weights, epochs, lr, [rng],
+        None if trajectory is None else [trajectory])
+    if isinstance(result, EpisodeAbort):
+        raise result
+    return result
 
 
 def validate_prototypes(protos: np.ndarray) -> None:

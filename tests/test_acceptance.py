@@ -16,6 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from fewproto import harness
 from fewproto.classify import build_masks, classify_batch
 from fewproto.embeddings import generate_synthetic, sample_episode
 from fewproto.graph import (build_similarity, normalize_adjacency, propagate,
@@ -158,23 +159,29 @@ def test_trained_vs_mean_ordering():
              f"signed delta {delta_pp:+.2f}pp")
 
 
-def test_determinism_across_runs_and_workers():
-    def one(workers):
+def test_determinism_across_runs_and_chunks(monkeypatch):
+    n_tasks = 30
+    default_chunk = harness.EPISODE_CHUNK
+
+    def one(chunk):
+        monkeypatch.setattr(harness, "EPISODE_CHUNK", chunk)
         cfg = RunConfig(synthetic=SyntheticSpec(10, 30, 16, 6.0, 0.8),
-                        n_ways=4, k_shots=3, n_queries=6, n_tasks=30,
+                        n_ways=4, k_shots=3, n_queries=6, n_tasks=n_tasks,
                         seed=99)
         cfg.proto.epochs = 200
-        raw = asdict(run_eval(cfg, workers=workers))
+        raw = asdict(run_eval(cfg))
         raw.pop("wall_time")
         return json.dumps(raw, sort_keys=True)
 
-    serial = one(1)
-    serial_again = one(1)
-    threaded = one(4)
-    ok = serial == serial_again == threaded
+    first = one(default_chunk)
+    again = one(default_chunk)
+    single = one(1)
+    whole = one(n_tasks + 1)
+    ok = n_tasks % default_chunk != 0 and first == again == single == whole
     announce(ok, "determinism",
-             f"bytes match across repeat runs and workers 1 vs 4 "
-             f"({len(serial)} report bytes)")
+             f"bytes match across repeat runs and chunks of 1, "
+             f"{default_chunk} and {n_tasks + 1} over {n_tasks} tasks "
+             f"({len(first)} report bytes)")
 
 
 def test_confidence_interval_arithmetic():

@@ -105,6 +105,19 @@ def test_save_rejects_nonfinite_before_writing(tmp_path):
     assert not path.exists()
 
 
+def test_save_rejects_class_id_beyond_u32(tmp_path):
+    emb = EmbeddingSet.from_arrays(np.ones((2, 3), dtype=np.float32),
+                                   np.array([7, 2 ** 32 + 1]))
+    path = tmp_path / "never.emb"
+    with pytest.raises(ValueError, match=str(2 ** 32 + 1)):
+        save_embedding_set(emb, path)
+    assert not path.exists()
+    top = EmbeddingSet.from_arrays(np.ones((1, 3), dtype=np.float32),
+                                   np.array([2 ** 32 - 1]))
+    save_embedding_set(top, path)
+    assert load_embedding_set(path).labels.tolist() == [2 ** 32 - 1]
+
+
 def test_empty_set_roundtrip(tmp_path):
     emb = EmbeddingSet.from_arrays(np.empty((0, 8), dtype=np.float32),
                                    np.empty(0, dtype=np.int64))

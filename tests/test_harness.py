@@ -5,12 +5,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from fewproto import harness
 from fewproto.diagnostics import EpisodeAbort
 from fewproto.embeddings import EmbeddingSet
 from fewproto.harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                               confidence_interval_95, emit_report, episode_rng,
-                              load_config_file, load_report,
-                              reports_equal_ignoring_time, run_episode,
+                              load_config_file, load_report, run_episode,
                               run_eval)
 
 
@@ -81,6 +81,16 @@ def test_config_validation_errors():
         cfg.validate()
 
 
+def test_config_rejects_top_m_beyond_episode():
+    cfg = small_config()  # 3 ways x (2 shots + 5 queries) = 21 vertices
+    cfg.graph.top_m = 20
+    cfg.validate()
+    for top_m in (21, 500):
+        cfg.graph.top_m = top_m
+        with pytest.raises(RunError, match="graph.top_m"):
+            cfg.validate()
+
+
 def test_confidence_interval_hand_oracle():
     per_task = [0.8, 1.0, 0.9]
     mean = sum(per_task) / 3
@@ -144,15 +154,53 @@ def test_run_episode_deterministic():
     assert a == b
 
 
-def test_run_eval_deterministic_across_workers():
-    base = small_config()
-    serial = run_eval(base, workers=1)
-    threaded = run_eval(small_config(), workers=4)
-    assert reports_equal_ignoring_time(serial, threaded)
-    da, db = asdict(serial), asdict(threaded)
-    da.pop("wall_time")
-    db.pop("wall_time")
-    assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+def test_run_eval_deterministic_across_chunks(monkeypatch):
+    n_tasks = 20
+    assert n_tasks % harness.EPISODE_CHUNK != 0
+    reports = []
+    for chunk in (1, harness.EPISODE_CHUNK, n_tasks + 1):
+        monkeypatch.setattr(harness, "EPISODE_CHUNK", chunk)
+        raw = asdict(run_eval(small_config(**{"n_tasks": n_tasks})))
+        raw.pop("wall_time")
+        reports.append(json.dumps(raw, sort_keys=True))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
+    # Two episodes of the second chunk are broken after preparation: one
+    # head goes NaN (the loss diverges inside the batched loop), one
+    # support row goes to zero (aborted before stacking). Every episode
+    # must end as it does alone in run_episode.
+    real_prepare = harness.prepare_episode
+    broken = {harness.EPISODE_CHUNK + 2: "nan_head",
+              harness.EPISODE_CHUNK + 5: "zero_row"}
+
+    def prepare(emb, config, rng, diag=None, timings=None):
+        prepared = real_prepare(emb, config, rng, diag, timings)
+        how = broken.get(prepare.calls % config.n_tasks)
+        prepare.calls += 1
+        if how == "nan_head":
+            prepared.head.weights[0, 0] = np.nan
+        elif how == "zero_row":
+            prepared.support_feats[1] = 0.0
+        return prepared
+
+    prepare.calls = 0
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    cfg = small_config(**{"n_tasks": "200"})
+    rep = run_eval(cfg)
+    emb = harness._resolve_pool(cfg)
+    alone, reasons = [], []
+    for i in range(cfg.n_tasks):
+        try:
+            alone.append(run_episode(emb, cfg, episode_rng(cfg.seed, i)))
+        except EpisodeAbort as abort:
+            reasons.append(abort.reason)
+    assert sorted(reasons) == ["proto_loss_diverged", "zero_support_row"]
+    assert rep.per_task_accuracy == alone
+    assert rep.diagnostics["aborted_episodes"] == 2
+    for reason in reasons:
+        assert rep.diagnostics[f"abort:{reason}"] == 1
 
 
 def test_run_eval_report_fields():
@@ -211,15 +259,22 @@ def test_abort_cap_fails_run(tmp_path):
 
 
 def test_aborted_episodes_excluded(monkeypatch):
-    def fake_episode(emb, config, rng, diag=None, timings=None):
-        fake_episode.calls += 1
-        i = fake_episode.calls - 1
-        if i == 5:
-            raise EpisodeAbort("synthetic_test_abort")
-        return float(i % 2)
+    real_prepare = harness.prepare_episode
 
-    fake_episode.calls = 0
-    monkeypatch.setattr("fewproto.harness.run_episode", fake_episode)
+    def fake_prepare(emb, config, rng, diag=None, timings=None):
+        fake_prepare.calls += 1
+        if fake_prepare.calls - 1 == 5:
+            raise EpisodeAbort("synthetic_test_abort")
+        return real_prepare(emb, config, rng, diag, timings)
+
+    def fake_finish(prepared, bank, config, diag=None, timings=None):
+        fake_finish.calls += 1
+        return float((fake_finish.calls - 1) % 2)
+
+    fake_prepare.calls = 0
+    fake_finish.calls = 0
+    monkeypatch.setattr("fewproto.harness.prepare_episode", fake_prepare)
+    monkeypatch.setattr("fewproto.harness.finish_episode", fake_finish)
     cfg = small_config(**{"n_tasks": "200"})
     rep = run_eval(cfg)
     assert len(rep.per_task_accuracy) == 199

@@ -8,7 +8,8 @@ from fewproto.head import LinearHead
 from fewproto.prototypes import (LossWeights, _step_loss_and_grad, grad_total,
                                  init_prototypes, loss_class, loss_entropy,
                                  loss_metric, loss_total, mean_prototypes,
-                                 train_prototypes, validate_prototypes)
+                                 train_prototype_banks, train_prototypes,
+                                 validate_prototypes)
 from fewproto.verification import check_proto_gradient
 
 
@@ -215,17 +216,56 @@ def test_gradient_hundred_random_points():
 
 def test_fused_step_matches_public_functions():
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        protos, head, feats, labels = random_instance(rng)
+    for trial in range(20):
+        instances = [random_instance(rng) for _ in range(1 + 3 * (trial % 2))]
         weights = LossWeights(*rng.uniform(0.0, 2.0, size=2))
-        unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-        fused_loss, fused_grad = _step_loss_and_grad(protos, head, unit,
-                                                     labels, weights)
-        assert fused_loss == pytest.approx(
-            loss_total(protos, head, feats, labels, weights), abs=1e-12)
-        np.testing.assert_allclose(
-            fused_grad, grad_total(protos, head, feats, labels, weights),
-            atol=1e-12)
+        protos, heads, feats, labels = zip(*instances)
+        unit = [f / np.linalg.norm(f, axis=1, keepdims=True) for f in feats]
+        fused_loss, fused_grad = _step_loss_and_grad(
+            np.stack(protos), np.stack([h.weights for h in heads]),
+            np.stack([h.bias for h in heads]), np.stack(unit),
+            np.stack(labels), weights)
+        assert fused_loss.shape == (len(instances),)
+        for j, (p, head, f, lab) in enumerate(instances):
+            assert fused_loss[j] == pytest.approx(
+                loss_total(p, head, f, lab, weights), abs=1e-12)
+            np.testing.assert_allclose(
+                fused_grad[j], grad_total(p, head, f, lab, weights),
+                atol=1e-12)
+
+
+def test_batched_abort_leaves_other_banks():
+    # Bank 1's head is scaled so its logits overflow once training has
+    # grown the prototypes (the loss goes NaN mid-loop); bank 2 has a
+    # zero support row. The rest must train to the bits they get alone.
+    rng = np.random.default_rng(14)
+    instances = [random_instance(rng) for _ in range(4)]
+    head = instances[1][1]
+    head.weights = head.weights / np.abs(head.weights).max() * 1e308
+    instances[2][2][0] = 0.0
+    weights = LossWeights(0.0, 0.0)
+    _, heads, feats, labels = zip(*instances)
+    with np.errstate(over="ignore"):
+        batched = train_prototype_banks(
+            list(heads), list(feats), list(labels), weights, 60, 0.1,
+            [np.random.default_rng(20 + j) for j in range(4)])
+    reasons = []
+    for j, (_, head, f, lab) in enumerate(instances):
+        try:
+            with np.errstate(over="ignore"):
+                alone = train_prototypes(head, f, lab, weights, 60, 0.1,
+                                         np.random.default_rng(20 + j))
+        except EpisodeAbort as abort:
+            assert isinstance(batched[j], EpisodeAbort)
+            assert str(batched[j]) == str(abort)
+            reasons.append(str(abort))
+            continue
+        np.testing.assert_array_equal(batched[j].protos, alone.protos)
+        reasons.append(None)
+    assert reasons[0] is None and reasons[3] is None
+    assert reasons[1].startswith("proto_loss_diverged")
+    assert int(reasons[1].rsplit(" ", 1)[1]) > 0  # aborted mid-loop
+    assert reasons[2].startswith("zero_support_row")
 
 
 def test_train_reaches_support_equal_bound():
@@ -311,13 +351,10 @@ def test_validate_prototypes():
 
 
 def test_init_prototypes_modes():
-    rng = np.random.default_rng(13)
-    feats = rng.normal(size=(10, 6))
-    labels = np.repeat(np.arange(5), 2)
     random_init = init_prototypes(5, 6, np.random.default_rng(1))
     assert random_init.shape == (5, 6)
-    means_init = init_prototypes(5, 6, np.random.default_rng(1), feats,
-                                 labels, mode="means")
-    np.testing.assert_allclose(means_init, mean_prototypes(feats, labels).protos)
+    np.testing.assert_array_equal(
+        random_init, np.random.default_rng(1).normal(0.0, 1.0 / np.sqrt(6),
+                                                     (5, 6)))
     with pytest.raises(ValueError):
-        init_prototypes(5, 6, rng, mode="nope")
+        init_prototypes(5, 6, np.random.default_rng(1), mode="means")
