@@ -7,13 +7,13 @@ trained against a composite loss), then classify queries by attention-
 masked cosine similarity to the prototypes.
 """
 
-from .classify import AttentionMasks, build_masks, classify, correct_query, score_episode
+from .classify import AttentionMasks, build_masks, classify_batch, score_episode
 from .diagnostics import Diagnostics, EpisodeAbort
 from .embeddings import (EmbeddingFormatError, EmbeddingSet, Episode,
                          generate_synthetic, load_embedding_set,
                          sample_episode, save_embedding_set)
-from .graph import (TaskGraph, build_similarity, build_task_graph, cosine,
-                    normalize_adjacency, propagate, sparsify_top_m)
+from .graph import (build_similarity, build_task_graph, normalize_adjacency,
+                    propagate, sparsify_top_m)
 from .harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                       emit_report, load_report, run_episode, run_eval)
 from .head import (AugmentedSupport, LinearHead, head_predict,
@@ -25,17 +25,18 @@ from .prototypes import (LossWeights, PrototypeBank, loss_class,
 from .verification import run_gradcheck_suite
 
 __all__ = [
-    "AttentionMasks", "build_masks", "classify", "correct_query",
-    "score_episode", "Diagnostics", "EpisodeAbort", "EmbeddingFormatError",
-    "EmbeddingSet", "Episode", "generate_synthetic", "load_embedding_set",
-    "sample_episode", "save_embedding_set", "TaskGraph", "build_similarity",
-    "build_task_graph", "cosine", "normalize_adjacency", "propagate",
-    "sparsify_top_m", "EvalReport", "RunConfig", "RunError", "SyntheticSpec",
-    "emit_report", "load_report", "run_episode", "run_eval",
-    "AugmentedSupport", "LinearHead", "head_predict", "manifold_augment",
-    "train_head", "AdamState", "adam_update", "cross_entropy", "grad_check",
-    "softmax", "LossWeights", "PrototypeBank", "loss_class", "loss_entropy",
-    "loss_metric", "loss_total", "mean_prototypes", "train_prototypes",
+    "AttentionMasks", "build_masks", "classify_batch", "score_episode",
+    "Diagnostics", "EpisodeAbort", "EmbeddingFormatError", "EmbeddingSet",
+    "Episode", "generate_synthetic", "load_embedding_set",
+    "sample_episode", "save_embedding_set", "build_similarity",
+    "build_task_graph", "normalize_adjacency", "propagate",
+    "sparsify_top_m", "EvalReport", "RunConfig", "RunError",
+    "SyntheticSpec", "emit_report", "load_report", "run_episode",
+    "run_eval", "AugmentedSupport", "LinearHead", "head_predict",
+    "manifold_augment", "train_head", "AdamState", "adam_update",
+    "cross_entropy", "grad_check", "softmax", "LossWeights",
+    "PrototypeBank", "loss_class", "loss_entropy", "loss_metric",
+    "loss_total", "mean_prototypes", "train_prototypes",
     "run_gradcheck_suite",
 ]
 

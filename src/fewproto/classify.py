@@ -47,35 +47,17 @@ def build_masks(protos: PrototypeBank, scale: float,
                           scale=scale, boost=boost)
 
 
-def correct_query(query: np.ndarray, masks: AttentionMasks,
-                  class_index: int) -> np.ndarray:
-    """Elementwise boost * (query * mask_n) + query."""
-    query = np.asarray(query, dtype=np.float64)
-    mask = masks.masks[class_index]
-    if query.shape != mask.shape:
-        raise ValueError(f"query {query.shape} vs mask {mask.shape}")
-    return masks.boost * query * mask + query
-
-
-def classify(query: np.ndarray, protos: PrototypeBank,
-             masks: AttentionMasks | None, use_mask: bool,
-             diag: Diagnostics | None = None) -> tuple[int, np.ndarray]:
-    """Predict one query's class; returns (argmax index, cosine scores).
-
-    score_n = cos(corrected query for class n, proto_n) when masking,
-    cos(query, proto_n) otherwise. Ties break toward the lowest class
-    index. A zero query has no direction: all scores are 0, class 0 is
-    predicted, and a `zero_query` diagnostic is recorded.
-    """
-    pred, scores = classify_batch(np.asarray(query, dtype=np.float64)[None, :],
-                                  protos, masks, use_mask, diag)
-    return int(pred[0]), scores[0]
-
-
 def classify_batch(queries: np.ndarray, protos: PrototypeBank,
                    masks: AttentionMasks | None, use_mask: bool,
                    diag: Diagnostics | None = None):
-    """Vectorized `classify` over a (n_queries, e) matrix."""
+    """Predict each row of a (n_queries, e) matrix; returns the argmax
+    indices and the (n_queries, n_classes) cosine scores.
+
+    score_n = cos(boost * query * mask_n + query, proto_n) when masking,
+    cos(query, proto_n) otherwise. Ties break toward the lowest class
+    index. A zero query has no direction: all its scores are 0, class 0
+    is predicted, and a `zero_query` diagnostic is recorded.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     p = protos.protos
     proto_norms = np.linalg.norm(p, axis=1)

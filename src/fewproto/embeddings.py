@@ -19,6 +19,7 @@ to names ("id<TAB>name" per line); it is informational only.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -140,33 +141,33 @@ def load_embedding_set(path) -> EmbeddingSet:
             value; the error carries the failing byte offset.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < HEADER_SIZE:
-        raise EmbeddingFormatError("truncated header", len(blob))
-    if blob[:4] != MAGIC:
-        raise EmbeddingFormatError(
-            f"bad magic {blob[:4]!r}, expected {MAGIC!r}", 0)
-    dim, count, n_classes = struct.unpack_from("<III", blob, 4)
-    if dim == 0:
-        raise EmbeddingFormatError("embedding dimension is zero", 4)
-    record_size = 4 + 4 * dim
-    expected = HEADER_SIZE + count * record_size
-    if len(blob) < expected:
-        raise EmbeddingFormatError(
-            f"truncated payload: need {expected} bytes, have {len(blob)}",
-            len(blob))
-    if len(blob) > expected:
-        raise EmbeddingFormatError(
-            f"{len(blob) - expected} trailing bytes after last record",
-            expected)
-    rec_dtype = np.dtype([("class_id", "<u4"), ("vec", "<f4", (dim,))])
-    records = np.frombuffer(blob, dtype=rec_dtype, count=count,
-                            offset=HEADER_SIZE)
-    vectors = np.array(records["vec"], dtype=np.float32).reshape(count, dim)
+        header = f.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE:
+            raise EmbeddingFormatError("truncated header", len(header))
+        if header[:4] != MAGIC:
+            raise EmbeddingFormatError(
+                f"bad magic {header[:4]!r}, expected {MAGIC!r}", 0)
+        dim, count, n_classes = struct.unpack_from("<III", header, 4)
+        if dim == 0:
+            raise EmbeddingFormatError("embedding dimension is zero", 4)
+        record_size = 4 + 4 * dim
+        expected = HEADER_SIZE + count * record_size
+        size = os.fstat(f.fileno()).st_size
+        if size < expected:
+            raise EmbeddingFormatError(
+                f"truncated payload: need {expected} bytes, have {size}",
+                size)
+        if size > expected:
+            raise EmbeddingFormatError(
+                f"{size - expected} trailing bytes after last record",
+                expected)
+        rec_dtype = np.dtype([("class_id", "<u4"), ("vec", "<f4", (dim,))])
+        records = np.fromfile(f, dtype=rec_dtype, count=count)
+    # A strided view: from_arrays makes the one contiguous float32 copy.
+    vectors = records["vec"]
     labels = records["class_id"].astype(np.int64)
-    finite = np.isfinite(vectors)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    if not np.isfinite(vectors).all():
+        i, j = np.argwhere(~np.isfinite(vectors))[0]
         raise EmbeddingFormatError(
             f"non-finite value in record {i} component {j}",
             HEADER_SIZE + int(i) * record_size + 4 + 4 * int(j))

@@ -3,45 +3,27 @@
 The episode's stacked features (support rows first, then query rows)
 become graph vertices. Pairwise cosine similarity with a zero diagonal
 gives a dense matrix; keeping each row's top-m entries (union with the
-transposed selection, so the result stays symmetric) sparsifies it; a
+transposed selection, so the result stays symmetric) zeroes the rest; a
 symmetric degree normalization turns it into the adjacency; features are
 then smoothed by `rounds` applications of x <- self_weight*x + A x.
+An episode has n_ways*(k_shots+n_queries) vertices, about 100 in the
+usual few-shot shapes, so every matrix here is a plain dense array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import sparse
 
 from .diagnostics import Diagnostics
 
 
-def cosine(a: np.ndarray, b: np.ndarray, diag: Diagnostics | None = None) -> float:
-    """Cosine similarity clamped to [-1, 1].
-
-    A zero-norm input carries no similarity information: the result is
-    0.0 and a `zero_vector_cosine` diagnostic is recorded instead of
-    failing the episode.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        if diag is not None:
-            diag.record("zero_vector_cosine")
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
-    """Dense pairwise cosine matrix with zero diagonal, exactly symmetric.
+    """Dense pairwise cosine matrix clamped to [-1, 1], with zero diagonal,
+    exactly symmetric.
 
-    Zero-norm rows follow the same rule as `cosine`: their similarities
-    are 0 and one diagnostic is recorded per zero row.
+    A zero-norm row carries no similarity information: its similarities
+    are 0 and one `zero_vector_cosine` diagnostic is recorded per zero
+    row instead of failing the episode.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
@@ -61,8 +43,9 @@ def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarr
     return s
 
 
-def sparsify_top_m(s: np.ndarray, m: int) -> sparse.csr_array:
-    """Keep entries in the top-m of their row or of their column.
+def sparsify_top_m(s: np.ndarray, m: int) -> np.ndarray:
+    """Keep entries in the top-m of their row or of their column; zero
+    the rest.
 
     The union rule preserves symmetry and never isolates a vertex that
     some row still ranks highly. Ties break toward the lowest column
@@ -82,11 +65,11 @@ def sparsify_top_m(s: np.ndarray, m: int) -> sparse.csr_array:
     np.put_along_axis(keep, order, True, axis=1)
     keep |= keep.T
     np.fill_diagonal(keep, False)
-    return sparse.csr_array(np.where(keep, s, 0.0))
+    return np.where(keep, s, 0.0)
 
 
-def normalize_adjacency(s: sparse.csr_array,
-                        diag: Diagnostics | None = None) -> sparse.csr_array:
+def normalize_adjacency(s: np.ndarray,
+                        diag: Diagnostics | None = None) -> np.ndarray:
     """Symmetric degree normalization D^{-1/2} S D^{-1/2}.
 
     Degrees are the row sums of the sparsified similarity. Negative
@@ -94,22 +77,22 @@ def normalize_adjacency(s: sparse.csr_array,
     usable normalization, so its row and column are zeroed and an
     `isolated_vertex` diagnostic is recorded per vertex.
     """
-    degrees = np.asarray(s.sum(axis=1)).ravel()
+    s = np.asarray(s, dtype=np.float64)
+    degrees = s.sum(axis=1)
     usable = degrees > 0.0
     if not usable.all() and diag is not None:
         diag.record("isolated_vertex", int((~usable).sum()))
     inv_sqrt = np.zeros_like(degrees)
     inv_sqrt[usable] = 1.0 / np.sqrt(degrees[usable])
-    scaled = s.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    return sparse.csr_array(scaled)
+    return s * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def propagate(v: np.ndarray, adjacency: sparse.csr_array,
+def propagate(v: np.ndarray, adjacency: np.ndarray,
               self_weight: float, rounds: int) -> np.ndarray:
     """Aggregate features: (self_weight*I + A)^rounds applied to v.
 
-    Computed as `rounds` successive sparse multiplications
-    x <- self_weight*x + A x, never forming the dense matrix power.
+    Computed as `rounds` successive matrix-feature products
+    x <- self_weight*x + A x, never forming the matrix power.
     rounds=0 returns v unchanged.
     """
     v = np.asarray(v, dtype=np.float64)
@@ -124,30 +107,18 @@ def propagate(v: np.ndarray, adjacency: sparse.csr_array,
     return out
 
 
-@dataclass
-class TaskGraph:
-    """One episode's graph: vertices, sparse edges, aggregated features."""
-
-    features: np.ndarray           # (M, e) stacked support then query
-    similarity: sparse.csr_array   # sparsified cosine matrix, zero diagonal
-    adjacency: sparse.csr_array    # degree-normalized similarity
-    aggregated: np.ndarray         # (M, e) propagated features
-    support_rows: slice
-    query_rows: slice
-
-
 def build_task_graph(support_x: np.ndarray, query_x: np.ndarray, m: int,
                      self_weight: float, rounds: int,
-                     diag: Diagnostics | None = None) -> TaskGraph:
-    """Run the full graph stage for one episode's features."""
+                     diag: Diagnostics | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Run the full graph stage for one episode's features.
+
+    Returns the aggregated (support rows, query rows).
+    """
     v = np.vstack([np.asarray(support_x, dtype=np.float64),
                    np.asarray(query_x, dtype=np.float64)])
-    dense = build_similarity(v, diag)
-    s = sparsify_top_m(dense, m)
-    adjacency = normalize_adjacency(s, diag)
+    adjacency = normalize_adjacency(
+        sparsify_top_m(build_similarity(v, diag), m), diag)
     aggregated = propagate(v, adjacency, self_weight, rounds)
     n_support = support_x.shape[0]
-    return TaskGraph(
-        features=v, similarity=s, adjacency=adjacency, aggregated=aggregated,
-        support_rows=slice(0, n_support), query_rows=slice(n_support, v.shape[0]),
-    )
+    return aggregated[:n_support], aggregated[n_support:]

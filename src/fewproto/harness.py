@@ -121,28 +121,35 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Reject a config no run can use; each error names its field."""
         if (self.data is None) == (self.synthetic is None):
             raise RunError("exactly one of data path or synthetic spec required")
         for name in ("n_ways", "k_shots", "n_queries", "n_tasks"):
             if getattr(self, name) < 1:
                 raise RunError(f"{name} must be positive")
-        if self.graph.top_m < 1 or self.graph.rounds < 0:
-            raise RunError("graph.top_m must be >= 1 and graph.rounds >= 0")
+        flat = self.to_flat()
+        for name, low in (("graph.top_m", 1), ("graph.rounds", 0),
+                          ("head.epochs", 1), ("head.n_aug", 0),
+                          ("proto.epochs", 1)):
+            if flat[name] < low:
+                raise RunError(f"{name}={flat[name]} must be >= {low}")
         n_vertices = self.n_ways * (self.k_shots + self.n_queries)
         if self.graph.top_m > n_vertices - 1:
             raise RunError(
                 f"graph.top_m={self.graph.top_m} exceeds the "
                 f"{n_vertices - 1} neighbours each of an episode's "
                 f"{n_vertices} graph vertices has")
-        if self.head.epochs < 1 or self.proto.epochs < 1 or self.head.n_aug < 0:
-            raise RunError("epoch counts must be >= 1 and head.n_aug >= 0")
-        for val in (self.graph.self_weight, self.head.lr, self.proto.lr,
-                    self.proto.entropy_weight, self.proto.class_weight,
-                    self.mask.scale, self.mask.boost):
-            if not np.isfinite(val):
-                raise RunError("all real-valued config fields must be finite")
-        if self.proto.entropy_weight < 0 or self.proto.class_weight < 0:
-            raise RunError("loss weights must be non-negative")
+        for name in ("graph.self_weight", "head.lr", "proto.lr",
+                     "proto.entropy_weight", "proto.class_weight",
+                     "mask.scale", "mask.boost"):
+            if not np.isfinite(flat[name]):
+                raise RunError(f"{name}={flat[name]!r} must be finite")
+        for name in ("head.lr", "proto.lr"):
+            if flat[name] <= 0:
+                raise RunError(f"{name}={flat[name]!r} must be positive")
+        for name in ("proto.entropy_weight", "proto.class_weight"):
+            if flat[name] < 0:
+                raise RunError(f"{name}={flat[name]!r} must be non-negative")
         if self.proto.strategy not in ("trained", "mean"):
             raise RunError(f"unknown proto.strategy {self.proto.strategy!r}")
         if not 0 <= self.seed < 2 ** 64:
@@ -289,11 +296,9 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
     episode = sample_episode(emb, config.n_ways, config.k_shots,
                              config.n_queries, rng)
     t = _lap(timings, "sample", t)
-    tg = build_task_graph(episode.support_x, episode.query_x,
-                          config.graph.top_m, config.graph.self_weight,
-                          config.graph.rounds, diag)
-    support_feats = tg.aggregated[tg.support_rows]
-    query_feats = tg.aggregated[tg.query_rows]
+    support_feats, query_feats = build_task_graph(
+        episode.support_x, episode.query_x, config.graph.top_m,
+        config.graph.self_weight, config.graph.rounds, diag)
     t = _lap(timings, "graph", t)
     aug = manifold_augment(support_feats, episode.support_y,
                            config.head.n_aug, rng)

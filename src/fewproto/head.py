@@ -111,7 +111,10 @@ def train_head(aug: AugmentedSupport, epochs: int, lr: float,
                diag: Diagnostics | None = None) -> LinearHead:
     """Full-batch Adam on the head's cross-entropy loss.
 
-    Raises EpisodeAbort on a non-finite loss. An epoch-to-epoch loss
+    Raises EpisodeAbort on a non-finite loss, and after training on an
+    overflowed Adam second moment (`head_grad_overflow`), which freezes
+    its coordinate while the loss stays finite; an inf moment stays inf,
+    so one check after the loop catches it. An epoch-to-epoch loss
     increase beyond LOSS_INCREASE_SLACK records a `head_loss_increase`
     diagnostic but training continues.
     """
@@ -134,6 +137,11 @@ def train_head(aug: AugmentedSupport, epochs: int, lr: float,
         prev = loss
         state_w, head.weights = adam_update(state_w, head.weights, gw)
         state_b, head.bias = adam_update(state_b, head.bias, gb)
+    # The bias gradient is bounded by 1; only the weights' moment can
+    # overflow.
+    if not np.all(np.isfinite(state_w.v)):
+        raise EpisodeAbort("head_grad_overflow",
+                           "Adam second moment overflowed; training stalled")
     if not (np.all(np.isfinite(head.weights)) and np.all(np.isfinite(head.bias))):
         raise EpisodeAbort("head_params_nonfinite")
     return head

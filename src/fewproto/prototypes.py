@@ -15,8 +15,12 @@ factor from averaging rows, one inside each row's term); the weights can
 absorb the rescaling, so it is implemented verbatim rather than
 simplified.
 
-All gradients here are closed forms with respect to the prototypes only;
-head parameters and support features are constants during this phase.
+The per-term `loss_*` functions and `loss_total` are the readable
+definitions. Training runs `_step_loss_and_grad`, which computes the same
+loss and its closed-form gradient with respect to the prototypes only
+(head parameters and support features are constants during this phase)
+for a stack of banks at once; the gradcheck suite gates that gradient
+against central differences of `loss_total`.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ def loss_entropy(protos: np.ndarray, head: LinearHead) -> float:
     return float(np.sum(ent) / (n * n))
 
 
-def _cosine_scores(rows: np.ndarray, protos: np.ndarray):
-    """Pairwise cosines plus the unit rows and norms the gradient reuses."""
+def _cosine_scores(rows: np.ndarray, protos: np.ndarray) -> np.ndarray:
+    """Pairwise cosines of support rows against prototypes."""
     row_norms = np.linalg.norm(rows, axis=1)
     proto_norms = np.linalg.norm(protos, axis=1)
     if np.any(row_norms == 0.0):
@@ -94,8 +98,7 @@ def _cosine_scores(rows: np.ndarray, protos: np.ndarray):
                            "cosine undefined for a zero-norm prototype")
     unit_rows = rows / row_norms[:, None]
     unit_protos = protos / proto_norms[:, None]
-    scores = np.clip(unit_rows @ unit_protos.T, -1.0, 1.0)
-    return scores, unit_rows, unit_protos, proto_norms
+    return np.clip(unit_rows @ unit_protos.T, -1.0, 1.0)
 
 
 def loss_metric(protos: np.ndarray, support_feats: np.ndarray,
@@ -107,7 +110,7 @@ def loss_metric(protos: np.ndarray, support_feats: np.ndarray,
     """
     support_feats = np.asarray(support_feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    scores, _, _, _ = _cosine_scores(support_feats, protos)
+    scores = _cosine_scores(support_feats, protos)
     probs = softmax(scores, axis=1)
     n_rows, n_classes = probs.shape
     picked = probs[np.arange(n_rows), labels]
@@ -124,55 +127,21 @@ def loss_total(protos: np.ndarray, head: LinearHead,
             + loss_metric(protos, support_feats, labels))
 
 
-def grad_total(protos: np.ndarray, head: LinearHead,
-               support_feats: np.ndarray, labels: np.ndarray,
-               weights: LossWeights) -> np.ndarray:
-    """Analytic gradient of loss_total with respect to the prototypes.
-
-    Matches central finite differences to <1e-4 relative error; the
-    gradcheck suite is the gate for this function.
-    """
-    n = protos.shape[0]
-    probs = head_predict(head, protos)
-
-    # Classification: d/dz of -log(p_own) is (p - onehot); rows map back
-    # through the head's weight matrix.
-    delta_class = (probs - np.eye(n)) / (n * n)
-
-    # Entropy of softmax: d/dz_k = -p_k * (log p_k + H).
-    logp = np.log(np.maximum(probs, LOG_FLOOR))
-    ent = -np.sum(probs * logp, axis=1, keepdims=True)
-    delta_ent = -probs * (logp + ent) / (n * n)
-
-    grad = (weights.class_weight * delta_class
-            + weights.entropy_weight * delta_ent) @ head.weights
-
-    # Metric: softmax over cosines; d cos(f, p)/dp = (f_hat - cos * p_hat)/|p|.
-    support_feats = np.asarray(support_feats, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    scores, unit_rows, unit_protos, proto_norms = _cosine_scores(
-        support_feats, protos)
-    q = softmax(scores, axis=1)
-    n_rows = support_feats.shape[0]
-    t = q.copy()
-    t[np.arange(n_rows), labels] -= 1.0
-    t /= n_rows * n
-    grad += (t.T @ unit_rows - (t * scores).sum(axis=0)[:, None] * unit_protos) \
-        / proto_norms[:, None]
-    return grad
-
-
 def _step_loss_and_grad(protos: np.ndarray, head_weights: np.ndarray,
                         head_bias: np.ndarray, unit_rows: np.ndarray,
                         labels: np.ndarray, weights: LossWeights
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused loss_total/grad_total for a stack of B prototype banks.
+    """loss_total and its gradient for a stack of B prototype banks.
 
     Shapes: protos and head_weights (B, n, e), head_bias (B, n),
     unit_rows (B, r, e) pre-normalized support rows, labels (B, r).
     Returns the (B,) losses and the (B, n, e) gradients. Shares the head
-    pass and the cosine pass between value and gradient; must stay
-    numerically equal to the public pair on each bank (unit-tested).
+    pass and the cosine pass between value and gradient. The loss equals
+    loss_total on each bank (unit-tested); the gradient is the one the
+    gradcheck suite verifies. Per term, with p the head's softmax on a
+    prototype and q the softmax over a support row's cosines:
+    classification d/dz = p - onehot; entropy d/dz_k = -p_k (log p_k + H);
+    metric d cos(f, p)/dp = (f_hat - cos * p_hat) / |p|.
     Every matmul runs one product per bank and every reduction runs
     within a bank in the same axis order, so a bank's result does not
     depend on the others in the stack. A bank with a zero-norm
@@ -215,15 +184,13 @@ def _step_loss_and_grad(protos: np.ndarray, head_weights: np.ndarray,
     return loss, grad
 
 
-def init_prototypes(n_classes: int, dim: int, rng: np.random.Generator,
-                    mode: str = "random") -> np.ndarray:
+def init_prototypes(n_classes: int, dim: int,
+                    rng: np.random.Generator) -> np.ndarray:
     """Starting point for training: random Gaussian rows.
 
     Entries have standard deviation 1/sqrt(dim) so initial row norms are
     O(1).
     """
-    if mode != "random":
-        raise ValueError(f"unknown init mode {mode!r}")
     return rng.normal(0.0, 1.0 / np.sqrt(dim), (n_classes, dim))
 
 
@@ -243,8 +210,9 @@ def train_prototype_banks(heads: list[LinearHead],
     EpisodeAbort that ended it: a zero-norm support row before training;
     a zero-norm prototype row or a non-finite loss at the epoch it
     happens, after which the bank leaves the stack and the rest go on;
-    or a degenerate final bank. Appends each bank's per-epoch loss
-    (evaluated before each update) to `trajectories[j]` when given.
+    an overflowed Adam moment (`proto_grad_overflow`); or a degenerate
+    final bank. Appends each bank's per-epoch loss (evaluated before
+    each update) to `trajectories[j]` when given.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -272,8 +240,10 @@ def train_prototype_banks(heads: list[LinearHead],
     unit_rows, int_labels = np.stack(unit_rows), np.stack(int_labels)
     state = AdamState.fresh(protos.shape, lr=lr)
     # A zero-norm row (0/0) or an overflowed logit (inf - inf) shows as a
-    # NaN loss, which aborts that bank with a reason. Overflow warnings
-    # stay on: an overflowed Adam moment stalls a bank without a NaN.
+    # NaN loss, which aborts that bank with a reason. A gradient entry
+    # past ~1e154 overflows the second moment instead: the loss stays
+    # finite but that coordinate never moves again. An inf moment stays
+    # inf, so one check after the loop catches it.
     with np.errstate(divide="ignore", invalid="ignore"):
         for epoch in range(epochs):
             loss, grad = _step_loss_and_grad(protos, head_weights, head_bias,
@@ -300,7 +270,13 @@ def train_prototype_banks(heads: list[LinearHead],
                 for j, value in zip(alive, loss):
                     trajectories[j].append(float(value))
             state, protos = adam_update(state, protos, grad)
-    for j, bank in zip(alive, protos):
+    overflowed = ~np.isfinite(state.v).all(axis=(1, 2))
+    for j, bank, over in zip(alive, protos, overflowed):
+        if over:
+            results[j] = EpisodeAbort(
+                "proto_grad_overflow",
+                "Adam second moment overflowed; training stalled")
+            continue
         try:
             validate_prototypes(bank)
             results[j] = PrototypeBank(protos=bank, trained=True)
@@ -318,7 +294,8 @@ def train_prototypes(head: LinearHead, support_feats: np.ndarray,
     The head is frozen. This is train_prototype_banks for one episode.
     Appends the per-epoch loss (evaluated before each update) to
     `trajectory` when given. Raises EpisodeAbort on a zero-norm support
-    row, a non-finite loss or a degenerate final bank.
+    row, a non-finite loss, an overflowed Adam moment or a degenerate
+    final bank.
     """
     result, = train_prototype_banks(
         [head], [support_feats], [labels], weights, epochs, lr, [rng],

@@ -3,6 +3,8 @@
 Each trial draws a random head, random support features, and random
 prototypes, then compares the closed-form gradients of the head loss and
 of the composite prototype loss against central differences. The
+prototype gradient checked is the one training runs: the batched fused
+step for a single bank, against differences of `loss_total`. The
 composite loss is checked under the default term weights and a fixed set
 of random weight pairs. This suite is the primary correctness gate for
 the training code; the CLI exposes it as the `gradcheck` subcommand.
@@ -16,7 +18,7 @@ import numpy as np
 
 from .head import LinearHead, head_loss_and_grad
 from .optim import grad_check
-from .prototypes import LossWeights, grad_total, loss_total
+from .prototypes import LossWeights, _step_loss_and_grad, loss_total
 
 
 @dataclass
@@ -54,14 +56,21 @@ def check_head_gradient(weights, bias, feats, labels, h: float = 1e-5) -> float:
 
 def check_proto_gradient(protos, head, feats, labels, weights: LossWeights,
                          h: float = 1e-5) -> float:
-    """Worst relative error of grad_total at the given prototypes."""
+    """Worst relative error of the training step's prototype gradient
+    (`_step_loss_and_grad` on one bank) against central differences of
+    loss_total at the given prototypes."""
+    feats = np.asarray(feats, dtype=np.float64)
+    unit_rows = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    labels = np.asarray(labels, dtype=np.int64)
 
     def loss_fn(x):
         return loss_total(x.reshape(protos.shape), head, feats, labels, weights)
 
     def grad_fn(x):
-        return grad_total(x.reshape(protos.shape), head, feats, labels,
-                          weights).ravel()
+        _, grad = _step_loss_and_grad(
+            x.reshape((1,) + protos.shape), head.weights[None],
+            head.bias[None], unit_rows[None], labels[None], weights)
+        return grad.ravel()
 
     return grad_check(loss_fn, grad_fn, protos.ravel(), h)
 

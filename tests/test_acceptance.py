@@ -89,16 +89,14 @@ def test_graph_oracle_equivalence():
         sw = float(rng.uniform(0.3, 1.2))
 
         dense = build_similarity(v)
-        sparse_s = sparsify_top_m(dense, m)
-        worst = max(worst, np.abs(sparse_s.toarray()
-                                  - dense_sparsify_oracle(dense, m)).max())
-        adjacency = normalize_adjacency(sparse_s)
+        kept = sparsify_top_m(dense, m)
+        worst = max(worst, np.abs(kept - dense_sparsify_oracle(dense, m)).max())
+        adjacency = normalize_adjacency(kept)
         worst = max(worst, np.abs(
-            adjacency.toarray()
-            - dense_normalize_oracle(sparse_s.toarray())).max())
+            adjacency - dense_normalize_oracle(kept)).max())
         out = propagate(v, adjacency, sw, rounds)
         power = np.linalg.matrix_power(
-            sw * np.eye(v.shape[0]) + adjacency.toarray(), rounds) @ v
+            sw * np.eye(v.shape[0]) + adjacency, rounds) @ v
         worst = max(worst, np.abs(out - power).max())
     announce(worst <= 1e-10, "graph oracle equivalence",
              f"50 episodes (M<=12), worst deviation {worst:.3e}")

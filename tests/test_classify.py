@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fewproto.classify import (AttentionMasks, build_masks, classify,
-                               classify_batch, correct_query, score_episode)
+from fewproto.classify import (AttentionMasks, build_masks, classify_batch,
+                               score_episode)
 from fewproto.diagnostics import Diagnostics
 from fewproto.embeddings import generate_synthetic, sample_episode
 from fewproto.prototypes import PrototypeBank
@@ -52,47 +52,59 @@ def test_masks_rows_sum_to_one_and_negation_invariant():
 
 def test_correct_query_zero_boost():
     rng = np.random.default_rng(2)
-    q = rng.normal(size=6)
-    masks = AttentionMasks(masks=np.full((1, 6), 1 / 6), scale=0.0, boost=0.0)
-    np.testing.assert_array_equal(correct_query(q, masks, 0), q)
+    protos = bank_from(rng.normal(size=(3, 6)))
+    queries = rng.normal(size=(10, 6))
+    masks = AttentionMasks(masks=np.full((3, 6), 1 / 6), scale=0.0, boost=0.0)
+    _, masked = classify_batch(queries, protos, masks, use_mask=True)
+    _, plain = classify_batch(queries, protos, None, use_mask=False)
+    np.testing.assert_array_equal(masked, plain)
 
 
 def test_correct_query_uniform_mask_doubles():
     # boost equal to the dimension turns the uniform correction into
     # exactly query + query.
-    q = np.array([1.0, -2.0, 3.0, 0.5])
-    masks = AttentionMasks(masks=np.full((1, 4), 0.25), scale=0.0, boost=4.0)
-    np.testing.assert_array_equal(correct_query(q, masks, 0), 2.0 * q)
+    protos = bank_from(np.random.default_rng(3).normal(size=(2, 4)))
+    q = np.array([[1.0, -2.0, 3.0, 0.5]])
+    masks = AttentionMasks(masks=np.full((2, 4), 0.25), scale=0.0, boost=4.0)
+    _, masked = classify_batch(q, protos, masks, use_mask=True)
+    _, doubled = classify_batch(2.0 * q, protos, None, use_mask=False)
+    np.testing.assert_array_equal(masked, doubled)
 
 
 def test_correct_query_matches_elementwise_oracle():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        q = rng.normal(size=9)
-        raw = rng.uniform(0.1, 1.0, size=9)
-        mask_row = raw / raw.sum()
-        masks = AttentionMasks(masks=mask_row[None, :], scale=1.0,
-                               boost=rng.uniform(0.0, 1e4))
-        want = np.array([masks.boost * q[i] * mask_row[i] + q[i]
-                         for i in range(9)])
-        np.testing.assert_allclose(correct_query(q, masks, 0), want,
-                                   atol=1e-12)
+        protos = rng.normal(size=(3, 9))
+        queries = rng.normal(size=(4, 9))
+        raw = rng.uniform(0.1, 1.0, size=(3, 9))
+        masks = AttentionMasks(masks=raw / raw.sum(axis=1, keepdims=True),
+                               scale=1.0, boost=rng.uniform(0.0, 1e4))
+        _, scores = classify_batch(queries, bank_from(protos), masks,
+                                   use_mask=True)
+        for i, q in enumerate(queries):
+            for c, p in enumerate(protos):
+                corrected = np.array([masks.boost * q[d] * masks.masks[c, d]
+                                      + q[d] for d in range(9)])
+                want = corrected @ p / (np.linalg.norm(corrected)
+                                        * np.linalg.norm(p))
+                assert scores[i, c] == pytest.approx(want, abs=1e-12)
 
 
 def test_classify_query_equal_to_prototype():
     protos = bank_from(np.eye(4))
-    pred, scores = classify(np.eye(4)[2], protos, None, use_mask=False)
-    assert pred == 2
-    assert scores[2] == pytest.approx(1.0, abs=1e-15)
+    pred, scores = classify_batch(np.eye(4)[2:3], protos, None,
+                                  use_mask=False)
+    assert pred[0] == 2
+    assert scores[0, 2] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_classify_masked_keeps_aligned_query():
     protos = bank_from(np.eye(4) * 3.0)
     masks = build_masks(protos, scale=1.0, boost=10000.0)
-    query = np.eye(4)[2]
-    unmasked, _ = classify(query, protos, None, use_mask=False)
-    masked, _ = classify(query, protos, masks, use_mask=True)
-    assert unmasked == masked == 2
+    query = np.eye(4)[2:3]
+    unmasked, _ = classify_batch(query, protos, None, use_mask=False)
+    masked, _ = classify_batch(query, protos, masks, use_mask=True)
+    assert unmasked[0] == masked[0] == 2
 
 
 def test_classify_uniform_masks_match_unmasked():
@@ -109,35 +121,36 @@ def test_classify_scale_invariance():
     rng = np.random.default_rng(5)
     protos = bank_from(rng.normal(size=(4, 10)))
     masks = build_masks(protos, scale=0.7)
-    q = rng.normal(size=10)
+    q = rng.normal(size=(20, 10))
     for use_mask, m in ((False, None), (True, masks)):
-        base, _ = classify(q, protos, m, use_mask)
+        base, _ = classify_batch(q, protos, m, use_mask)
         for factor in (0.001, 7.0, 4096.0):
-            scaled, _ = classify(factor * q, protos, m, use_mask)
-            assert scaled == base
+            scaled, _ = classify_batch(factor * q, protos, m, use_mask)
+            np.testing.assert_array_equal(scaled, base)
 
 
 def test_classify_zero_query():
     diag = Diagnostics()
     protos = bank_from(np.eye(3))
-    pred, scores = classify(np.zeros(3), protos, None, use_mask=False,
-                            diag=diag)
-    assert pred == 0
-    np.testing.assert_array_equal(scores, np.zeros(3))
+    pred, scores = classify_batch(np.zeros((1, 3)), protos, None,
+                                  use_mask=False, diag=diag)
+    assert pred[0] == 0
+    np.testing.assert_array_equal(scores, np.zeros((1, 3)))
     assert diag.counts["zero_query"] == 1
 
 
 def test_classify_tie_lowest_index():
     protos = bank_from([[1.0, 0.0], [0.0, 1.0]])
-    pred, scores = classify(np.array([1.0, 1.0]), protos, None, use_mask=False)
-    assert scores[0] == scores[1]
-    assert pred == 0
+    pred, scores = classify_batch(np.array([[1.0, 1.0]]), protos, None,
+                                  use_mask=False)
+    assert scores[0, 0] == scores[0, 1]
+    assert pred[0] == 0
 
 
 def test_classify_rejects_zero_prototype():
     protos = bank_from([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        classify(np.ones(2), protos, None, use_mask=False)
+        classify_batch(np.ones((1, 2)), protos, None, use_mask=False)
 
 
 def test_classify_batch_matches_single():
@@ -147,9 +160,9 @@ def test_classify_batch_matches_single():
     queries = rng.normal(size=(40, 8))
     preds, scores = classify_batch(queries, protos, masks, use_mask=True)
     for i in range(40):
-        p, s = classify(queries[i], protos, masks, use_mask=True)
-        assert p == preds[i]
-        np.testing.assert_allclose(s, scores[i], atol=1e-15)
+        p, s = classify_batch(queries[i:i + 1], protos, masks, use_mask=True)
+        assert p[0] == preds[i]
+        np.testing.assert_allclose(s[0], scores[i], atol=1e-15)
 
 
 def test_score_episode_extremes():

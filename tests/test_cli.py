@@ -115,3 +115,14 @@ def test_determinism_across_processes(tmp_path):
         raw.pop("wall_time")
         reports.append(json.dumps(raw, sort_keys=True))
     assert reports[0] == reports[1]
+
+
+def test_import_loads_no_scipy():
+    # The runtime depends on numpy alone; scipy is a test-only dependency.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fewproto; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

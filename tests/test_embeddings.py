@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,26 @@ def test_load_minimal_file(tmp_path):
     assert emb.n_records == 2
     assert emb.n_classes == 2
     np.testing.assert_array_equal(emb.vectors[1], [5, 6, 7, 8])
+
+
+def test_load_peak_memory_bounded(tmp_path):
+    # One read buffer plus the contiguous float32 copy, with small index
+    # arrays on top; a third payload-sized copy would pass 3x.
+    rng = np.random.default_rng(21)
+    emb = EmbeddingSet.from_arrays(
+        rng.normal(size=(2000, 256)).astype(np.float32),
+        np.repeat(np.arange(20), 100))
+    path = tmp_path / "pool.emb"
+    save_embedding_set(emb, path)
+    payload = path.stat().st_size - 16
+    tracemalloc.start()
+    try:
+        loaded = load_embedding_set(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.vectors, emb.vectors)
+    assert peak <= 2.5 * payload
 
 
 def test_truncated_payload(tmp_path):

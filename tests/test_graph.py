@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fewproto.diagnostics import Diagnostics
-from fewproto.graph import (build_similarity, build_task_graph, cosine,
+from fewproto.graph import (build_similarity, build_task_graph,
                             normalize_adjacency, propagate, sparsify_top_m)
 
 
@@ -17,32 +17,6 @@ def dense_power_oracle(v, adjacency, self_weight, rounds):
     """Explicit (self_weight*I + A)^rounds @ V."""
     a = self_weight * np.eye(adjacency.shape[0]) + adjacency
     return np.linalg.matrix_power(a, rounds) @ v
-
-
-def test_cosine_orthogonal():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_cosine_parallel():
-    assert cosine(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == pytest.approx(
-        1.0, abs=1e-15)
-
-
-def test_cosine_analytic_45_degrees():
-    assert cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(
-        0.70710678, abs=1e-8)
-
-
-def test_cosine_zero_vector_rule():
-    diag = Diagnostics()
-    assert cosine(np.zeros(3), np.ones(3), diag) == 0.0
-    assert cosine(np.zeros(3), np.zeros(3), diag) == 0.0
-    assert diag.counts["zero_vector_cosine"] == 2
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(ValueError):
-        cosine(np.ones(2), np.ones(3))
 
 
 def test_similarity_identical_unit_rows():
@@ -62,7 +36,8 @@ def test_similarity_matches_double_loop_oracle():
         s = build_similarity(v)
         for i in range(n):
             for j in range(n):
-                want = 0.0 if i == j else cosine(v[i], v[j])
+                norms = np.linalg.norm(v[i]) * np.linalg.norm(v[j])
+                want = 0.0 if i == j else v[i] @ v[j] / norms
                 assert s[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -87,7 +62,7 @@ def test_sparsify_m_max_keeps_everything():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(6, 4))
     s = build_similarity(v)  # includes negative entries
-    kept = sparsify_top_m(s, 5).toarray()
+    kept = sparsify_top_m(s, 5)
     np.testing.assert_array_equal(kept, s)
 
 
@@ -99,7 +74,7 @@ def test_sparsify_chain_union_rule():
         [0.9, 0.0, 0.5],
         [0.1, 0.5, 0.0],
     ])
-    kept = sparsify_top_m(s, 1).toarray()
+    kept = sparsify_top_m(s, 1)
     want = np.array([
         [0.0, 0.9, 0.0],
         [0.9, 0.0, 0.5],
@@ -113,7 +88,7 @@ def test_sparsify_tie_breaks_to_lowest_index():
     # neighbor (0 keeps 1, rows 1 and 2 keep 0), union symmetrizes.
     s = np.full((3, 3), 0.5)
     np.fill_diagonal(s, 0.0)
-    kept = sparsify_top_m(s, 1).toarray()
+    kept = sparsify_top_m(s, 1)
     want = np.array([
         [0.0, 0.5, 0.5],
         [0.5, 0.0, 0.0],
@@ -129,7 +104,7 @@ def test_sparsify_symmetric_on_random_inputs():
         n = int(rng.integers(3, 12))
         s = build_similarity(rng.normal(size=(n, 4)))
         m = int(rng.integers(1, n))
-        kept = sparsify_top_m(s, m).toarray()
+        kept = sparsify_top_m(s, m)
         assert np.max(np.abs(kept - kept.T)) == 0.0
         assert np.all(np.diag(kept) == 0.0)
 
@@ -143,39 +118,35 @@ def test_sparsify_m_out_of_range():
 
 
 def test_normalize_unit_degrees():
-    from scipy import sparse
-    s = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    e = normalize_adjacency(s).toarray()
+    s = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e = normalize_adjacency(s)
     np.testing.assert_allclose(e, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_normalize_scaling_cancels():
-    from scipy import sparse
-    s = sparse.csr_array(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    e = normalize_adjacency(s).toarray()
+    s = np.array([[0.0, 2.0], [2.0, 0.0]])
+    e = normalize_adjacency(s)
     np.testing.assert_allclose(e, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_normalize_matches_dense_oracle():
-    from scipy import sparse
     rng = np.random.default_rng(4)
     for _ in range(20):
         raw = rng.uniform(0.1, 1.0, size=(6, 6))
         s = (raw + raw.T) / 2
         np.fill_diagonal(s, 0.0)
-        e = normalize_adjacency(sparse.csr_array(s)).toarray()
+        e = normalize_adjacency(s)
         np.testing.assert_allclose(e, dense_normalize_oracle(s), atol=1e-12)
 
 
 def test_normalize_isolated_vertex_zeroed():
-    from scipy import sparse
     s = np.array([
         [0.0, 0.0, 0.0],
         [0.0, 0.0, 1.0],
         [0.0, 1.0, 0.0],
     ])
     diag = Diagnostics()
-    e = normalize_adjacency(sparse.csr_array(s), diag).toarray()
+    e = normalize_adjacency(s, diag)
     assert diag.counts["isolated_vertex"] == 1
     np.testing.assert_array_equal(e[0], np.zeros(3))
     np.testing.assert_array_equal(e[:, 0], np.zeros(3))
@@ -183,16 +154,14 @@ def test_normalize_isolated_vertex_zeroed():
 
 
 def test_propagate_zero_rounds_is_identity():
-    from scipy import sparse
     rng = np.random.default_rng(5)
     v = rng.normal(size=(4, 3))
-    adjacency = sparse.csr_array(np.ones((4, 4)) - np.eye(4))
+    adjacency = np.ones((4, 4)) - np.eye(4)
     np.testing.assert_array_equal(propagate(v, adjacency, 0.7, 0), v)
 
 
 def test_propagate_swap_example():
-    from scipy import sparse
-    adjacency = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    adjacency = np.array([[0.0, 1.0], [1.0, 0.0]])
     v = np.eye(2)
     out = propagate(v, adjacency, 1.0, 1)
     np.testing.assert_allclose(out, np.ones((2, 2)), atol=1e-15)
@@ -204,12 +173,11 @@ def test_propagate_matches_dense_power_oracle():
     s = build_similarity(rng.normal(size=(8, 5)) + 2.0)
     adjacency = normalize_adjacency(sparsify_top_m(s, 3))
     out = propagate(v, adjacency, 1.0, 3)
-    want = dense_power_oracle(v, adjacency.toarray(), 1.0, 3)
+    want = dense_power_oracle(v, adjacency, 1.0, 3)
     np.testing.assert_allclose(out, want, atol=1e-10)
 
 
 def test_propagate_linearity():
-    from scipy import sparse
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(3, 10))
@@ -234,7 +202,7 @@ def test_propagate_oracle_all_small_sizes():
         rounds = int(rng.integers(0, 5))
         sw = float(rng.uniform(0.2, 1.5))
         out = propagate(feats, adjacency, sw, rounds)
-        want = dense_power_oracle(feats, adjacency.toarray(), sw, rounds)
+        want = dense_power_oracle(feats, adjacency, sw, rounds)
         np.testing.assert_allclose(out, want, atol=1e-10)
 
 
@@ -242,13 +210,17 @@ def test_task_graph_shapes_and_invariants():
     rng = np.random.default_rng(9)
     support = rng.normal(size=(10, 6)) + 1.0
     query = rng.normal(size=(30, 6)) + 1.0
-    tg = build_task_graph(support, query, 5, 1.0, 3)
-    assert tg.features.shape == (40, 6)
-    assert tg.aggregated.shape == (40, 6)
-    assert tg.support_rows == slice(0, 10)
-    assert tg.query_rows == slice(10, 40)
-    e = tg.adjacency.toarray()
-    assert np.max(np.abs(e - e.T)) <= 1e-12
+    support_feats, query_feats = build_task_graph(support, query, 5, 1.0, 3)
+    assert support_feats.shape == (10, 6)
+    assert query_feats.shape == (30, 6)
+    v = np.vstack([support, query])
+    s = sparsify_top_m(build_similarity(v), 5)
+    adjacency = normalize_adjacency(s)
+    assert np.max(np.abs(adjacency - adjacency.T)) <= 1e-12
     # adjacency reconstructs from the sparsified similarity
-    want = dense_normalize_oracle(tg.similarity.toarray())
-    np.testing.assert_allclose(e, want, atol=1e-9)
+    np.testing.assert_allclose(adjacency, dense_normalize_oracle(s),
+                               atol=1e-9)
+    # the stage is the three steps in order, support rows first
+    want = dense_power_oracle(v, adjacency, 1.0, 3)
+    np.testing.assert_allclose(np.vstack([support_feats, query_feats]), want,
+                               atol=1e-10)

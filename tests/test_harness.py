@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -89,6 +90,34 @@ def test_config_rejects_top_m_beyond_episode():
         cfg.graph.top_m = top_m
         with pytest.raises(RunError, match="graph.top_m"):
             cfg.validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("graph.top_m", "0"), ("graph.rounds", "-1"), ("head.epochs", "0"),
+    ("head.n_aug", "-1"), ("proto.epochs", "0"),
+    ("graph.self_weight", "inf"), ("mask.scale", "nan"),
+    ("mask.boost", "inf"), ("head.lr", "nan"),
+    ("head.lr", "0"), ("head.lr", "-1e-2"),
+    ("proto.lr", "0"), ("proto.lr", "-0.01"),
+    ("proto.entropy_weight", "-0.1"), ("proto.class_weight", "-1"),
+])
+def test_config_error_names_the_field(key, value):
+    cfg = small_config(**{key: value})
+    with pytest.raises(RunError, match=re.escape(key)):
+        cfg.validate()
+
+
+def test_grad_overflow_aborts_instead_of_chance():
+    # self_weight=1e60 scales aggregated features by 1e180, which
+    # overflows the head's Adam moment; the episode must abort with that
+    # reason, alone and inside run_eval, not score near chance.
+    cfg = small_config(**{"graph.self_weight": "1e60"})
+    emb = harness._resolve_pool(cfg)
+    with np.errstate(over="ignore"):
+        with pytest.raises(EpisodeAbort, match="head_grad_overflow"):
+            run_episode(emb, cfg, episode_rng(cfg.seed, 0))
+        with pytest.raises(RunError, match="abort:head_grad_overflow"):
+            run_eval(cfg)
 
 
 def test_confidence_interval_hand_oracle():

@@ -5,7 +5,7 @@ import pytest
 
 from fewproto.diagnostics import EpisodeAbort
 from fewproto.head import LinearHead
-from fewproto.prototypes import (LossWeights, _step_loss_and_grad, grad_total,
+from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
                                  init_prototypes, loss_class, loss_entropy,
                                  loss_metric, loss_total, mean_prototypes,
                                  train_prototype_banks, train_prototypes,
@@ -215,23 +215,29 @@ def test_gradient_hundred_random_points():
 
 
 def test_fused_step_matches_public_functions():
+    # The loss must equal the readable loss_total; the gradient is gated
+    # against finite differences by check_proto_gradient, so here each
+    # bank's gradient in a stack must be the bits it gets alone.
     rng = np.random.default_rng(9)
-    for trial in range(20):
-        instances = [random_instance(rng) for _ in range(1 + 3 * (trial % 2))]
-        weights = LossWeights(*rng.uniform(0.0, 2.0, size=2))
+
+    def fused(instances, weights):
         protos, heads, feats, labels = zip(*instances)
         unit = [f / np.linalg.norm(f, axis=1, keepdims=True) for f in feats]
-        fused_loss, fused_grad = _step_loss_and_grad(
+        return _step_loss_and_grad(
             np.stack(protos), np.stack([h.weights for h in heads]),
             np.stack([h.bias for h in heads]), np.stack(unit),
             np.stack(labels), weights)
+
+    for trial in range(20):
+        instances = [random_instance(rng) for _ in range(1 + 3 * (trial % 2))]
+        weights = LossWeights(*rng.uniform(0.0, 2.0, size=2))
+        fused_loss, fused_grad = fused(instances, weights)
         assert fused_loss.shape == (len(instances),)
         for j, (p, head, f, lab) in enumerate(instances):
             assert fused_loss[j] == pytest.approx(
                 loss_total(p, head, f, lab, weights), abs=1e-12)
-            np.testing.assert_allclose(
-                fused_grad[j], grad_total(p, head, f, lab, weights),
-                atol=1e-12)
+            _, alone = fused([instances[j]], weights)
+            np.testing.assert_array_equal(fused_grad[j], alone[0])
 
 
 def test_batched_abort_leaves_other_banks():
@@ -266,6 +272,37 @@ def test_batched_abort_leaves_other_banks():
     assert reasons[1].startswith("proto_loss_diverged")
     assert int(reasons[1].rsplit(" ", 1)[1]) > 0  # aborted mid-loop
     assert reasons[2].startswith("zero_support_row")
+
+
+def test_grad_overflow_aborts_serial_and_batched():
+    # A head scaled by 1e300 pushes gradient entries past ~1e154, so
+    # Adam's second moment overflows to inf: the loss stays finite but the
+    # bank stops moving. Alone and in a stack, that bank must abort with
+    # the same reason and leave the others untouched.
+    rng = np.random.default_rng(15)
+    instances = [random_instance(rng) for _ in range(3)]
+    instances[1][1].weights *= 1e300
+    _, heads, feats, labels = zip(*instances)
+    with np.errstate(over="ignore"):
+        batched = train_prototype_banks(
+            list(heads), list(feats), list(labels), LossWeights(), 200,
+            1e-2, [np.random.default_rng(30 + j) for j in range(3)])
+    reasons = []
+    for j, (_, head, f, lab) in enumerate(instances):
+        traj = []
+        try:
+            with np.errstate(over="ignore"):
+                alone = train_prototypes(head, f, lab, LossWeights(), 200,
+                                         1e-2, np.random.default_rng(30 + j),
+                                         trajectory=traj)
+        except EpisodeAbort as abort:
+            assert str(batched[j]) == str(abort)
+            assert len(traj) == 200 and np.all(np.isfinite(traj))
+            reasons.append(abort.reason)
+            continue
+        np.testing.assert_array_equal(batched[j].protos, alone.protos)
+        reasons.append(None)
+    assert reasons == [None, "proto_grad_overflow", None]
 
 
 def test_train_reaches_support_equal_bound():
@@ -315,8 +352,7 @@ def test_trajectory_non_increasing_after_warmup():
     pool = generate_synthetic(20, 50, 64, 10.0, 0.1, np.random.default_rng(100))
     rng = np.random.default_rng(101)
     ep = sample_episode(pool, 5, 5, 15, rng)
-    tg = build_task_graph(ep.support_x, ep.query_x, 10, 1.0, 3)
-    support = tg.aggregated[tg.support_rows]
+    support, _ = build_task_graph(ep.support_x, ep.query_x, 10, 1.0, 3)
     aug = manifold_augment(support, ep.support_y, 5, rng)
     head = train_head(aug, 11, 1e-2, rng)
     traj = []
@@ -356,5 +392,3 @@ def test_init_prototypes_modes():
     np.testing.assert_array_equal(
         random_init, np.random.default_rng(1).normal(0.0, 1.0 / np.sqrt(6),
                                                      (5, 6)))
-    with pytest.raises(ValueError):
-        init_prototypes(5, 6, np.random.default_rng(1), mode="means")
