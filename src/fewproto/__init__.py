@@ -18,7 +18,7 @@ from .harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                       emit_report, load_report, run_episode, run_eval)
 from .head import (AugmentedSupport, LinearHead, head_predict,
                    manifold_augment, train_head)
-from .optim import AdamState, adam_update, cross_entropy, grad_check, softmax
+from .optim import AdamState, adam_update, grad_check, softmax
 from .prototypes import (LossWeights, PrototypeBank, loss_class,
                          loss_entropy, loss_metric, loss_total,
                          mean_prototypes, train_prototypes)
@@ -34,7 +34,7 @@ __all__ = [
     "SyntheticSpec", "emit_report", "load_report", "run_episode",
     "run_eval", "AugmentedSupport", "LinearHead", "head_predict",
     "manifold_augment", "train_head", "AdamState", "adam_update",
-    "cross_entropy", "grad_check", "softmax", "LossWeights",
+    "grad_check", "softmax", "LossWeights",
     "PrototypeBank", "loss_class", "loss_entropy", "loss_metric",
     "loss_total", "mean_prototypes", "train_prototypes",
     "run_gradcheck_suite",

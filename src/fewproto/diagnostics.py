@@ -33,8 +33,5 @@ class Diagnostics:
     def as_dict(self) -> dict[str, int]:
         return {k: self.counts[k] for k in sorted(self.counts)}
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def __repr__(self):
         return f"Diagnostics({dict(self.counts)!r})"

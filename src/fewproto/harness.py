@@ -5,11 +5,13 @@ accuracy with a 95% confidence interval (1.96 * population stddev /
 sqrt(T), the convention behind "+-" columns in few-shot results).
 
 Episode i always uses the generator seeded with `seed + i`. With
-trained prototypes, episodes run in chunks of EPISODE_CHUNK consecutive
-task indices: each is prepared on its own generator, one batched Adam
-loop trains the chunk's prototype banks, then each is classified and
-scored. A bank's bits do not depend on the chunk it trains in, so
-reports are identical for any chunk size. Episodes that hit a fatal
+trained prototypes, episodes run in chunks of consecutive task indices
+(`chunk_plan`), as many as `stack_width` allows for the bank width and
+split evenly over the run: each is prepared on its own generator, one
+batched Adam loop trains the chunk's prototype banks, then each is
+classified and scored. A bank's bits do not depend on the chunk it
+trains in, so reports are identical for any chunk plan. Mean-prototype
+episodes train nothing and run one at a time. Episodes that hit a fatal
 numerical condition are aborted, counted, and excluded; a run fails
 outright if aborts exceed 1% of the requested tasks.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,12 +37,15 @@ from .prototypes import (LossWeights, PrototypeBank, mean_prototypes,
 ABORT_CAP_FRACTION = 0.01
 # Seed stream for building a synthetic pool, distinct from episode streams.
 POOL_STREAM = 0x706F6F6C
-# Episodes per batched prototype loop, measured with one BLAS thread:
-# a bank-step of 5-way 5-shot 64-d episodes costs 23 us at 8, 18 at 16
-# and 16 at 48; at 5-way 1-shot 640-d it is flat up to 24 and then
-# grows (102 us at 48) as the stacked arrays outgrow the cache. The
-# chunk also bounds how many prepared episodes are held at once.
-EPISODE_CHUNK = 16
+# Episodes per batched prototype loop. A step pays for about 60 numpy
+# calls whatever the stack size, so wider stacks amortize them, until a
+# stacked (B, n_ways, dim) float64 array passes about STACK_BYTES and
+# the buffers outgrow the cache: with one BLAS thread on a 2-vCPU Xeon,
+# a 5-way 1-shot 640-d bank-step took 78 us at 16 banks and 103 us at
+# 48, while a 5-way 64-d one fell from 22 us at 16 to 19.5 us at 48.
+# MAX_STACK also bounds how many prepared episodes are held at once.
+STACK_BYTES = 409600
+MAX_STACK = 48
 
 
 class RunError(RuntimeError):
@@ -263,18 +268,36 @@ def episode_rng(seed: int, task_index: int) -> np.random.Generator:
     return np.random.default_rng(seed + task_index)
 
 
+def stack_width(n_ways: int, dim: int) -> int:
+    """Most episodes one batched prototype loop stacks, for banks of
+    `n_ways` rows of `dim` float64 entries."""
+    return max(1, min(MAX_STACK, STACK_BYTES // (8 * n_ways * dim)))
+
+
+def chunk_plan(n_tasks: int, width: int) -> list[range]:
+    """Task indices 0..n_tasks-1 in order, in the fewest chunks of at
+    most `width`, with sizes that differ by at most one."""
+    n_chunks = -(-n_tasks // width)
+    size, extra = divmod(n_tasks, n_chunks)
+    bounds = [k * size + min(k, extra) for k in range(n_chunks + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class PreparedEpisode:
-    """An episode up to its prototypes: sampled, aggregated, head trained.
+    """An episode up to its prototypes: sampled, aggregated, and, for
+    trained prototypes, its head trained (`head` is None otherwise).
 
-    `rng` is the episode's generator, positioned where prototype
-    initialization draws from it.
+    `episode` keeps its labels, but its raw `support_x` and `query_x`
+    are dropped (None) once aggregated: only the aggregated features are
+    read later. `rng` is the episode's generator, positioned where
+    prototype initialization draws from it.
     """
 
     episode: Episode
     support_feats: np.ndarray
     query_feats: np.ndarray
-    head: LinearHead
+    head: LinearHead | None
     rng: np.random.Generator
 
 
@@ -290,8 +313,10 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
                     rng: np.random.Generator,
                     diag: Diagnostics | None = None,
                     timings: dict | None = None) -> PreparedEpisode:
-    """Sample an episode, aggregate it through the task graph, train its
-    head. Adds the "sample", "graph" and "head" phases to `timings`."""
+    """Sample an episode, aggregate it through the task graph and, for
+    trained prototypes, train its head: only the prototype loss reads
+    the head. Adds the "sample", "graph" and, with a head, "head"
+    phases to `timings`."""
     t = time.perf_counter()
     episode = sample_episode(emb, config.n_ways, config.k_shots,
                              config.n_queries, rng)
@@ -299,11 +324,15 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
     support_feats, query_feats = build_task_graph(
         episode.support_x, episode.query_x, config.graph.top_m,
         config.graph.self_weight, config.graph.rounds, diag)
+    episode = replace(episode, support_x=None, query_x=None)
     t = _lap(timings, "graph", t)
-    aug = manifold_augment(support_feats, episode.support_y,
-                           config.head.n_aug, rng)
-    head = train_head(aug, config.head.epochs, config.head.lr, rng, diag)
-    _lap(timings, "head", t)
+    head = None
+    if config.proto.strategy == "trained":
+        aug = manifold_augment(support_feats, episode.support_y,
+                               config.head.n_aug, rng)
+        head = train_head(aug, config.head.epochs, config.head.lr, rng,
+                          diag)
+        _lap(timings, "head", t)
     return PreparedEpisode(episode, support_feats, query_feats, head, rng)
 
 
@@ -408,10 +437,10 @@ def _resolve_pool(config: RunConfig) -> EmbeddingSet:
 def run_eval(config: RunConfig) -> EvalReport:
     """Evaluate `config.n_tasks` episodes and assemble the report.
 
-    Trained-prototype episodes run in chunks of EPISODE_CHUNK, mean ones
-    one at a time; every reported number but wall_time is the same for
-    any chunk size, because each episode derives its own generator from
-    the run seed and the task index.
+    Trained-prototype episodes run in the chunks of `chunk_plan`, mean
+    ones one at a time; every reported number but wall_time is the same
+    for any chunk plan, because each episode derives its own generator
+    from the run seed and the task index.
     """
     config.validate()
     emb = _resolve_pool(config)
@@ -428,9 +457,9 @@ def run_eval(config: RunConfig) -> EvalReport:
     wall_time: dict = {}
     aborted = 0
     # Mean banks train nothing, so a mean run holds one episode at a time.
-    chunk = EPISODE_CHUNK if config.proto.strategy == "trained" else 1
-    for start in range(0, config.n_tasks, chunk):
-        tasks = range(start, min(start + chunk, config.n_tasks))
+    width = (stack_width(config.n_ways, emb.dim)
+             if config.proto.strategy == "trained" else 1)
+    for tasks in chunk_plan(config.n_tasks, width):
         for outcome in _run_chunk(emb, config, tasks, diagnostics, wall_time):
             if isinstance(outcome, EpisodeAbort):
                 aborted += 1

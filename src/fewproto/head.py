@@ -127,16 +127,19 @@ def train_head(aug: AugmentedSupport, epochs: int, lr: float,
     state_w = AdamState.fresh(head.weights.shape, lr=lr)
     state_b = AdamState.fresh(head.bias.shape, lr=lr)
     prev = np.inf
-    for _ in range(epochs):
-        loss, gw, gb = head_loss_and_grad(head.weights, head.bias,
-                                          aug.features, aug.labels)
-        if not np.isfinite(loss):
-            raise EpisodeAbort("head_loss_diverged", f"loss={loss}")
-        if loss > prev + LOSS_INCREASE_SLACK and diag is not None:
-            diag.record("head_loss_increase")
-        prev = loss
-        state_w, head.weights = adam_update(state_w, head.weights, gw)
-        state_b, head.bias = adam_update(state_b, head.bias, gb)
+    # An overflow ends in a non-finite loss or an inf moment, and both
+    # abort below with the event named, so its warning is off.
+    with np.errstate(over="ignore"):
+        for _ in range(epochs):
+            loss, gw, gb = head_loss_and_grad(head.weights, head.bias,
+                                              aug.features, aug.labels)
+            if not np.isfinite(loss):
+                raise EpisodeAbort("head_loss_diverged", f"loss={loss}")
+            if loss > prev + LOSS_INCREASE_SLACK and diag is not None:
+                diag.record("head_loss_increase")
+            prev = loss
+            state_w, head.weights = adam_update(state_w, head.weights, gw)
+            state_b, head.bias = adam_update(state_b, head.bias, gb)
     # The bias gradient is bounded by 1; only the weights' moment can
     # overflow.
     if not np.all(np.isfinite(state_w.v)):

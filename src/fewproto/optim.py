@@ -1,4 +1,4 @@
-"""Shared numerical core: softmax, cross-entropy, Adam, finite-difference checks.
+"""Shared numerical core: softmax, Adam, finite-difference checks.
 
 Everything here runs in float64; the training loops in `head` and
 `prototypes` rely on that for gradient checks at 1e-4 tolerance.
@@ -6,7 +6,7 @@ Everything here runs in float64; the training loops in `head` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,6 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = z - np.max(z, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def cross_entropy(pred: np.ndarray, true_class: int) -> float:
-    """-log(pred[true_class]) with the log input floored at LOG_FLOOR."""
-    pred = np.asarray(pred, dtype=np.float64)
-    return float(-np.log(max(pred[true_class], LOG_FLOOR)))
 
 
 @dataclass
@@ -50,27 +44,52 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_update(state: AdamState, param: np.ndarray,
-                grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam step; returns the new state and parameters.
+def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """One bias-corrected Adam step, in place and without allocating.
 
     m <- b1*m + (1-b1)*g         m_hat = m / (1 - b1^t)
-    v <- b2*v + (1-b2)*g^2       v_hat = v / (1 - b2^t)
-    param <- param - lr * m_hat / (sqrt(v_hat) + eps)
+    v <- b2*v + ((1-b2)*g)*g     v_hat = v / (1 - b2^t)
+    param <- param - (lr * m_hat) / (sqrt(v_hat) + eps)
+
+    Updates `state` (step, m, v) and `param`; `grad` and `scratch`, a
+    float64 array of the parameter's shape, are overwritten. Every
+    product and sum runs in the order written above, so the bits match
+    a step that allocates fresh arrays.
     """
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+    t = state.step + 1
+    m, v = state.m, state.v
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=scratch)
+    m += scratch
+    np.multiply(grad, 1.0 - state.beta2, out=scratch)
+    scratch *= grad
+    v *= state.beta2
+    v += scratch
+    np.divide(m, 1.0 - state.beta1 ** t, out=grad)
+    grad *= state.lr
+    np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    grad /= scratch
+    param -= grad
+    state.step = t
+
+
+def adam_update(state: AdamState, param: np.ndarray,
+                grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
+    """One Adam step (`adam_step`) on copies; returns the new state and
+    parameters and leaves the arguments unchanged."""
+    param = np.array(param, dtype=np.float64)
+    grad = np.array(grad, dtype=np.float64)
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"state {state.m.shape}")
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_param = param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return replace(state, step=t, m=m, v=v), new_param
+    new = AdamState(state.step, state.m.copy(), state.v.copy(), state.lr,
+                    state.beta1, state.beta2, state.eps)
+    adam_step(new, param, grad, np.empty_like(param))
+    return new, param
 
 
 def grad_check(loss_fn, grad_fn, x: np.ndarray, h: float = 1e-5) -> float:

@@ -25,13 +25,13 @@ against central differences of `loss_total`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import EpisodeAbort
 from .head import LinearHead, head_predict
-from .optim import LOG_FLOOR, AdamState, adam_update, softmax
+from .optim import LOG_FLOOR, AdamState, adam_step, softmax
 
 
 @dataclass
@@ -127,60 +127,178 @@ def loss_total(protos: np.ndarray, head: LinearHead,
             + loss_metric(protos, support_feats, labels))
 
 
-def _step_loss_and_grad(protos: np.ndarray, head_weights: np.ndarray,
-                        head_bias: np.ndarray, unit_rows: np.ndarray,
-                        labels: np.ndarray, weights: LossWeights
+class _Workspace:
+    """Constants and preallocated buffers of one batched prototype loop.
+
+    Holds a stack of B banks' frozen inputs, head_weights (B, n, e),
+    head_bias (B, n), pre-normalized support rows unit_rows (B, r, e)
+    and their labels (B, r), plus what the step derives from them once:
+    the labels one-hot, the class weight times the n x n identity and
+    the flat index of each row's own-class entry in a (B, r, n) array.
+    Every `_step_loss_and_grad` call writes the same buffers, through
+    views made here, so a step allocates no array.
+    """
+
+    def __init__(self, head_weights: np.ndarray, head_bias: np.ndarray,
+                 unit_rows: np.ndarray, labels: np.ndarray,
+                 weights: LossWeights):
+        n_banks, n, e = head_weights.shape
+        r = unit_rows.shape[1]
+        self.weights = weights
+        self.class_eye = weights.class_weight * np.eye(n)
+        self.head_weights, self.head_bias = head_weights, head_bias
+        self.unit_rows, self.labels = unit_rows, labels
+        # Each buffer becomes an attribute of its name, cut to the stack.
+        self._buffers = {
+            name: np.empty((n_banks,) + shape)
+            for name, shape in (
+                ("grad", (n, e)), ("unit_protos", (n, e)), ("cross", (n, e)),
+                ("probs", (n, n)), ("logp", (n, n)), ("prod", (n, n)),
+                ("scores", (r, n)), ("q", (r, n)), ("picked", (r,)),
+                ("per_proto", (n, 1)), ("per_row", (r, 1)), ("ent", (n, 1)),
+                ("norms", (n, 1)), ("col_sum", (n, 1)), ("loss", ()),
+                ("term", ()))}
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point the buffers and their views at the first B banks and
+        derive the label constants."""
+        n_banks, r = self.labels.shape
+        n = self.class_eye.shape[0]
+        for name, buf in self._buffers.items():
+            setattr(self, name, buf[:n_banks])
+        self.head_weights_t = self.head_weights.transpose(0, 2, 1)
+        self.bias_3d = self.head_bias[:, None, :]
+        self.logp_diag = np.diagonal(self.logp, axis1=1, axis2=2)
+        self.ent_2d = self.ent[:, :, 0]
+        self.norms_2d = self.norms[:, :, 0]
+        self.col_sum_2d = self.col_sum[:, :, 0]
+        self.unit_protos_t = self.unit_protos.transpose(0, 2, 1)
+        self.q_t = self.q.transpose(0, 2, 1)
+        self.probs_cols = [self.probs[:, :, k] for k in range(n)]
+        self.scores_cols = [self.scores[:, :, k] for k in range(n)]
+        self.one_hot = (self.labels[:, :, None]
+                        == np.arange(n)).astype(np.float64)
+        self.picked_index = ((np.arange(n_banks)[:, None] * r
+                              + np.arange(r)) * n + self.labels)
+
+    def keep(self, keep: np.ndarray) -> None:
+        """Shrink the stack to the banks where `keep` is True."""
+        self.head_weights = self.head_weights[keep]
+        self.head_bias = self.head_bias[keep]
+        self.unit_rows = self.unit_rows[keep]
+        self.labels = self.labels[keep]
+        self._bind()
+
+
+def _max_of_columns(columns: list[np.ndarray], out: np.ndarray) -> None:
+    """Elementwise maximum of `columns`, the slices of an array along its
+    last axis, into `out`.
+
+    The value is that of `maximum.reduce` over that axis up to the sign
+    of a zero result, which the exp after the softmax shift erases. On a
+    short axis (n_ways entries) a chain of elementwise calls is several
+    times faster than a reduce, which pays a fixed cost per row.
+    """
+    np.copyto(out, columns[0])
+    for column in columns[1:]:
+        np.maximum(out, column, out=out)
+
+
+def _step_loss_and_grad(protos: np.ndarray, work: _Workspace
                         ) -> tuple[np.ndarray, np.ndarray]:
     """loss_total and its gradient for a stack of B prototype banks.
 
-    Shapes: protos and head_weights (B, n, e), head_bias (B, n),
-    unit_rows (B, r, e) pre-normalized support rows, labels (B, r).
-    Returns the (B,) losses and the (B, n, e) gradients. Shares the head
-    pass and the cosine pass between value and gradient. The loss equals
-    loss_total on each bank (unit-tested); the gradient is the one the
-    gradcheck suite verifies. Per term, with p the head's softmax on a
-    prototype and q the softmax over a support row's cosines:
-    classification d/dz = p - onehot; entropy d/dz_k = -p_k (log p_k + H);
-    metric d cos(f, p)/dp = (f_hat - cos * p_hat) / |p|.
+    `protos` is (B, n, e); the frozen inputs come from `work`. Returns
+    the (B,) losses and the (B, n, e) gradients, both buffers of `work`
+    that the next call overwrites. Shares the head pass and the cosine
+    pass between value and gradient. The loss equals loss_total on each
+    bank (unit-tested); the gradient is the one the gradcheck suite
+    verifies. Per term, with p the head's softmax on a prototype and q
+    the softmax over a support row's cosines: classification
+    d/dz = p - onehot; entropy d/dz_k = -p_k (log p_k + H); metric
+    d cos(f, p)/dp = (f_hat - cos * p_hat) / |p|.
     Every matmul runs one product per bank and every reduction runs
     within a bank in the same axis order, so a bank's result does not
-    depend on the others in the stack. A bank with a zero-norm
-    prototype row gets a NaN loss.
+    depend on the others in the stack. Each operation is the one an
+    allocating evaluation of these formulas runs, in the same order, so
+    the bits match it: `np.add.reduce` is `sum`, clipping is max then
+    min, the softmax shifts take their maxima column by column, and
+    subtracting the one-hot and the scaled identity over whole arrays
+    changes only the picked entries, because x - 0.0 == x. A bank with a
+    zero-norm prototype row gets a NaN loss.
     """
-    n_banks, n, _ = protos.shape
-    logits = protos @ head_weights.transpose(0, 2, 1) + head_bias[:, None, :]
-    logits -= logits.max(axis=2, keepdims=True)
-    probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=2, keepdims=True)
-    logp = np.log(np.maximum(probs, LOG_FLOOR))
-    ent = -(probs * logp).sum(axis=2)
-    own = np.diagonal(probs, axis1=1, axis2=2)
-    log_own = np.log(np.maximum(own, LOG_FLOOR)).sum(axis=1)
-    loss = (-weights.class_weight * log_own
-            + weights.entropy_weight * ent.sum(axis=1)) / (n * n)
-    delta = weights.class_weight * probs \
-        - weights.entropy_weight * probs * (logp + ent[:, :, None])
-    diag = np.arange(n)
-    delta[:, diag, diag] -= weights.class_weight
-    delta /= n * n
-    grad = delta @ head_weights
+    w = work
+    weights = w.weights
+    n = protos.shape[1]
+    n_rows = w.unit_rows.shape[1]
+    loss, term = w.loss, w.term
 
-    proto_norms = np.sqrt(np.einsum("bij,bij->bi", protos, protos))
-    unit_protos = protos / proto_norms[:, :, None]
-    scores = (unit_rows @ unit_protos.transpose(0, 2, 1)).clip(-1.0, 1.0)
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    q = np.exp(shifted, out=shifted)
-    q /= q.sum(axis=2, keepdims=True)
-    n_rows = unit_rows.shape[1]
-    picked = (np.arange(n_banks)[:, None], np.arange(n_rows), labels)
-    loss += -np.log(np.maximum(q[picked], LOG_FLOOR)).sum(axis=1) \
-        / (n_rows * n)
-    t = q
-    t[picked] -= 1.0
-    t /= n_rows * n
-    grad += (t.transpose(0, 2, 1) @ unit_rows
-             - (t * scores).sum(axis=1)[:, :, None] * unit_protos) \
-        / proto_norms[:, :, None]
+    probs, per_proto = w.probs, w.per_proto
+    np.matmul(protos, w.head_weights_t, out=probs)
+    probs += w.bias_3d
+    _max_of_columns(w.probs_cols, per_proto[:, :, 0])
+    probs -= per_proto
+    np.exp(probs, out=probs)
+    np.add.reduce(probs, axis=2, keepdims=True, out=per_proto)
+    probs /= per_proto
+    logp, prod, ent = w.logp, w.prod, w.ent
+    np.maximum(probs, LOG_FLOOR, out=logp)
+    np.log(logp, out=logp)
+    np.multiply(probs, logp, out=prod)
+    np.add.reduce(prod, axis=2, keepdims=True, out=ent)
+    np.negative(ent, out=ent)
+    np.add.reduce(w.logp_diag, axis=1, out=loss)
+    loss *= -weights.class_weight
+    np.add.reduce(w.ent_2d, axis=1, out=term)
+    term *= weights.entropy_weight
+    loss += term
+    loss /= n * n
+    # delta = class_weight*p - (entropy_weight*p) * (log p + H), less
+    # class_weight on the diagonal, over n^2; built in `probs`.
+    logp += ent
+    np.multiply(probs, weights.entropy_weight, out=prod)
+    prod *= logp
+    probs *= weights.class_weight
+    probs -= prod
+    probs -= w.class_eye
+    probs /= n * n
+    grad = w.grad
+    np.matmul(probs, w.head_weights, out=grad)
+
+    norms, unit_protos = w.norms, w.unit_protos
+    np.einsum("bij,bij->bi", protos, protos, out=w.norms_2d)
+    np.sqrt(norms, out=norms)
+    np.divide(protos, norms, out=unit_protos)
+    scores, q, per_row = w.scores, w.q, w.per_row
+    np.matmul(w.unit_rows, w.unit_protos_t, out=scores)
+    np.maximum(scores, -1.0, out=scores)
+    np.minimum(scores, 1.0, out=scores)
+    _max_of_columns(w.scores_cols, per_row[:, :, 0])
+    np.subtract(scores, per_row, out=q)
+    np.exp(q, out=q)
+    np.add.reduce(q, axis=2, keepdims=True, out=per_row)
+    q /= per_row
+    picked = w.picked
+    np.take(q, w.picked_index, out=picked, mode="clip")
+    np.maximum(picked, LOG_FLOOR, out=picked)
+    np.log(picked, out=picked)
+    np.add.reduce(picked, axis=1, out=term)
+    np.negative(term, out=term)
+    term /= n_rows * n
+    loss += term
+    # t = (q - onehot) / (r n), in `q`; then the metric gradient
+    # (t^T f_hat - colsum(t * cos) p_hat) / |p|.
+    q -= w.one_hot
+    q /= n_rows * n
+    cross = w.cross
+    np.matmul(w.q_t, w.unit_rows, out=cross)
+    scores *= q
+    np.add.reduce(scores, axis=1, out=w.col_sum_2d)
+    unit_protos *= w.col_sum
+    cross -= unit_protos
+    cross /= norms
+    grad += cross
     return loss, grad
 
 
@@ -235,19 +353,19 @@ def train_prototype_banks(heads: list[LinearHead],
         return results
     alive = np.array(alive)
     protos = np.stack(inits)
-    head_weights = np.stack([heads[j].weights for j in alive])
-    head_bias = np.stack([heads[j].bias for j in alive])
-    unit_rows, int_labels = np.stack(unit_rows), np.stack(int_labels)
+    work = _Workspace(np.stack([heads[j].weights for j in alive]),
+                      np.stack([heads[j].bias for j in alive]),
+                      np.stack(unit_rows), np.stack(int_labels), weights)
     state = AdamState.fresh(protos.shape, lr=lr)
     # A zero-norm row (0/0) or an overflowed logit (inf - inf) shows as a
     # NaN loss, which aborts that bank with a reason. A gradient entry
     # past ~1e154 overflows the second moment instead: the loss stays
     # finite but that coordinate never moves again. An inf moment stays
-    # inf, so one check after the loop catches it.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # inf, so one check after the loop catches it. Each of these events
+    # ends in a named abort, so the floating-point warnings are off.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for epoch in range(epochs):
-            loss, grad = _step_loss_and_grad(protos, head_weights, head_bias,
-                                             unit_rows, int_labels, weights)
+            loss, grad = _step_loss_and_grad(protos, work)
             failed = ~np.isfinite(loss)
             if failed.any():
                 for j in np.flatnonzero(failed):
@@ -261,15 +379,15 @@ def train_prototype_banks(heads: list[LinearHead],
                 keep = ~failed
                 alive, protos, grad, loss = (alive[keep], protos[keep],
                                              grad[keep], loss[keep])
-                head_weights, head_bias = head_weights[keep], head_bias[keep]
-                unit_rows, int_labels = unit_rows[keep], int_labels[keep]
-                state = replace(state, m=state.m[keep], v=state.v[keep])
+                state.m, state.v = state.m[keep], state.v[keep]
+                work.keep(keep)
                 if not alive.size:
                     return results
             if trajectories is not None:
                 for j, value in zip(alive, loss):
                     trajectories[j].append(float(value))
-            state, protos = adam_update(state, protos, grad)
+            # The step's cross-term buffer is free until the next step.
+            adam_step(state, protos, grad, work.cross)
     overflowed = ~np.isfinite(state.v).all(axis=(1, 2))
     for j, bank, over in zip(alive, protos, overflowed):
         if over:

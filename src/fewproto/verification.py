@@ -18,7 +18,8 @@ import numpy as np
 
 from .head import LinearHead, head_loss_and_grad
 from .optim import grad_check
-from .prototypes import LossWeights, _step_loss_and_grad, loss_total
+from .prototypes import (LossWeights, _step_loss_and_grad, _Workspace,
+                         loss_total)
 
 
 @dataclass
@@ -66,10 +67,11 @@ def check_proto_gradient(protos, head, feats, labels, weights: LossWeights,
     def loss_fn(x):
         return loss_total(x.reshape(protos.shape), head, feats, labels, weights)
 
+    work = _Workspace(head.weights[None], head.bias[None], unit_rows[None],
+                      labels[None], weights)
+
     def grad_fn(x):
-        _, grad = _step_loss_and_grad(
-            x.reshape((1,) + protos.shape), head.weights[None],
-            head.bias[None], unit_rows[None], labels[None], weights)
+        _, grad = _step_loss_and_grad(x.reshape((1,) + protos.shape), work)
         return grad.ravel()
 
     return grad_check(loss_fn, grad_fn, protos.ravel(), h)

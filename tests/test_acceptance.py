@@ -159,10 +159,10 @@ def test_trained_vs_mean_ordering():
 
 def test_determinism_across_runs_and_chunks(monkeypatch):
     n_tasks = 30
-    default_chunk = harness.EPISODE_CHUNK
+    default_stack = harness.MAX_STACK
 
-    def one(chunk):
-        monkeypatch.setattr(harness, "EPISODE_CHUNK", chunk)
+    def one(max_stack):
+        monkeypatch.setattr(harness, "MAX_STACK", max_stack)
         cfg = RunConfig(synthetic=SyntheticSpec(10, 30, 16, 6.0, 0.8),
                         n_ways=4, k_shots=3, n_queries=6, n_tasks=n_tasks,
                         seed=99)
@@ -171,14 +171,16 @@ def test_determinism_across_runs_and_chunks(monkeypatch):
         raw.pop("wall_time")
         return json.dumps(raw, sort_keys=True)
 
-    first = one(default_chunk)
-    again = one(default_chunk)
+    # The default stacks all 30 episodes at once; at most 8 gives
+    # chunks of 8, 8, 7 and 7.
+    first = one(default_stack)
+    again = one(default_stack)
     single = one(1)
-    whole = one(n_tasks + 1)
-    ok = n_tasks % default_chunk != 0 and first == again == single == whole
+    uneven = one(8)
+    ok = n_tasks <= default_stack and first == again == single == uneven
     announce(ok, "determinism",
-             f"bytes match across repeat runs and chunks of 1, "
-             f"{default_chunk} and {n_tasks + 1} over {n_tasks} tasks "
+             f"bytes match across repeat runs and stacks of at most 1, "
+             f"8 and {default_stack} over {n_tasks} tasks "
              f"({len(first)} report bytes)")
 
 

@@ -113,11 +113,10 @@ def test_grad_overflow_aborts_instead_of_chance():
     # reason, alone and inside run_eval, not score near chance.
     cfg = small_config(**{"graph.self_weight": "1e60"})
     emb = harness._resolve_pool(cfg)
-    with np.errstate(over="ignore"):
-        with pytest.raises(EpisodeAbort, match="head_grad_overflow"):
-            run_episode(emb, cfg, episode_rng(cfg.seed, 0))
-        with pytest.raises(RunError, match="abort:head_grad_overflow"):
-            run_eval(cfg)
+    with pytest.raises(EpisodeAbort, match="head_grad_overflow"):
+        run_episode(emb, cfg, episode_rng(cfg.seed, 0))
+    with pytest.raises(RunError, match="abort:head_grad_overflow"):
+        run_eval(cfg)
 
 
 def test_confidence_interval_hand_oracle():
@@ -183,16 +182,31 @@ def test_run_episode_deterministic():
     assert a == b
 
 
+def test_chunk_plan_covers_tasks_evenly():
+    assert harness.stack_width(5, 640) == 16
+    assert harness.stack_width(5, 64) == 48
+    assert harness.stack_width(5, 10 ** 6) == 1
+    for n_tasks in (1, 15, 16, 17, 40, 47, 48, 49, 100, 1000):
+        for width in (1, 7, 16, 48):
+            plan = harness.chunk_plan(n_tasks, width)
+            assert [i for tasks in plan for i in tasks] == list(range(n_tasks))
+            sizes = [len(tasks) for tasks in plan]
+            assert len(plan) == -(-n_tasks // width)
+            assert max(sizes) <= width and max(sizes) - min(sizes) <= 1
+    assert [len(t) for t in harness.chunk_plan(40, 16)] == [14, 13, 13]
+
+
 def test_run_eval_deterministic_across_chunks(monkeypatch):
+    # Stacks of at most 1, 7 (7+7+6), 16 (10+10) and the default (one
+    # chunk of 20) must give the same report bytes.
     n_tasks = 20
-    assert n_tasks % harness.EPISODE_CHUNK != 0
     reports = []
-    for chunk in (1, harness.EPISODE_CHUNK, n_tasks + 1):
-        monkeypatch.setattr(harness, "EPISODE_CHUNK", chunk)
+    for max_stack in (1, 7, 16, harness.MAX_STACK):
+        monkeypatch.setattr(harness, "MAX_STACK", max_stack)
         raw = asdict(run_eval(small_config(**{"n_tasks": n_tasks})))
         raw.pop("wall_time")
         reports.append(json.dumps(raw, sort_keys=True))
-    assert reports[0] == reports[1] == reports[2]
+    assert len(set(reports)) == 1
 
 
 def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
@@ -201,8 +215,10 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
     # support row goes to zero (aborted before stacking). Every episode
     # must end as it does alone in run_episode.
     real_prepare = harness.prepare_episode
-    broken = {harness.EPISODE_CHUNK + 2: "nan_head",
-              harness.EPISODE_CHUNK + 5: "zero_row"}
+    cfg = small_config(**{"n_tasks": "200"})
+    second = harness.chunk_plan(
+        cfg.n_tasks, harness.stack_width(cfg.n_ways, cfg.synthetic.dim))[1]
+    broken = {second.start + 2: "nan_head", second.start + 5: "zero_row"}
 
     def prepare(emb, config, rng, diag=None, timings=None):
         prepared = real_prepare(emb, config, rng, diag, timings)
@@ -216,7 +232,6 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
 
     prepare.calls = 0
     monkeypatch.setattr(harness, "prepare_episode", prepare)
-    cfg = small_config(**{"n_tasks": "200"})
     rep = run_eval(cfg)
     emb = harness._resolve_pool(cfg)
     alone, reasons = [], []

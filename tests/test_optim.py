@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fewproto.optim import AdamState, adam_update, cross_entropy, grad_check, softmax
+from fewproto.optim import AdamState, adam_step, adam_update, grad_check, softmax
 
 
 def test_softmax_uniform_pair():
@@ -37,25 +37,6 @@ def test_softmax_shift_invariance():
         z = rng.normal(size=8)
         shift = rng.uniform(-100, 100)
         np.testing.assert_allclose(softmax(z + shift), softmax(z), atol=1e-12)
-
-
-def test_cross_entropy_onehot_is_zero():
-    assert cross_entropy(np.array([0.0, 1.0, 0.0]), 1) == 0.0
-
-
-def test_cross_entropy_uniform_five_classes():
-    assert cross_entropy(np.full(5, 0.2), 3) == pytest.approx(math.log(5.0),
-                                                              abs=1e-12)
-
-
-def test_cross_entropy_matches_direct_formula():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        raw = rng.uniform(0.01, 1.0, size=6)
-        pred = raw / raw.sum()
-        c = int(rng.integers(6))
-        assert cross_entropy(pred, c) == pytest.approx(-math.log(pred[c]),
-                                                       abs=1e-12)
 
 
 def test_adam_zero_gradient_is_noop():
@@ -110,6 +91,44 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(p1, p2)
     np.testing.assert_array_equal(s1.m, s2.m)
     np.testing.assert_array_equal(s1.v, s2.v)
+
+
+def test_adam_step_in_place_matches_allocating_forms():
+    # 200 steps on a (B, n, e) stack: the in-place kernel must give the
+    # bits of adam_update and of the allocating expression, in this
+    # operation order; adam_update must leave its arguments unchanged.
+    rng = np.random.default_rng(4)
+    shape = (6, 5, 16)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    start = rng.normal(size=shape)
+    grads = rng.normal(scale=rng.uniform(1e-3, 1e3, size=(200, 1, 1, 1)),
+                       size=(200,) + shape)
+    ref_state = AdamState.fresh(shape, lr=lr)
+    ref = start.copy()
+    state = AdamState.fresh(shape, lr=lr)
+    param = start.copy()
+    scratch = np.empty(shape)
+    x, m, v = start.copy(), np.zeros(shape), np.zeros(shape)
+    for t, g in enumerate(grads, start=1):
+        before = (ref_state.step, ref_state.m.copy(), ref_state.v.copy(),
+                  ref.copy(), g.copy())
+        new_state, new_ref = adam_update(ref_state, ref, g)
+        assert ref_state.step == before[0]
+        for arr, old in zip((ref_state.m, ref_state.v, ref, g), before[1:]):
+            np.testing.assert_array_equal(arr, old)
+        ref_state, ref = new_state, new_ref
+
+        adam_step(state, param, g.copy(), scratch)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        x = x - lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
+                                              + eps)
+        assert state.step == ref_state.step == t
+        for got in (param, ref):
+            np.testing.assert_array_equal(got, x)
+        for got in (state, ref_state):
+            np.testing.assert_array_equal(got.m, m)
+            np.testing.assert_array_equal(got.v, v)
 
 
 def test_adam_shape_mismatch():

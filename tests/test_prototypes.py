@@ -6,10 +6,10 @@ import pytest
 from fewproto.diagnostics import EpisodeAbort
 from fewproto.head import LinearHead
 from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
-                                 init_prototypes, loss_class, loss_entropy,
-                                 loss_metric, loss_total, mean_prototypes,
-                                 train_prototype_banks, train_prototypes,
-                                 validate_prototypes)
+                                 _Workspace, init_prototypes, loss_class,
+                                 loss_entropy, loss_metric, loss_total,
+                                 mean_prototypes, train_prototype_banks,
+                                 train_prototypes, validate_prototypes)
 from fewproto.verification import check_proto_gradient
 
 
@@ -223,10 +223,10 @@ def test_fused_step_matches_public_functions():
     def fused(instances, weights):
         protos, heads, feats, labels = zip(*instances)
         unit = [f / np.linalg.norm(f, axis=1, keepdims=True) for f in feats]
-        return _step_loss_and_grad(
-            np.stack(protos), np.stack([h.weights for h in heads]),
-            np.stack([h.bias for h in heads]), np.stack(unit),
-            np.stack(labels), weights)
+        work = _Workspace(np.stack([h.weights for h in heads]),
+                          np.stack([h.bias for h in heads]), np.stack(unit),
+                          np.stack(labels), weights)
+        return _step_loss_and_grad(np.stack(protos), work)
 
     for trial in range(20):
         instances = [random_instance(rng) for _ in range(1 + 3 * (trial % 2))]
@@ -240,6 +240,34 @@ def test_fused_step_matches_public_functions():
             np.testing.assert_array_equal(fused_grad[j], alone[0])
 
 
+def _batched_against_alone(instances, seeds, weights, epochs, lr):
+    """Train `instances` in one stack and each alone; every bank must get
+    the same loss trajectory and the same bits or the same abort.
+    Returns each abort string or None."""
+    _, heads, feats, labels = zip(*instances)
+    trajectories = [[] for _ in instances]
+    batched = train_prototype_banks(
+        list(heads), list(feats), list(labels), weights, epochs, lr,
+        [np.random.default_rng(seed) for seed in seeds], trajectories)
+    reasons = []
+    for (_, head, f, lab), seed, got, traj in zip(instances, seeds, batched,
+                                                  trajectories):
+        alone_traj = []
+        try:
+            alone = train_prototypes(head, f, lab, weights, epochs, lr,
+                                     np.random.default_rng(seed), alone_traj)
+        except EpisodeAbort as abort:
+            assert isinstance(got, EpisodeAbort)
+            assert str(got) == str(abort)
+            assert traj == alone_traj
+            reasons.append(str(abort))
+            continue
+        np.testing.assert_array_equal(got.protos, alone.protos)
+        assert traj == alone_traj
+        reasons.append(None)
+    return reasons
+
+
 def test_batched_abort_leaves_other_banks():
     # Bank 1's head is scaled so its logits overflow once training has
     # grown the prototypes (the loss goes NaN mid-loop); bank 2 has a
@@ -250,51 +278,71 @@ def test_batched_abort_leaves_other_banks():
     head.weights = head.weights / np.abs(head.weights).max() * 1e308
     instances[2][2][0] = 0.0
     weights = LossWeights(0.0, 0.0)
-    _, heads, feats, labels = zip(*instances)
-    with np.errstate(over="ignore"):
-        batched = train_prototype_banks(
-            list(heads), list(feats), list(labels), weights, 60, 0.1,
-            [np.random.default_rng(20 + j) for j in range(4)])
-    reasons = []
-    for j, (_, head, f, lab) in enumerate(instances):
-        try:
-            with np.errstate(over="ignore"):
-                alone = train_prototypes(head, f, lab, weights, 60, 0.1,
-                                         np.random.default_rng(20 + j))
-        except EpisodeAbort as abort:
-            assert isinstance(batched[j], EpisodeAbort)
-            assert str(batched[j]) == str(abort)
-            reasons.append(str(abort))
-            continue
-        np.testing.assert_array_equal(batched[j].protos, alone.protos)
-        reasons.append(None)
+    reasons = _batched_against_alone(instances, [20, 21, 22, 23], weights,
+                                     60, 0.1)
     assert reasons[0] is None and reasons[3] is None
     assert reasons[1].startswith("proto_loss_diverged")
-    assert int(reasons[1].rsplit(" ", 1)[1]) > 0  # aborted mid-loop
+    diverged_at = int(reasons[1].rsplit(" ", 1)[1])
+    assert diverged_at > 0  # aborted mid-loop
     assert reasons[2].startswith("zero_support_row")
+
+    # The same bank dropping out of the middle of a 48-bank stack shrinks
+    # the stack at the same epoch and leaves the other 47 banks' bits.
+    others = [random_instance(rng) for _ in range(47)]
+    stack = others[:24] + [instances[1]] + others[24:]
+    seeds = [100 + k for k in range(24)] + [21] + [124 + k for k in range(23)]
+    reasons = _batched_against_alone(stack, seeds, weights, 60, 0.1)
+    assert reasons[24].startswith("proto_loss_diverged")
+    assert int(reasons[24].rsplit(" ", 1)[1]) == diverged_at
+    assert reasons[:24] + reasons[25:] == [None] * 47
+    # Under the default weights the heads shape every gradient, so the
+    # shrunk stack must keep each remaining bank's own head: a NaN bias
+    # drops bank 24 at epoch 0.
+    nan_bias = random_instance(rng)
+    nan_bias[1].bias[0] = np.nan
+    stack[24] = nan_bias
+    reasons = _batched_against_alone(stack, seeds, LossWeights(), 60, 0.1)
+    assert reasons[24] == "proto_loss_diverged: loss=nan at epoch 0"
+    assert reasons[:24] + reasons[25:] == [None] * 47
+
+
+def test_train_leaves_inputs_unchanged():
+    # The batched loop writes into preallocated buffers; none of them may
+    # alias the caller's head or support features.
+    rng = np.random.default_rng(16)
+    for n_banks in (1, 3):
+        instances = [random_instance(rng) for _ in range(n_banks)]
+        _, heads, feats, labels = zip(*instances)
+        before = [(h.weights.copy(), h.bias.copy(), f.copy(), lab.copy())
+                  for _, h, f, lab in instances]
+        train_prototype_banks(
+            list(heads), list(feats), list(labels), LossWeights(), 30, 1e-2,
+            [np.random.default_rng(40 + j) for j in range(n_banks)])
+        for (_, h, f, lab), old in zip(instances, before):
+            for arr, want in zip((h.weights, h.bias, f, lab), old):
+                np.testing.assert_array_equal(arr, want)
 
 
 def test_grad_overflow_aborts_serial_and_batched():
     # A head scaled by 1e300 pushes gradient entries past ~1e154, so
     # Adam's second moment overflows to inf: the loss stays finite but the
     # bank stops moving. Alone and in a stack, that bank must abort with
-    # the same reason and leave the others untouched.
+    # the same reason and leave the others untouched, and no overflow
+    # warning escapes (RuntimeWarnings fail the suite).
     rng = np.random.default_rng(15)
     instances = [random_instance(rng) for _ in range(3)]
     instances[1][1].weights *= 1e300
     _, heads, feats, labels = zip(*instances)
-    with np.errstate(over="ignore"):
-        batched = train_prototype_banks(
-            list(heads), list(feats), list(labels), LossWeights(), 200,
-            1e-2, [np.random.default_rng(30 + j) for j in range(3)])
+    batched = train_prototype_banks(
+        list(heads), list(feats), list(labels), LossWeights(), 200,
+        1e-2, [np.random.default_rng(30 + j) for j in range(3)])
     reasons = []
     for j, (_, head, f, lab) in enumerate(instances):
         traj = []
         try:
-            with np.errstate(over="ignore"):
-                alone = train_prototypes(head, f, lab, LossWeights(), 200,
-                                         1e-2, np.random.default_rng(30 + j),
-                                         trajectory=traj)
+            alone = train_prototypes(head, f, lab, LossWeights(), 200,
+                                     1e-2, np.random.default_rng(30 + j),
+                                     trajectory=traj)
         except EpisodeAbort as abort:
             assert str(batched[j]) == str(abort)
             assert len(traj) == 200 and np.all(np.isfinite(traj))
