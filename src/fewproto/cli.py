@@ -8,8 +8,8 @@ import sys
 import numpy as np
 
 from .embeddings import generate_synthetic, save_embedding_set
-from .harness import (RunConfig, RunError, SyntheticSpec, emit_report,
-                      load_config_file, run_eval)
+from .harness import (RunConfig, RunError, emit_report, load_config_file,
+                      run_eval)
 from .verification import run_gradcheck_suite
 
 
@@ -73,26 +73,16 @@ def _eval_command(args: argparse.Namespace) -> int:
     if args.config:
         for key, value in load_config_file(args.config).items():
             config.set_flat(key, value)
-    overrides = {
-        "data": args.data, "synthetic": args.synthetic,
-        "n_ways": args.n_ways, "k_shots": args.k_shots,
-        "n_queries": args.n_queries, "n_tasks": args.n_tasks,
-        "seed": args.seed,
-    }
-    for key in ("proto.strategy", "mask.enabled", "graph.top_m",
-                "graph.self_weight", "graph.rounds", "head.epochs",
-                "head.lr", "head.n_aug", "proto.epochs", "proto.lr",
-                "proto.entropy_weight", "proto.class_weight",
-                "mask.scale", "mask.boost"):
-        overrides[key] = getattr(args, key)
     # A CLI-provided source replaces whichever one the config file had.
     if args.data is not None:
         config.synthetic = None
     if args.synthetic is not None:
         config.data = None
-    for key, value in overrides.items():
-        if value is not None:
-            config.set_flat(key, value)
+    # Each config key is the `dest` of its flag; None means not given.
+    flags = vars(args)
+    for key in config.to_flat():
+        if flags[key] is not None:
+            config.set_flat(key, flags[key])
     report = run_eval(config)
     if args.out:
         emit_report(report, args.out)
@@ -102,10 +92,8 @@ def _eval_command(args: argparse.Namespace) -> int:
 
 
 def _synth_command(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(args.classes, args.per_class, args.dim,
-                         args.mean_scale, args.sigma)
-    emb = generate_synthetic(spec.n_classes, spec.per_class, spec.dim,
-                             spec.mean_scale, spec.sigma,
+    emb = generate_synthetic(args.classes, args.per_class, args.dim,
+                             args.mean_scale, args.sigma,
                              np.random.default_rng(args.seed))
     save_embedding_set(emb, args.out)
     print(f"wrote {emb.n_records} records, {emb.n_classes} classes, "

@@ -182,13 +182,14 @@ def sample_episode(emb: EmbeddingSet, n_ways: int, k_shots: int,
                    n_queries: int, rng: np.random.Generator) -> Episode:
     """Draw one episode uniformly without replacement.
 
-    Picks `n_ways` classes, then `k_shots + n_queries` records per class;
-    the first k go to support, the rest to query. Classes are relabeled
-    0..N-1 in sampling order. Deterministic given the generator state.
+    Picks `n_ways` classes among those with at least `k_shots +
+    n_queries` records, then that many records per class; the first k go
+    to support, the rest to query. Classes are relabeled 0..N-1 in
+    sampling order. Deterministic given the generator state.
 
     Raises:
-        ValueError: fewer than `n_ways` classes in the pool, or a sampled
-            class has fewer than `k_shots + n_queries` records.
+        ValueError: fewer than `n_ways` classes in the pool, or fewer
+            than `n_ways` of them have `k_shots + n_queries` records.
     """
     if n_ways < 1 or k_shots < 1 or n_queries < 1:
         raise ValueError("n_ways, k_shots, n_queries must be positive")
@@ -197,14 +198,16 @@ def sample_episode(emb: EmbeddingSet, n_ways: int, k_shots: int,
         raise ValueError(
             f"pool has {len(class_ids)} classes, episode needs {n_ways}")
     need = k_shots + n_queries
-    short = [c for c in class_ids if len(emb.class_index[c]) < need]
-    if short:
+    eligible = [c for c in class_ids if len(emb.class_index[c]) >= need]
+    if len(eligible) < n_ways:
         raise ValueError(
-            f"classes {short} have fewer than {need} records")
-    picked_classes = rng.choice(len(class_ids), size=n_ways, replace=False)
+            f"{len(class_ids) - len(eligible)} of {len(class_ids)} classes "
+            f"have fewer than {need} records, episode needs {n_ways} "
+            f"classes with {need}")
+    picked_classes = rng.choice(len(eligible), size=n_ways, replace=False)
     sup_idx, qry_idx = [], []
     for local in range(n_ways):
-        records = emb.class_index[class_ids[picked_classes[local]]]
+        records = emb.class_index[eligible[picked_classes[local]]]
         picked = rng.choice(len(records), size=need, replace=False)
         sup_idx.append(records[picked[:k_shots]])
         qry_idx.append(records[picked[k_shots:]])

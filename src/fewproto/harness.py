@@ -19,6 +19,7 @@ outright if aborts exceed 1% of the requested tasks.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -31,8 +32,7 @@ from .embeddings import (EmbeddingSet, Episode, generate_synthetic,
 from .graph import build_task_graph
 from .head import LinearHead, manifold_augment, train_head
 from .prototypes import (LossWeights, PrototypeBank, mean_prototypes,
-                         train_prototype_banks, train_prototypes,
-                         validate_prototypes)
+                         train_prototype_banks, validate_prototypes)
 
 ABORT_CAP_FRACTION = 0.01
 # Seed stream for building a synthetic pool, distinct from episode streams.
@@ -68,12 +68,13 @@ class SyntheticSpec:
 
     @classmethod
     def parse(cls, text: str) -> "SyntheticSpec":
-        parts = text.split(",")
-        if len(parts) != 5:
-            raise ValueError(
-                "synthetic spec must be n_classes,per_class,dim,mean_scale,sigma")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]),
-                   float(parts[3]), float(parts[4]))
+        try:  # a wrong part count fails the unpacking
+            classes, per_class, dim, mean_scale, sigma = text.split(",")
+            return cls(int(classes), int(per_class), int(dim),
+                       float(mean_scale), float(sigma))
+        except ValueError:
+            raise RunError(f"synthetic={text!r}: synthetic spec must be "
+                           "n_classes,per_class,dim,mean_scale,sigma") from None
 
 
 @dataclass
@@ -207,6 +208,8 @@ class RunConfig:
 
 
 def _coerce(value, type_name: str, key: str):
+    """`value` as a value of config field `key`, of type `type_name`;
+    raises RunError naming `key=value` when it is not one."""
     if isinstance(value, str):
         text = value.strip()
         if type_name == "bool":
@@ -214,20 +217,31 @@ def _coerce(value, type_name: str, key: str):
                 return True
             if text.lower() in ("off", "false", "0", "no"):
                 return False
-            raise RunError(f"cannot parse boolean {key}={value!r}")
-        if type_name == "int":
-            return int(text)
-        if type_name == "float":
-            return float(text)
-        return text
-    if type_name == "int" and isinstance(value, bool):
-        raise RunError(f"cannot parse integer {key}={value!r}")
-    return value
+        elif type_name in ("int", "float"):
+            try:
+                return int(text) if type_name == "int" else float(text)
+            except ValueError:
+                pass
+        else:
+            return text
+    elif type_name == "int":
+        if not isinstance(value, bool) and (
+                isinstance(value, numbers.Integral)
+                or isinstance(value, float) and value.is_integer()):
+            return int(value)
+    elif type_name == "float":
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return value
+    else:
+        return value
+    raise RunError(f"cannot parse {type_name} {key}={value!r}")
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat `key = value` config file; '#' starts a comment."""
+    """Parse a flat `key = value` config file; '#' starts a comment and
+    a key may appear once."""
     flat: dict = {}
+    first_line: dict = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -235,8 +249,11 @@ def load_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise RunError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            flat[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in flat:
+                raise RunError(f"{path}:{lineno}: {key} repeats line "
+                               f"{first_line[key]}")
+            flat[key], first_line[key] = value, lineno
     return flat
 
 
@@ -351,14 +368,26 @@ def finish_episode(prepared: PreparedEpisode, bank: PrototypeBank,
     return accuracy
 
 
-def _mean_bank(prepared: PreparedEpisode) -> PrototypeBank:
-    bank = mean_prototypes(prepared.support_feats, prepared.episode.support_y)
-    validate_prototypes(bank.protos)
-    return bank
-
-
-def _loss_weights(config: RunConfig) -> LossWeights:
-    return LossWeights(config.proto.entropy_weight, config.proto.class_weight)
+def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
+                     ) -> list[PrototypeBank | EpisodeAbort]:
+    """Each episode's prototype bank, or the abort that ended it: trained
+    banks in one batched loop, mean banks one by one."""
+    if config.proto.strategy == "trained":
+        return train_prototype_banks(
+            [p.head for p in prepared], [p.support_feats for p in prepared],
+            [p.episode.support_y for p in prepared],
+            LossWeights(config.proto.entropy_weight,
+                        config.proto.class_weight),
+            config.proto.epochs, config.proto.lr, [p.rng for p in prepared])
+    banks: list[PrototypeBank | EpisodeAbort] = []
+    for p in prepared:
+        bank = mean_prototypes(p.support_feats, p.episode.support_y)
+        try:
+            validate_prototypes(bank.protos)
+            banks.append(bank)
+        except EpisodeAbort as abort:
+            banks.append(abort)
+    return banks
 
 
 def run_episode(emb: EmbeddingSet, config: RunConfig,
@@ -373,13 +402,10 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
     """
     prepared = prepare_episode(emb, config, rng, diag, timings)
     t = time.perf_counter()
-    if config.proto.strategy == "trained":
-        bank = train_prototypes(
-            prepared.head, prepared.support_feats, prepared.episode.support_y,
-            _loss_weights(config), config.proto.epochs, config.proto.lr, rng)
-    else:
-        bank = _mean_bank(prepared)
+    bank, = _prototype_banks([prepared], config)
     _lap(timings, "proto", t)
+    if isinstance(bank, EpisodeAbort):
+        raise bank
     return finish_episode(prepared, bank, config, diag, timings)
 
 
@@ -399,19 +425,7 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig, tasks: range,
             outcomes[k] = abort
 
     t = time.perf_counter()
-    episodes = list(prepared.values())
-    if config.proto.strategy == "trained":
-        banks = train_prototype_banks(
-            [p.head for p in episodes], [p.support_feats for p in episodes],
-            [p.episode.support_y for p in episodes], _loss_weights(config),
-            config.proto.epochs, config.proto.lr, [p.rng for p in episodes])
-    else:
-        banks = []
-        for p in episodes:
-            try:
-                banks.append(_mean_bank(p))
-            except EpisodeAbort as abort:
-                banks.append(abort)
+    banks = _prototype_banks(list(prepared.values()), config)
     _lap(timings, "proto", t)
 
     for (k, p), bank in zip(prepared.items(), banks):

@@ -148,27 +148,16 @@ class _Workspace:
         self.class_eye = weights.class_weight * np.eye(n)
         self.head_weights, self.head_bias = head_weights, head_bias
         self.unit_rows, self.labels = unit_rows, labels
-        # Each buffer becomes an attribute of its name, cut to the stack.
-        self._buffers = {
-            name: np.empty((n_banks,) + shape)
-            for name, shape in (
+        for name, shape in (
                 ("grad", (n, e)), ("unit_protos", (n, e)), ("cross", (n, e)),
                 ("probs", (n, n)), ("logp", (n, n)), ("prod", (n, n)),
                 ("scores", (r, n)), ("q", (r, n)), ("picked", (r,)),
                 ("per_proto", (n, 1)), ("per_row", (r, 1)), ("ent", (n, 1)),
                 ("norms", (n, 1)), ("col_sum", (n, 1)), ("loss", ()),
-                ("term", ()))}
-        self._bind()
-
-    def _bind(self) -> None:
-        """Point the buffers and their views at the first B banks and
-        derive the label constants."""
-        n_banks, r = self.labels.shape
-        n = self.class_eye.shape[0]
-        for name, buf in self._buffers.items():
-            setattr(self, name, buf[:n_banks])
-        self.head_weights_t = self.head_weights.transpose(0, 2, 1)
-        self.bias_3d = self.head_bias[:, None, :]
+                ("term", ())):
+            setattr(self, name, np.empty((n_banks,) + shape))
+        self.head_weights_t = head_weights.transpose(0, 2, 1)
+        self.bias_3d = head_bias[:, None, :]
         self.logp_diag = np.diagonal(self.logp, axis1=1, axis2=2)
         self.ent_2d = self.ent[:, :, 0]
         self.norms_2d = self.norms[:, :, 0]
@@ -177,18 +166,9 @@ class _Workspace:
         self.q_t = self.q.transpose(0, 2, 1)
         self.probs_cols = [self.probs[:, :, k] for k in range(n)]
         self.scores_cols = [self.scores[:, :, k] for k in range(n)]
-        self.one_hot = (self.labels[:, :, None]
-                        == np.arange(n)).astype(np.float64)
+        self.one_hot = (labels[:, :, None] == np.arange(n)).astype(np.float64)
         self.picked_index = ((np.arange(n_banks)[:, None] * r
-                              + np.arange(r)) * n + self.labels)
-
-    def keep(self, keep: np.ndarray) -> None:
-        """Shrink the stack to the banks where `keep` is True."""
-        self.head_weights = self.head_weights[keep]
-        self.head_bias = self.head_bias[keep]
-        self.unit_rows = self.unit_rows[keep]
-        self.labels = self.labels[keep]
-        self._bind()
+                              + np.arange(r)) * n + labels)
 
 
 def _max_of_columns(columns: list[np.ndarray], out: np.ndarray) -> None:
@@ -327,34 +307,39 @@ def train_prototype_banks(heads: list[LinearHead],
     alone. Returns per episode either the trained bank or the
     EpisodeAbort that ended it: a zero-norm support row before training;
     a zero-norm prototype row or a non-finite loss at the epoch it
-    happens, after which the bank leaves the stack and the rest go on;
-    an overflowed Adam moment (`proto_grad_overflow`); or a degenerate
-    final bank. Appends each bank's per-epoch loss (evaluated before
-    each update) to `trajectories[j]` when given.
+    happens; an overflowed Adam moment (`proto_grad_overflow`); or a
+    degenerate final bank. An aborted bank stays in the stack, marked
+    done, until every bank is done or the loop ends: each operation of
+    the step runs within one bank, so its NaNs reach no other bank.
+    Appends each bank's per-epoch loss (evaluated before each update)
+    to `trajectories[j]` until it aborts, when given.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if not heads:
+        return []
     results: list[PrototypeBank | EpisodeAbort | None] = [None] * len(heads)
-    alive, inits, unit_rows, int_labels = [], [], [], []
-    for j, (feats, lab, rng) in enumerate(zip(support_feats, labels, rngs)):
-        feats = np.asarray(feats, dtype=np.float64)
-        lab = np.asarray(lab, dtype=np.int64)
-        row_norms = np.linalg.norm(feats, axis=1)
-        if np.any(row_norms == 0.0):
-            results[j] = EpisodeAbort(
-                "zero_support_row",
-                "cosine undefined for a zero-norm support row")
-            continue
-        alive.append(j)
-        unit_rows.append(feats / row_norms[:, None])
-        int_labels.append(lab)
-        inits.append(init_prototypes(int(lab.max()) + 1, feats.shape[1], rng))
-    if not alive:
-        return results
-    alive = np.array(alive)
+    done = np.zeros(len(heads), dtype=bool)
+    inits, unit_rows, int_labels = [], [], []
+    # A zero-norm support row divides 0/0 below; that bank starts done.
+    with np.errstate(invalid="ignore"):
+        for j, (feats, lab, rng) in enumerate(zip(support_feats, labels,
+                                                  rngs)):
+            feats = np.asarray(feats, dtype=np.float64)
+            lab = np.asarray(lab, dtype=np.int64)
+            row_norms = np.linalg.norm(feats, axis=1)
+            if np.any(row_norms == 0.0):
+                done[j] = True
+                results[j] = EpisodeAbort(
+                    "zero_support_row",
+                    "cosine undefined for a zero-norm support row")
+            unit_rows.append(feats / row_norms[:, None])
+            int_labels.append(lab)
+            inits.append(init_prototypes(int(lab.max()) + 1, feats.shape[1],
+                                         rng))
     protos = np.stack(inits)
-    work = _Workspace(np.stack([heads[j].weights for j in alive]),
-                      np.stack([heads[j].bias for j in alive]),
+    work = _Workspace(np.stack([head.weights for head in heads]),
+                      np.stack([head.bias for head in heads]),
                       np.stack(unit_rows), np.stack(int_labels), weights)
     state = AdamState.fresh(protos.shape, lr=lr)
     # A zero-norm row (0/0) or an overflowed logit (inf - inf) shows as a
@@ -366,38 +351,33 @@ def train_prototype_banks(heads: list[LinearHead],
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for epoch in range(epochs):
             loss, grad = _step_loss_and_grad(protos, work)
-            failed = ~np.isfinite(loss)
-            if failed.any():
-                for j in np.flatnonzero(failed):
-                    # A zero row has zero squared norm, as in the fused step.
-                    zero_row = not np.einsum("ij,ij->i", protos[j],
-                                             protos[j]).all()
-                    results[alive[j]] = EpisodeAbort(
-                        "zero_prototype_row" if zero_row
-                        else "proto_loss_diverged",
-                        f"loss={loss[j]} at epoch {epoch}")
-                keep = ~failed
-                alive, protos, grad, loss = (alive[keep], protos[keep],
-                                             grad[keep], loss[keep])
-                state.m, state.v = state.m[keep], state.v[keep]
-                work.keep(keep)
-                if not alive.size:
-                    return results
+            failed = ~(done | np.isfinite(loss))
+            for j in np.flatnonzero(failed):
+                # A zero row has zero squared norm, as in the fused step.
+                zero_row = not np.einsum("ij,ij->i", protos[j],
+                                         protos[j]).all()
+                results[j] = EpisodeAbort(
+                    "zero_prototype_row" if zero_row
+                    else "proto_loss_diverged",
+                    f"loss={loss[j]} at epoch {epoch}")
+            done |= failed
+            if done.all():
+                break
             if trajectories is not None:
-                for j, value in zip(alive, loss):
-                    trajectories[j].append(float(value))
+                for j in np.flatnonzero(~done):
+                    trajectories[j].append(float(loss[j]))
             # The step's cross-term buffer is free until the next step.
             adam_step(state, protos, grad, work.cross)
     overflowed = ~np.isfinite(state.v).all(axis=(1, 2))
-    for j, bank, over in zip(alive, protos, overflowed):
-        if over:
+    for j in np.flatnonzero(~done):
+        if overflowed[j]:
             results[j] = EpisodeAbort(
                 "proto_grad_overflow",
                 "Adam second moment overflowed; training stalled")
             continue
         try:
-            validate_prototypes(bank)
-            results[j] = PrototypeBank(protos=bank, trained=True)
+            validate_prototypes(protos[j])
+            results[j] = PrototypeBank(protos=protos[j], trained=True)
         except EpisodeAbort as abort:
             results[j] = abort
     return results

@@ -66,6 +66,45 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_flags_reach_the_config(tmp_path, capsys):
+    # Every eval flag set to a value other than its default must show in
+    # the report's config echo under its config key.
+    from fewproto.harness import RunConfig
+    pool = tmp_path / "pool.emb"
+    main(["synth", "--out", str(pool), "--classes", "5", "--per-class",
+          "12", "--dim", "8", "--mean-scale", "6.0", "--sigma", "0.3"])
+    flags = [
+        ("--ways", "n_ways", 3), ("--shots", "k_shots", 2),
+        ("--queries", "n_queries", 3), ("--tasks", "n_tasks", 2),
+        ("--seed", "seed", 4), ("--proto", "proto.strategy", "mean"),
+        ("--mask", "mask.enabled", False), ("--top-m", "graph.top_m", 4),
+        ("--self-weight", "graph.self_weight", 0.5),
+        ("--rounds", "graph.rounds", 2), ("--head-epochs", "head.epochs", 3),
+        ("--head-lr", "head.lr", 0.02), ("--n-aug", "head.n_aug", 2),
+        ("--proto-epochs", "proto.epochs", 7),
+        ("--proto-lr", "proto.lr", 0.05),
+        ("--entropy-weight", "proto.entropy_weight", 0.2),
+        ("--class-weight", "proto.class_weight", 0.5),
+        ("--mask-scale", "mask.scale", 0.2),
+        ("--mask-boost", "mask.boost", 100.0),
+    ]
+    sources = [("--synthetic", "synthetic", "5,12,8,6.0,0.3"),
+               ("--data", "data", str(pool))]
+    defaults = RunConfig().to_flat()
+    assert {key for _, key, _ in flags + sources} == set(defaults)
+    for source in sources:
+        argv = ["eval"]
+        for flag, key, value in flags + [source]:
+            assert value != defaults[key], key
+            argv += [flag, "off" if value is False else str(value)]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        echo = load_report(out).config
+        for _, key, value in flags + [source]:
+            assert echo[key] == value, key
+    capsys.readouterr()
+
+
 def test_eval_requires_a_source(capsys):
     rc = main(["eval", "--tasks", "2"])
     assert rc == 2

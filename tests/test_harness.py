@@ -107,6 +107,31 @@ def test_config_error_names_the_field(key, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("graph.top_m", "ten"), ("proto.lr", "fast"), ("graph.top_m", 2.5),
+    ("n_tasks", "1e3"), ("seed", 1.5), ("mask.enabled", "maybe"),
+    ("proto.lr", None), ("mask.scale", True),
+    ("synthetic", "8,25,x,8.0,0.3"), ("synthetic", "8,25,16"),
+])
+def test_config_parse_error_names_the_field(key, value):
+    # small_config sets its overrides itself, so these fail in set_flat,
+    # before validate() or a run can trip over the value.
+    with pytest.raises(RunError, match=re.escape(f"{key}=")):
+        small_config(**{key: value})
+
+
+def test_config_int_field_takes_integral_float():
+    cfg = small_config(**{"graph.top_m": 4.0})
+    assert cfg.graph.top_m == 4 and isinstance(cfg.graph.top_m, int)
+
+
+def test_config_file_rejects_repeated_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("graph.top_m = 3\nn_ways = 2\n\ngraph.top_m = 4\n")
+    with pytest.raises(RunError, match=r":4: graph.top_m repeats line 1"):
+        load_config_file(path)
+
+
 def test_grad_overflow_aborts_instead_of_chance():
     # self_weight=1e60 scales aggregated features by 1e180, which
     # overflows the head's Adam moment; the episode must abort with that
@@ -265,6 +290,31 @@ def test_run_eval_insufficient_pool():
     cfg.n_ways = 20
     with pytest.raises(RunError, match="classes"):
         run_eval(cfg)
+
+
+def test_run_eval_skips_short_class(tmp_path):
+    # Six classes have the 7 records a 5-way 2-shot 5-query episode
+    # needs; class 3 has 3. Episodes draw among the six, never class 3.
+    from fewproto.embeddings import sample_episode, save_embedding_set
+    rng = np.random.default_rng(31)
+    labels = np.repeat(np.arange(7), [12, 12, 12, 3, 12, 12, 12])
+    vectors = rng.normal(size=(labels.size, 8)) + 3.0 * rng.normal(
+        size=(7, 8))[labels]
+    emb = EmbeddingSet.from_arrays(vectors, labels)
+    path = tmp_path / "short.emb"
+    save_embedding_set(emb, path)
+    for seed in range(50):
+        ep = sample_episode(emb, 5, 2, 5, np.random.default_rng(seed))
+        picked = np.concatenate([ep.support_idx, ep.query_idx])
+        assert not np.isin(picked, emb.class_index[3]).any()
+    cfg = RunConfig(data=str(path), n_ways=5, k_shots=2, n_queries=5,
+                    n_tasks=4, seed=2)
+    cfg.proto.epochs = 30
+    for strategy in ("trained", "mean"):
+        cfg.proto.strategy = strategy
+        rep = run_eval(cfg)
+        assert len(rep.per_task_accuracy) == 4
+        assert rep.diagnostics["aborted_episodes"] == 0
 
 
 def zero_class_pool():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewproto.diagnostics import EpisodeAbort
 from fewproto.head import LinearHead
@@ -286,8 +288,8 @@ def test_batched_abort_leaves_other_banks():
     assert diverged_at > 0  # aborted mid-loop
     assert reasons[2].startswith("zero_support_row")
 
-    # The same bank dropping out of the middle of a 48-bank stack shrinks
-    # the stack at the same epoch and leaves the other 47 banks' bits.
+    # The same bank aborting in the middle of a 48-bank stack stops at
+    # the same epoch and leaves the other 47 banks' bits.
     others = [random_instance(rng) for _ in range(47)]
     stack = others[:24] + [instances[1]] + others[24:]
     seeds = [100 + k for k in range(24)] + [21] + [124 + k for k in range(23)]
@@ -295,15 +297,71 @@ def test_batched_abort_leaves_other_banks():
     assert reasons[24].startswith("proto_loss_diverged")
     assert int(reasons[24].rsplit(" ", 1)[1]) == diverged_at
     assert reasons[:24] + reasons[25:] == [None] * 47
-    # Under the default weights the heads shape every gradient, so the
-    # shrunk stack must keep each remaining bank's own head: a NaN bias
-    # drops bank 24 at epoch 0.
+    # Under the default weights the heads shape every gradient, so each
+    # bank must keep reading its own head next to an aborted one: a NaN
+    # bias aborts bank 24 at epoch 0.
     nan_bias = random_instance(rng)
     nan_bias[1].bias[0] = np.nan
     stack[24] = nan_bias
     reasons = _batched_against_alone(stack, seeds, LossWeights(), 60, 0.1)
     assert reasons[24] == "proto_loss_diverged: loss=nan at epoch 0"
     assert reasons[:24] + reasons[25:] == [None] * 47
+
+
+def _broken(instance, kind):
+    """`instance` set up to abort: a NaN head (loss NaN at epoch 0), a
+    zero support row (before training) or a huge head (loss diverges
+    once the prototypes grow)."""
+    _, head, feats, _ = instance
+    if kind == "nan_head":
+        head.bias[0] = np.nan
+    elif kind == "zero_row":
+        feats[0] = 0.0
+    elif kind == "huge_head":
+        head.weights = head.weights / np.abs(head.weights).max() * 1e308
+    return instance
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), dim=st.integers(2, 6), shots=st.integers(1, 2),
+       neighbours=st.lists(st.sampled_from(
+           ["clean", "nan_head", "zero_row", "huge_head"]), max_size=5),
+       position=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1),
+       entropy_weight=st.sampled_from([0.0, 0.1, 1.5]),
+       class_weight=st.sampled_from([0.0, 1.0]))
+def test_bank_independent_of_its_stack(n, dim, shots, neighbours, position,
+                                       seed, entropy_weight, class_weight):
+    # Batch-size independence: a bank's bits, trajectory and abort do not
+    # depend on the stack's size, its position in it, or neighbours that
+    # abort before or during training.
+    rng = np.random.default_rng(seed)
+    stack = [_broken(random_instance(rng, n, dim, shots), kind)
+             for kind in neighbours]
+    stack.insert(min(position, len(stack)),
+                 random_instance(rng, n, dim, shots))
+    _batched_against_alone(stack, [seed + k for k in range(len(stack))],
+                           LossWeights(entropy_weight, class_weight), 25, 0.3)
+
+
+@pytest.mark.parametrize("weights, huge_head_reason", [
+    (LossWeights(0.0, 0.0), "proto_loss_diverged"),  # all abort in the loop
+    (LossWeights(), "proto_grad_overflow"),  # the last one after it
+])
+def test_chunk_where_every_bank_aborts(weights, huge_head_reason):
+    rng = np.random.default_rng(17)
+    stack = [_broken(random_instance(rng), kind)
+             for kind in ("nan_head", "zero_row", "huge_head", "zero_row")]
+    reasons = _batched_against_alone(stack, [50, 51, 52, 53], weights, 60,
+                                     0.1)
+    assert reasons[0] == "proto_loss_diverged: loss=nan at epoch 0"
+    assert reasons[1].startswith("zero_support_row")
+    assert reasons[2].startswith(huge_head_reason)
+    assert reasons[3].startswith("zero_support_row")
+
+
+def test_empty_chunk():
+    assert train_prototype_banks([], [], [], LossWeights(), 10, 0.1, [],
+                                 []) == []
 
 
 def test_train_leaves_inputs_unchanged():
