@@ -8,8 +8,8 @@ import sys
 import numpy as np
 
 from .embeddings import generate_synthetic, save_embedding_set
-from .harness import (RunConfig, RunError, emit_report, load_config_file,
-                      run_eval)
+from .harness import (SOURCES, RunConfig, RunError, emit_report, flat_fields,
+                      load_config_file, run_eval)
 from .verification import run_gradcheck_suite
 
 
@@ -21,34 +21,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("eval", help="run an episodic evaluation")
-    src = ev.add_mutually_exclusive_group()
-    src.add_argument("--data", help="embedding file (EMB1 format)")
-    src.add_argument("--synthetic", metavar="C,P,D,MS,SIG",
-                     help="synthetic pool: n_classes,per_class,dim,"
-                          "mean_scale,sigma")
     ev.add_argument("--config", help="flat key=value config file")
-    ev.add_argument("--ways", type=int, dest="n_ways")
-    ev.add_argument("--shots", type=int, dest="k_shots")
-    ev.add_argument("--queries", type=int, dest="n_queries")
-    ev.add_argument("--tasks", type=int, dest="n_tasks")
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--proto", choices=["trained", "mean"],
-                    dest="proto.strategy", help="prototype strategy")
-    ev.add_argument("--mask", choices=["on", "off"], dest="mask.enabled",
-                    help="attention-mask correction of query features")
-    ev.add_argument("--top-m", type=int, dest="graph.top_m")
-    ev.add_argument("--self-weight", type=float, dest="graph.self_weight")
-    ev.add_argument("--rounds", type=int, dest="graph.rounds")
-    ev.add_argument("--head-epochs", type=int, dest="head.epochs")
-    ev.add_argument("--head-lr", type=float, dest="head.lr")
-    ev.add_argument("--n-aug", type=int, dest="head.n_aug")
-    ev.add_argument("--proto-epochs", type=int, dest="proto.epochs")
-    ev.add_argument("--proto-lr", type=float, dest="proto.lr")
-    ev.add_argument("--entropy-weight", type=float,
-                    dest="proto.entropy_weight")
-    ev.add_argument("--class-weight", type=float, dest="proto.class_weight")
-    ev.add_argument("--mask-scale", type=float, dest="mask.scale")
-    ev.add_argument("--mask-boost", type=float, dest="mask.boost")
+    # One flag per config key, its `dest`; values stay text and parse as
+    # config-file values do.
+    sources = ev.add_mutually_exclusive_group()
+    for key, _, f, _ in flat_fields(RunConfig()):
+        (sources if key in SOURCES else ev).add_argument(
+            f.metadata["flag"], dest=key, metavar=key,
+            choices=f.metadata["choices"], help=f.metadata["help"])
     ev.add_argument("--out", help="report path (JSON)")
 
     sy = sub.add_parser("synth", help="write a synthetic embedding file")
@@ -68,22 +48,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _eval_command(args: argparse.Namespace) -> int:
+def eval_config(args: argparse.Namespace) -> RunConfig:
+    """The run config of parsed `eval` arguments: the config file's
+    values, then the flags given."""
     config = RunConfig()
     if args.config:
         for key, value in load_config_file(args.config).items():
             config.set_flat(key, value)
-    # A CLI-provided source replaces whichever one the config file had.
-    if args.data is not None:
-        config.synthetic = None
-    if args.synthetic is not None:
-        config.data = None
     # Each config key is the `dest` of its flag; None means not given.
-    flags = vars(args)
-    for key in config.to_flat():
-        if flags[key] is not None:
-            config.set_flat(key, flags[key])
-    report = run_eval(config)
+    flags = {key: vars(args)[key] for key in config.to_flat()
+             if vars(args)[key] is not None}
+    if flags.keys() & set(SOURCES):  # it replaces the config file's source
+        flags = dict.fromkeys(SOURCES) | flags
+    for key, value in flags.items():
+        config.set_flat(key, value)
+    return config
+
+
+def _eval_command(args: argparse.Namespace) -> int:
+    report = run_eval(eval_config(args))
     if args.out:
         emit_report(report, args.out)
     else:

@@ -13,15 +13,19 @@ classified and scored. A bank's bits do not depend on the chunk it
 trains in, so reports are identical for any chunk plan. Mean-prototype
 episodes train nothing and run one at a time. Episodes that hit a fatal
 numerical condition are aborted, counted, and excluded; a run fails
-outright if aborts exceed 1% of the requested tasks.
+outright once aborts exceed 1% of the requested tasks, at the end of
+the chunk that crosses that cap.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -52,52 +56,62 @@ class RunError(RuntimeError):
     """The whole evaluation run is invalid (bad config, too many aborts)."""
 
 
+def _setting(default, flag: str | None = None, *, ge=None, gt=None,
+             choices: tuple | None = None, help: str | None = None):
+    """A config field: its default, its `eval` flag with `help`, and its
+    domain: at least `ge`, above `gt`, one of `choices`. A float value
+    must also be finite."""
+    return field(default=default, metadata={
+        "flag": flag, "ge": ge, "gt": gt, "choices": choices, "help": help})
+
+
 @dataclass
 class SyntheticSpec:
     """Parameters for an in-memory synthetic pool (no file involved)."""
 
-    n_classes: int = 20
-    per_class: int = 50
-    dim: int = 64
-    mean_scale: float = 10.0
-    sigma: float = 0.1
+    n_classes: int = _setting(20, ge=1)
+    per_class: int = _setting(50, ge=1)
+    dim: int = _setting(64, ge=1)
+    mean_scale: float = _setting(10.0)
+    sigma: float = _setting(0.1, ge=0)
 
     def __str__(self):
-        return (f"{self.n_classes},{self.per_class},{self.dim},"
-                f"{self.mean_scale!r},{self.sigma!r}")
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def parse(cls, text: str) -> "SyntheticSpec":
-        try:  # a wrong part count fails the unpacking
-            classes, per_class, dim, mean_scale, sigma = text.split(",")
-            return cls(int(classes), int(per_class), int(dim),
-                       float(mean_scale), float(sigma))
-        except ValueError:
+        try:  # a wrong part count fails the strict zip
+            return cls(*(_coerce(part, _hints(cls)[f.name], f.name)
+                         for f, part in zip(fields(cls), text.split(","),
+                                            strict=True)))
+        except (RunError, ValueError):
             raise RunError(f"synthetic={text!r}: synthetic spec must be "
-                           "n_classes,per_class,dim,mean_scale,sigma") from None
+                           + ",".join(f.name for f in fields(cls))) from None
 
 
 @dataclass
 class GraphConfig:
-    top_m: int = 10
-    self_weight: float = 1.0
-    rounds: int = 3
+    top_m: int = _setting(10, "--top-m", ge=1)
+    self_weight: float = _setting(1.0, "--self-weight")
+    rounds: int = _setting(3, "--rounds", ge=0)
 
 
 @dataclass
 class HeadConfig:
-    epochs: int = 11
-    lr: float = 1e-2
-    n_aug: int = 5
+    epochs: int = _setting(11, "--head-epochs", ge=1)
+    lr: float = _setting(1e-2, "--head-lr", gt=0)
+    n_aug: int = _setting(5, "--n-aug", ge=0)
 
 
 @dataclass
 class ProtoConfig:
-    epochs: int = 1000
-    lr: float = 1e-2
-    entropy_weight: float = 0.1
-    class_weight: float = 1.0
-    strategy: str = "trained"  # trained | mean
+    epochs: int = _setting(1000, "--proto-epochs", ge=1)
+    lr: float = _setting(1e-2, "--proto-lr", gt=0)
+    entropy_weight: float = _setting(0.1, "--entropy-weight", ge=0)
+    class_weight: float = _setting(1.0, "--class-weight", ge=0)
+    strategy: str = _setting("trained", "--proto",
+                             choices=("trained", "mean"),
+                             help="prototype strategy: %(choices)s")
 
 
 @dataclass
@@ -105,75 +119,68 @@ class MaskConfig:
     # scale stays small because the softmax in the mask saturates once
     # scale * |prototype entry| reaches a few units; aggregated features
     # (and therefore mean prototypes) have O(10) entries.
-    enabled: bool = True
-    scale: float = 0.1
-    boost: float = 10000.0
+    enabled: bool = _setting(True, "--mask", help="attention-mask "
+                             "correction of query features: on or off")
+    scale: float = _setting(0.1, "--mask-scale")
+    boost: float = _setting(10000.0, "--mask-boost")
+
+
+# The keys that name a run's embedding pool; a run has exactly one.
+SOURCES = ("data", "synthetic")
 
 
 @dataclass
 class RunConfig:
     """Everything that determines a run's statistics (not its speed)."""
 
-    data: str | None = None
-    synthetic: SyntheticSpec | None = None
-    n_ways: int = 5
-    k_shots: int = 5
-    n_queries: int = 15
-    n_tasks: int = 1000
+    data: str | None = _setting(None, "--data",
+                                help="embedding file (EMB1 format)")
+    synthetic: SyntheticSpec | None = _setting(None, "--synthetic", help=(
+        "synthetic pool: " + ",".join(f.name for f in fields(SyntheticSpec))))
+    n_ways: int = _setting(5, "--ways", ge=1)
+    k_shots: int = _setting(5, "--shots", ge=1)
+    n_queries: int = _setting(15, "--queries", ge=1)
+    n_tasks: int = _setting(1000, "--tasks", ge=1)
     graph: GraphConfig = field(default_factory=GraphConfig)
     head: HeadConfig = field(default_factory=HeadConfig)
     proto: ProtoConfig = field(default_factory=ProtoConfig)
     mask: MaskConfig = field(default_factory=MaskConfig)
-    seed: int = 0
+    seed: int = _setting(0, "--seed", ge=0)
 
     def validate(self) -> None:
         """Reject a config no run can use; each error names its field."""
-        if (self.data is None) == (self.synthetic is None):
+        if sum(getattr(self, key) is not None for key in SOURCES) != 1:
             raise RunError("exactly one of data path or synthetic spec required")
-        for name in ("n_ways", "k_shots", "n_queries", "n_tasks"):
-            if getattr(self, name) < 1:
-                raise RunError(f"{name} must be positive")
-        flat = self.to_flat()
-        for name, low in (("graph.top_m", 1), ("graph.rounds", 0),
-                          ("head.epochs", 1), ("head.n_aug", 0),
-                          ("proto.epochs", 1)):
-            if flat[name] < low:
-                raise RunError(f"{name}={flat[name]} must be >= {low}")
+        checked = [*flat_fields(self)]
+        if self.synthetic is not None:
+            checked += flat_fields(self.synthetic, "synthetic.")
+        for key, owner, f, hint in checked:
+            value, meta = getattr(owner, f.name), f.metadata
+            name = f"{key}={value!r}"
+            if hint is float and not np.isfinite(value):
+                raise RunError(f"{name} must be finite")
+            if meta["ge"] is not None and value < meta["ge"]:
+                raise RunError(f"{name} must be >= {meta['ge']}")
+            if meta["gt"] is not None and value <= meta["gt"]:
+                raise RunError(f"{name} must be > {meta['gt']}")
+            if meta["choices"] and value not in meta["choices"]:
+                raise RunError(f"{name} must be one of "
+                               f"{', '.join(meta['choices'])}")
         n_vertices = self.n_ways * (self.k_shots + self.n_queries)
         if self.graph.top_m > n_vertices - 1:
             raise RunError(
                 f"graph.top_m={self.graph.top_m} exceeds the "
                 f"{n_vertices - 1} neighbours each of an episode's "
                 f"{n_vertices} graph vertices has")
-        for name in ("graph.self_weight", "head.lr", "proto.lr",
-                     "proto.entropy_weight", "proto.class_weight",
-                     "mask.scale", "mask.boost"):
-            if not np.isfinite(flat[name]):
-                raise RunError(f"{name}={flat[name]!r} must be finite")
-        for name in ("head.lr", "proto.lr"):
-            if flat[name] <= 0:
-                raise RunError(f"{name}={flat[name]!r} must be positive")
-        for name in ("proto.entropy_weight", "proto.class_weight"):
-            if flat[name] < 0:
-                raise RunError(f"{name}={flat[name]!r} must be non-negative")
-        if self.proto.strategy not in ("trained", "mean"):
-            raise RunError(f"unknown proto.strategy {self.proto.strategy!r}")
-        if not 0 <= self.seed < 2 ** 64:
+        if self.seed >= 2 ** 64:
             raise RunError("seed must fit in an unsigned 64-bit integer")
 
     def to_flat(self) -> dict:
         """Flat key/value view; nested groups become dotted keys."""
-        out: dict = {
-            "data": self.data,
-            "synthetic": None if self.synthetic is None else str(self.synthetic),
-            "n_ways": self.n_ways, "k_shots": self.k_shots,
-            "n_queries": self.n_queries, "n_tasks": self.n_tasks,
-            "seed": self.seed,
-        }
-        for group in ("graph", "head", "proto", "mask"):
-            sub = getattr(self, group)
-            for f in fields(sub):
-                out[f"{group}.{f.name}"] = getattr(sub, f.name)
+        out = {}
+        for key, owner, f, _ in flat_fields(self):
+            value = getattr(owner, f.name)
+            out[key] = str(value) if is_dataclass(value) else value
         return out
 
     @classmethod
@@ -185,56 +192,62 @@ class RunConfig:
         return cfg
 
     def set_flat(self, key: str, value) -> None:
-        if key == "data":
-            self.data = None if value in (None, "") else str(value)
-            return
-        if key == "synthetic":
-            self.synthetic = (None if value in (None, "") else
-                              SyntheticSpec.parse(str(value)))
-            return
-        if "." in key:
-            group_name, field_name = key.split(".", 1)
-            group = getattr(self, group_name, None)
-            if group_name not in ("graph", "head", "proto", "mask") or \
-                    field_name not in {f.name for f in fields(group)}:
-                raise RunError(f"unknown config key {key!r}")
-            target_type = {f.name: f.type for f in fields(group)}[field_name]
-            setattr(group, field_name, _coerce(value, target_type, key))
-            return
-        if key in ("n_ways", "k_shots", "n_queries", "n_tasks", "seed"):
-            setattr(self, key, _coerce(value, "int", key))
-            return
+        for flat_key, owner, f, hint in flat_fields(self):
+            if flat_key == key:
+                setattr(owner, f.name, _coerce(value, hint, key))
+                return
         raise RunError(f"unknown config key {key!r}")
 
 
-def _coerce(value, type_name: str, key: str):
-    """`value` as a value of config field `key`, of type `type_name`;
-    raises RunError naming `key=value` when it is not one."""
+_hints = functools.cache(get_type_hints)
+
+
+def flat_fields(obj, prefix: str = ""):
+    """Yield (flat key, owner, field, type) for each settable value of
+    the dataclass instance `obj`, in declaration order; the fields of a
+    nested group become dotted keys."""
+    for f in fields(obj):
+        hint = _hints(type(obj))[f.name]
+        if is_dataclass(hint):
+            yield from flat_fields(getattr(obj, f.name), f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, obj, f, hint
+
+
+def _coerce(value, hint, key: str):
+    """`value` as a value of config field `key`, of type `hint`; raises
+    RunError naming `key=value` when it is not one. Text is parsed, so a
+    flag and a config-file line give the same value."""
+    if get_args(hint):  # `X | None`: None or "" unsets
+        if value in (None, ""):
+            return None
+        inner = get_args(hint)[0]
+        return inner.parse(str(value)) if is_dataclass(inner) else str(value)
     if isinstance(value, str):
         text = value.strip()
-        if type_name == "bool":
+        if hint is bool:
             if text.lower() in ("on", "true", "1", "yes"):
                 return True
             if text.lower() in ("off", "false", "0", "no"):
                 return False
-        elif type_name in ("int", "float"):
+        elif hint in (int, float):
             try:
-                return int(text) if type_name == "int" else float(text)
+                return hint(text)
             except ValueError:
                 pass
         else:
             return text
-    elif type_name == "int":
+    elif hint is int:
         if not isinstance(value, bool) and (
                 isinstance(value, numbers.Integral)
                 or isinstance(value, float) and value.is_integer()):
             return int(value)
-    elif type_name == "float":
+    elif hint is float:
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
             return value
     else:
         return value
-    raise RunError(f"cannot parse {type_name} {key}={value!r}")
+    raise RunError(f"cannot parse {hint.__name__} {key}={value!r}")
 
 
 def load_config_file(path) -> dict:
@@ -400,27 +413,24 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
     only record diagnostics. Gives the accuracy run_eval gives for the
     same generator.
     """
-    prepared = prepare_episode(emb, config, rng, diag, timings)
-    t = time.perf_counter()
-    bank, = _prototype_banks([prepared], config)
-    _lap(timings, "proto", t)
-    if isinstance(bank, EpisodeAbort):
-        raise bank
-    return finish_episode(prepared, bank, config, diag, timings)
+    outcome, = _run_chunk(emb, config, [rng], diag, timings)
+    if isinstance(outcome, EpisodeAbort):
+        raise outcome
+    return outcome
 
 
-def _run_chunk(emb: EmbeddingSet, config: RunConfig, tasks: range,
-               diag: Diagnostics, timings: dict) -> list[float | EpisodeAbort]:
-    """Episodes `tasks`, with one batched loop for their trained
-    prototypes; returns each one's accuracy or the abort that ended it.
-    The chunk's prototype time is added to the "proto" phase once."""
-    outcomes: list[float | EpisodeAbort | None] = [None] * len(tasks)
+def _run_chunk(emb: EmbeddingSet, config: RunConfig,
+               rngs: list[np.random.Generator], diag: Diagnostics | None,
+               timings: dict | None) -> list[float | EpisodeAbort]:
+    """One episode on each generator of `rngs`, with one batched loop
+    for their trained prototypes; returns each one's accuracy or the
+    abort that ended it. The chunk's prototype time is added to the
+    "proto" phase once."""
+    outcomes: list[float | EpisodeAbort | None] = [None] * len(rngs)
     prepared: dict[int, PreparedEpisode] = {}
-    for k, i in enumerate(tasks):
+    for k, rng in enumerate(rngs):
         try:
-            prepared[k] = prepare_episode(emb, config,
-                                          episode_rng(config.seed, i),
-                                          diag, timings)
+            prepared[k] = prepare_episode(emb, config, rng, diag, timings)
         except EpisodeAbort as abort:
             outcomes[k] = abort
 
@@ -474,12 +484,15 @@ def run_eval(config: RunConfig) -> EvalReport:
     width = (stack_width(config.n_ways, emb.dim)
              if config.proto.strategy == "trained" else 1)
     for tasks in chunk_plan(config.n_tasks, width):
-        for outcome in _run_chunk(emb, config, tasks, diagnostics, wall_time):
+        rngs = [episode_rng(config.seed, i) for i in tasks]
+        for outcome in _run_chunk(emb, config, rngs, diagnostics, wall_time):
             if isinstance(outcome, EpisodeAbort):
                 aborted += 1
                 diagnostics.record(f"abort:{outcome.reason}")
             else:
                 per_task.append(outcome)
+        if aborted > ABORT_CAP_FRACTION * config.n_tasks:
+            break  # aborts never fall, so the run has already failed
     diagnostics.record("aborted_episodes", aborted)
 
     if aborted > ABORT_CAP_FRACTION * config.n_tasks:

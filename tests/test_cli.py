@@ -1,10 +1,15 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
-from fewproto.cli import main
+from fewproto.cli import build_parser, eval_config, main
 from fewproto.embeddings import load_embedding_set
-from fewproto.harness import load_report
+from fewproto.harness import RunConfig, load_config_file, load_report
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def test_synth_writes_loadable_file(tmp_path, capsys):
@@ -115,6 +120,35 @@ def test_eval_rejects_bad_synthetic_spec(capsys):
     rc = main(["eval", "--synthetic", "1,2,3"])
     assert rc == 2
     assert "synthetic spec" in capsys.readouterr().err
+
+
+def test_eval_rejects_out_of_range_synthetic_spec(capsys):
+    rc = main(["eval", "--synthetic", "0,50,64,1.0,1.0"])
+    assert rc == 2
+    assert "synthetic" in capsys.readouterr().err
+
+
+def test_readme_config_example_is_valid(tmp_path):
+    block = re.search(r"Config files are flat.*?```\n(.*?)```", README,
+                      re.S).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    flat = load_config_file(path)
+    assert len(flat) > 1
+    RunConfig.from_flat(flat).validate()
+
+
+def test_readme_commands_parse():
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("fewproto "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    assert {argv[0] for argv in commands} == {"synth", "eval", "gradcheck"}
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        if args.command == "eval":
+            eval_config(args).validate()
 
 
 def test_gradcheck_passes(capsys):

@@ -100,6 +100,9 @@ def test_config_rejects_top_m_beyond_episode():
     ("head.lr", "0"), ("head.lr", "-1e-2"),
     ("proto.lr", "0"), ("proto.lr", "-0.01"),
     ("proto.entropy_weight", "-0.1"), ("proto.class_weight", "-1"),
+    ("synthetic", "0,25,16,8.0,0.3"), ("synthetic", "8,0,16,8.0,0.3"),
+    ("synthetic", "8,25,0,8.0,0.3"), ("synthetic", "8,25,16,nan,0.3"),
+    ("synthetic", "8,25,16,8.0,-0.1"),
 ])
 def test_config_error_names_the_field(key, value):
     cfg = small_config(**{key: value})
@@ -350,6 +353,29 @@ def test_abort_cap_fails_run(tmp_path):
     cfg.proto.strategy = "mean"
     with pytest.raises(RunError, match="aborted"):
         run_eval(cfg)
+
+
+def test_abort_cap_stops_the_run_early(tmp_path, monkeypatch):
+    # Every episode of this pool aborts. The cap is 2 of 200 tasks and
+    # mean episodes run one per chunk, so the third abort ends the run.
+    from fewproto.embeddings import save_embedding_set
+    path = tmp_path / "degenerate.emb"
+    save_embedding_set(zero_class_pool(), path)
+    cfg = RunConfig(data=str(path), n_ways=2, k_shots=1, n_queries=2,
+                    n_tasks=200, seed=0)
+    cfg.graph.top_m = 3
+    cfg.proto.strategy = "mean"
+    real_prepare = harness.prepare_episode
+
+    def prepare(*args, **kwargs):
+        prepare.calls += 1
+        return real_prepare(*args, **kwargs)
+
+    prepare.calls = 0
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    with pytest.raises(RunError, match="3 of 200 episodes aborted"):
+        run_eval(cfg)
+    assert prepare.calls == 3
 
 
 def test_aborted_episodes_excluded(monkeypatch):
