@@ -4,25 +4,33 @@ One run evaluates `n_tasks` independent episodes and reports the mean
 accuracy with a 95% confidence interval (1.96 * population stddev /
 sqrt(T), the convention behind "+-" columns in few-shot results).
 
-Episode i always uses the generator seeded with `seed + i`. With
-trained prototypes, episodes run in chunks of consecutive task indices
-(`chunk_plan`), as many as `stack_width` allows for the bank width and
-split evenly over the run: each is prepared on its own generator, one
-batched Adam loop trains the chunk's prototype banks, then each is
-classified and scored. A bank's bits do not depend on the chunk it
-trains in, so reports are identical for any chunk plan. Mean-prototype
+Episode i always uses the generator seeded with `seed + i`. A run
+splits its tasks into `worker_count` contiguous ranges of near-equal
+size, one per CPU the process may run on. This process runs the first
+range while forked workers run the others. Within its range, each runs
+episodes in chunks of consecutive task indices (`chunk_plan`), as many
+as `stack_width` allows for the bank width and split evenly over the
+range: each is prepared on its own generator, one batched Adam loop
+trains the chunk's prototype banks, then each is classified and scored.
+A bank's bits do not depend on the chunk it trains in, so reports are
+identical for any chunk plan and any worker count. Mean-prototype
 episodes train nothing and run one at a time. Episodes that hit a fatal
 numerical condition are aborted, counted, and excluded; a run fails
 outright once aborts exceed 1% of the requested tasks, at the end of
-the chunk that crosses that cap.
+the chunk that crosses that cap, counted in task order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import math
 import numbers
+import os
 import time
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
 from typing import get_args, get_type_hints
@@ -157,8 +165,8 @@ class RunConfig:
         for key, owner, f, hint in checked:
             value, meta = getattr(owner, f.name), f.metadata
             name = f"{key}={value!r}"
-            if hint is float and not np.isfinite(value):
-                raise RunError(f"{name} must be finite")
+            if hint is float and not _finite_float(value):
+                raise RunError(f"{name} must be a finite float")
             if meta["ge"] is not None and value < meta["ge"]:
                 raise RunError(f"{name} must be >= {meta['ge']}")
             if meta["gt"] is not None and value <= meta["gt"]:
@@ -200,6 +208,15 @@ class RunConfig:
 
 
 _hints = functools.cache(get_type_hints)
+
+
+def _finite_float(value) -> bool:
+    """Whether the real number `value` is a finite float64; an int too
+    large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def flat_fields(obj, prefix: str = ""):
@@ -304,13 +321,33 @@ def stack_width(n_ways: int, dim: int) -> int:
     return max(1, min(MAX_STACK, STACK_BYTES // (8 * n_ways * dim)))
 
 
+def _split_tasks(n_tasks: int, parts: int) -> list[range]:
+    """Task indices 0..n_tasks-1 in order, in `parts` ranges whose sizes
+    differ by at most one."""
+    size, extra = divmod(n_tasks, parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def chunk_plan(n_tasks: int, width: int) -> list[range]:
     """Task indices 0..n_tasks-1 in order, in the fewest chunks of at
     most `width`, with sizes that differ by at most one."""
-    n_chunks = -(-n_tasks // width)
-    size, extra = divmod(n_tasks, n_chunks)
-    bounds = [k * size + min(k, extra) for k in range(n_chunks + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    return _split_tasks(n_tasks, -(-n_tasks // width))
+
+
+def worker_count(n_tasks: int) -> int:
+    """Processes that share a run of `n_tasks` episodes: one per CPU
+    this process may run on, at most one per task. It is 1, and nothing
+    forks, where the platform cannot fork or name those CPUs, or inside
+    a daemonic multiprocessing worker, which may not start children."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    count = min(len(os.sched_getaffinity(0)), n_tasks)
+    if count > 1:
+        import multiprocessing  # only a run that forks loads it
+        if multiprocessing.current_process().daemon:
+            return 1
+    return count
 
 
 @dataclass
@@ -449,6 +486,100 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
     return outcomes
 
 
+# One chunk's result: each task's accuracy, None for an aborted one, the
+# chunk's diagnostic counts, abort reasons included, and its phase times.
+ChunkResult = tuple[list, Counter, dict]
+
+
+def _over_cap(aborted: int, config: RunConfig) -> bool:
+    return aborted > ABORT_CAP_FRACTION * config.n_tasks
+
+
+def _run_range(emb: EmbeddingSet, config: RunConfig, width: int,
+               tasks: range) -> list[ChunkResult]:
+    """Run the tasks of `tasks` in the chunks of `chunk_plan`; stop after
+    the chunk where this range's own aborts pass the run's cap."""
+    results: list[ChunkResult] = []
+    aborted = 0
+    for chunk in chunk_plan(len(tasks), width):
+        diag, timings = Diagnostics(), {}
+        rngs = [episode_rng(config.seed, tasks[k]) for k in chunk]
+        accuracies = []
+        for outcome in _run_chunk(emb, config, rngs, diag, timings):
+            if isinstance(outcome, EpisodeAbort):
+                diag.record(f"abort:{outcome.reason}")
+                outcome = None
+            accuracies.append(outcome)
+        results.append((accuracies, diag.counts, timings))
+        aborted += accuracies.count(None)
+        if _over_cap(aborted, config):
+            break
+    return results
+
+
+def _range_worker(send, emb: EmbeddingSet, config: RunConfig, width: int,
+                  tasks: range) -> None:
+    """A forked worker: send `_run_range`'s results, or the exception
+    that stopped it with its traceback text."""
+    try:
+        message = (_run_range(emb, config, width, tasks), None)
+    except Exception as exc:
+        import traceback
+        message = (None, (exc, traceback.format_exc()))
+    send.send(message)
+    send.close()
+
+
+def _start_worker(emb: EmbeddingSet, config: RunConfig, width: int,
+                  tasks: range):
+    """Fork a worker for `tasks`; it inherits the pool and config, so
+    only its results cross the pipe."""
+    import multiprocessing  # only a run that forks loads it
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    process = context.Process(target=_range_worker,
+                              args=(send, emb, config, width, tasks))
+    process.start()
+    send.close()  # the worker holds the only write end: EOF if it dies
+    return process, receive
+
+
+def _worker_results(process, receive, tasks: range) -> list[ChunkResult]:
+    try:
+        results, failure = receive.recv()
+    except EOFError:
+        process.join()
+        raise RunError(f"the worker for tasks {tasks.start}-{tasks.stop - 1} "
+                       f"exited with code {process.exitcode} before sending "
+                       f"its results") from None
+    if failure is not None:
+        exc, text = failure
+        raise exc from RuntimeError(
+            f"in the worker for tasks {tasks.start}-{tasks.stop - 1}:\n{text}")
+    return results
+
+
+def _chunk_results(emb: EmbeddingSet, config: RunConfig, width: int
+                   ) -> Iterator[ChunkResult]:
+    """Every chunk's result, in task order. The tasks are split into
+    `worker_count` ranges: forked workers run all but the first, which
+    runs in this process meanwhile. Closing the iterator stops and
+    reaps the workers."""
+    first, *rest = _split_tasks(config.n_tasks, worker_count(config.n_tasks))
+    workers = []
+    try:
+        for tasks in rest:
+            workers.append(_start_worker(emb, config, width, tasks))
+        yield from _run_range(emb, config, width, first)
+        for tasks, (process, receive) in zip(rest, workers):
+            yield from _worker_results(process, receive, tasks)
+    finally:
+        for process, receive in workers:
+            process.terminate()
+            process.join()
+            receive.close()
+
+
 def _resolve_pool(config: RunConfig) -> EmbeddingSet:
     if config.data is not None:
         return load_embedding_set(config.data)
@@ -461,10 +592,18 @@ def _resolve_pool(config: RunConfig) -> EmbeddingSet:
 def run_eval(config: RunConfig) -> EvalReport:
     """Evaluate `config.n_tasks` episodes and assemble the report.
 
-    Trained-prototype episodes run in the chunks of `chunk_plan`, mean
-    ones one at a time; every reported number but wall_time is the same
-    for any chunk plan, because each episode derives its own generator
-    from the run seed and the task index.
+    The tasks run in `worker_count` contiguous ranges, the first in this
+    process and the others in forked workers, one per CPU this process
+    may run on; the count is not configurable. Within a range,
+    trained-prototype episodes run in the chunks of `chunk_plan`, mean
+    ones one at a time. Results are merged in task order, and the abort
+    cap is applied after each merged chunk. Every reported number but
+    wall_time is the same for any worker count and chunk plan, because
+    each episode derives its own generator from the run seed and the
+    task index. The phases of wall_time are summed over the workers, so
+    they can add up to the worker count times "total". The abort count
+    in a failed run's error counts whole chunks, so for trained runs it
+    can depend on the worker count.
     """
     config.validate()
     emb = _resolve_pool(config)
@@ -483,19 +622,18 @@ def run_eval(config: RunConfig) -> EvalReport:
     # Mean banks train nothing, so a mean run holds one episode at a time.
     width = (stack_width(config.n_ways, emb.dim)
              if config.proto.strategy == "trained" else 1)
-    for tasks in chunk_plan(config.n_tasks, width):
-        rngs = [episode_rng(config.seed, i) for i in tasks]
-        for outcome in _run_chunk(emb, config, rngs, diagnostics, wall_time):
-            if isinstance(outcome, EpisodeAbort):
-                aborted += 1
-                diagnostics.record(f"abort:{outcome.reason}")
-            else:
-                per_task.append(outcome)
-        if aborted > ABORT_CAP_FRACTION * config.n_tasks:
-            break  # aborts never fall, so the run has already failed
+    with contextlib.closing(_chunk_results(emb, config, width)) as chunks:
+        for accuracies, counts, timings in chunks:
+            per_task += [a for a in accuracies if a is not None]
+            aborted += accuracies.count(None)
+            diagnostics.counts.update(counts)
+            for phase, seconds in timings.items():
+                wall_time[phase] = wall_time.get(phase, 0.0) + seconds
+            if _over_cap(aborted, config):
+                break  # aborts never fall, so the run has already failed
     diagnostics.record("aborted_episodes", aborted)
 
-    if aborted > ABORT_CAP_FRACTION * config.n_tasks:
+    if _over_cap(aborted, config):
         raise RunError(
             f"{aborted} of {config.n_tasks} episodes aborted "
             f"(cap {ABORT_CAP_FRACTION:.0%}); diagnostics: "

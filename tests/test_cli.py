@@ -192,10 +192,12 @@ def test_determinism_across_processes(tmp_path):
 
 def test_import_loads_no_scipy():
     # The runtime depends on numpy alone; scipy is a test-only dependency.
+    # A run loads multiprocessing only when it forks workers.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, fewproto; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         "if m.split('.')[0] in ('scipy', 'multiprocessing', "
+         "'concurrent')))"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

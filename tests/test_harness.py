@@ -1,11 +1,17 @@
 import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fewproto
 from fewproto import harness
 from fewproto.diagnostics import EpisodeAbort
 from fewproto.embeddings import EmbeddingSet
@@ -123,6 +129,39 @@ def test_config_parse_error_names_the_field(key, value):
         small_config(**{key: value})
 
 
+def float_fields(cfg) -> dict:
+    """Config key -> (owner, attribute name) of every float field, those
+    of the synthetic spec included."""
+    return {key: (owner, f.name) for key, owner, f, hint in [
+        *harness.flat_fields(cfg),
+        *harness.flat_fields(cfg.synthetic, "synthetic.")] if hint is float}
+
+
+def test_config_float_field_rejects_what_no_float_holds():
+    # A Python int may sit in a float field. One beyond float64's range
+    # fails like inf; one within it validates as the equal float does.
+    def complaint(key, value):
+        cfg = small_config()
+        setattr(*float_fields(cfg)[key], value)
+        try:
+            cfg.validate()
+        except RunError as err:
+            assert f"{key}=" in str(err)
+            return str(err).split(" must ")[1]
+        return None
+
+    keys = float_fields(small_config())
+    assert len(keys) == 9
+    for key in keys:
+        for value in (10 ** 400, -10 ** 400):
+            assert complaint(key, value) == "be a finite float", key
+        for value in (2 ** 64, -2 ** 70):
+            assert complaint(key, value) == complaint(key, float(value)), key
+    with pytest.raises(RunError, match=r"graph\.self_weight=10+ must be"):
+        RunConfig.from_flat({"synthetic": "8,25,16,8.0,0.3",
+                             "graph.self_weight": 10 ** 400}).validate()
+
+
 def test_config_int_field_takes_integral_float():
     cfg = small_config(**{"graph.top_m": 4.0})
     assert cfg.graph.top_m == 4 and isinstance(cfg.graph.top_m, int)
@@ -237,6 +276,131 @@ def test_run_eval_deterministic_across_chunks(monkeypatch):
     assert len(set(reports)) == 1
 
 
+def task_index(prepared, config) -> int:
+    """The task index of a prepared episode, from its generator's seed."""
+    return prepared.rng.bit_generator.seed_seq.entropy - config.seed
+
+
+def report_text(config) -> str:
+    """A run's report minus wall_time, or its RunError text."""
+    try:
+        raw = asdict(run_eval(config))
+    except RunError as err:
+        return f"RunError: {err}"
+    raw.pop("wall_time")
+    return json.dumps(raw, sort_keys=True)
+
+
+def test_run_eval_same_report_on_one_and_two_workers(monkeypatch):
+    # Episodes abort by task index, on both sides of the 100/100 split:
+    # two in the trained run, at the cap of 2, and five in the mean run,
+    # whose third abort, at task 130, ends the run however many workers
+    # the later ones ran in.
+    aborting = {"trained": {37, 150}, "mean": {10, 120, 130, 140, 150}}
+    real_prepare = harness.prepare_episode
+
+    def prepare(emb, config, rng, diag=None, timings=None):
+        prepared = real_prepare(emb, config, rng, diag, timings)
+        if task_index(prepared, config) in aborting[config.proto.strategy]:
+            raise EpisodeAbort("test_abort")
+        return prepared
+
+    # A noisy pool, so that accuracies vary from task to task and a
+    # merge out of task order shows.
+    noisy = {"synthetic": "8,25,16,2.0,1.0"}
+    configs = [small_config(**noisy, n_tasks=40),
+               small_config(**noisy, n_tasks=200, **{"proto.strategy": "mean"})]
+    texts = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        with monkeypatch.context() as patched:
+            if workers == 1:  # one worker forks nothing
+                patched.setattr(os, "fork", None)
+            texts[workers] = [report_text(cfg) for cfg in configs]
+            patched.setattr(harness, "prepare_episode", prepare)
+            texts[workers] += [report_text(small_config(**noisy, n_tasks=200)),
+                               report_text(configs[1])]
+    assert texts[1] == texts[2]
+    assert len(set(json.loads(texts[1][0])["per_task_accuracy"])) > 1
+    assert '"abort:test_abort": 2' in texts[1][2]
+    assert texts[1][3].startswith("RunError: 3 of 200 episodes aborted")
+
+
+def two_workers(monkeypatch):
+    monkeypatch.setattr(harness, "worker_count",
+                        lambda n_tasks: min(2, n_tasks))
+
+
+@pytest.mark.parametrize("task", [3, 15])
+def test_worker_error_reaches_the_caller(monkeypatch, task):
+    # Task 3 runs in this process, task 15 in the forked worker for 10-19.
+    two_workers(monkeypatch)
+    real_finish = harness.finish_episode
+
+    def finish(prepared, bank, config, diag=None, timings=None):
+        if task_index(prepared, config) == task:
+            raise ValueError(f"bad task {task}")
+        return real_finish(prepared, bank, config, diag, timings)
+
+    monkeypatch.setattr(harness, "finish_episode", finish)
+    with pytest.raises(ValueError, match=f"bad task {task}"):
+        run_eval(small_config(**{"n_tasks": 20}))
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_fails_the_run(monkeypatch):
+    two_workers(monkeypatch)
+    real_finish = harness.finish_episode
+
+    def finish(prepared, bank, config, diag=None, timings=None):
+        if task_index(prepared, config) == 15:
+            os._exit(3)
+        return real_finish(prepared, bank, config, diag, timings)
+
+    monkeypatch.setattr(harness, "finish_episode", finish)
+    with pytest.raises(RunError, match="tasks 10-19 exited with code 3"):
+        run_eval(small_config(**{"n_tasks": 20}))
+    assert multiprocessing.active_children() == []
+
+
+def test_two_workers_fork_safely_with_threaded_blas():
+    # With the BLAS thread variables unset, numpy's BLAS may run threads
+    # of its own when the workers fork; the run must neither hang nor
+    # change a bit.
+    script = (
+        "import json\n"
+        "from dataclasses import asdict\n"
+        "import numpy as np\n"
+        "from fewproto import harness\n"
+        "np.ones((300, 300)) @ np.ones((300, 300))\n"
+        "cfg = harness.RunConfig.from_flat({'synthetic': '8,25,16,8.0,0.3',"
+        " 'n_ways': 3, 'k_shots': 2, 'n_queries': 5, 'n_tasks': 12,"
+        " 'graph.top_m': 5, 'proto.epochs': 60, 'seed': 4})\n"
+        "for workers in (1, 2):\n"
+        "    harness.worker_count = lambda n_tasks: min(workers, n_tasks)\n"
+        "    raw = asdict(harness.run_eval(cfg))\n"
+        "    raw.pop('wall_time')\n"
+        "    print(json.dumps(raw, sort_keys=True))\n")
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(fewproto.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    one, two = proc.stdout.splitlines()
+    assert one == two and '"aborted_episodes": 0' in one
+
+
+def test_run_eval_inside_a_daemonic_worker():
+    # A Pool's workers are daemonic and may not fork, so there run_eval
+    # runs every task in-process.
+    cfg = small_config(**{"n_tasks": 4})
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.apply_async(report_text, (cfg,)).get(timeout=60)
+    assert inside == report_text(cfg)
+
+
 def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
     # Two episodes of the second chunk are broken after preparation: one
     # head goes NaN (the loss diverges inside the batched loop), one
@@ -260,6 +424,8 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
 
     prepare.calls = 0
     monkeypatch.setattr(harness, "prepare_episode", prepare)
+    # The call counter lives in this process, so no worker may fork.
+    monkeypatch.setattr(harness, "worker_count", lambda n_tasks: 1)
     rep = run_eval(cfg)
     emb = harness._resolve_pool(cfg)
     alone, reasons = [], []
@@ -373,6 +539,7 @@ def test_abort_cap_stops_the_run_early(tmp_path, monkeypatch):
 
     prepare.calls = 0
     monkeypatch.setattr(harness, "prepare_episode", prepare)
+    monkeypatch.setattr(harness, "worker_count", lambda n_tasks: 1)
     with pytest.raises(RunError, match="3 of 200 episodes aborted"):
         run_eval(cfg)
     assert prepare.calls == 3
@@ -395,6 +562,7 @@ def test_aborted_episodes_excluded(monkeypatch):
     fake_finish.calls = 0
     monkeypatch.setattr("fewproto.harness.prepare_episode", fake_prepare)
     monkeypatch.setattr("fewproto.harness.finish_episode", fake_finish)
+    monkeypatch.setattr(harness, "worker_count", lambda n_tasks: 1)
     cfg = small_config(**{"n_tasks": "200"})
     rep = run_eval(cfg)
     assert len(rep.per_task_accuracy) == 199
