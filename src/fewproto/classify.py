@@ -57,37 +57,42 @@ def classify_batch(queries: np.ndarray, protos: PrototypeBank,
     cos(query, proto_n) otherwise. Ties break toward the lowest class
     index. A zero query has no direction: all its scores are 0, class 0
     is predicted, and a `zero_query` diagnostic is recorded.
+
+    All classes are scored in one (n_classes, n_queries, e) stack of
+    corrected queries (unmasked, the queries broadcast over classes):
+    dot products with the unit prototypes by one batched matrix-vector
+    `np.matmul`, row norms along the last axis. Each score has the bits
+    of scoring its class alone with `rows @ unit_proto`, which
+    `np.einsum` and `(a * b).sum` do not give.
     """
     queries = np.asarray(queries, dtype=np.float64)
     p = protos.protos
     proto_norms = np.linalg.norm(p, axis=1)
     if np.any(proto_norms == 0.0):
         raise ValueError("zero-norm prototype row; bank is unusable")
-    unit_protos = p / proto_norms[:, None]
-    n_classes = p.shape[0]
-    scores = np.empty((queries.shape[0], n_classes))
+    unit_protos = (p / proto_norms[:, None])[:, :, None]
+    query_norms = np.linalg.norm(queries, axis=1)
     if use_mask:
         if masks is None:
             raise ValueError("use_mask=True requires masks")
-        for c in range(n_classes):
-            corrected = masks.boost * queries * masks.masks[c] + queries
-            scores[:, c] = _cosine_to(corrected, unit_protos[c])
+        corrected = masks.boost * queries * masks.masks[:, None, :]
+        corrected += queries
+        dots = np.matmul(corrected, unit_protos)[:, :, 0]
+        # np.linalg.norm's own sqrt(sum(x * x)), squared in place: one
+        # stack-sized temporary fewer.
+        np.multiply(corrected, corrected, out=corrected)
+        norms = np.sqrt(corrected.sum(axis=2))
     else:
-        for c in range(n_classes):
-            scores[:, c] = _cosine_to(queries, unit_protos[c])
+        dots = np.matmul(queries, unit_protos)[:, :, 0]
+        norms = query_norms
     # A zero query stays zero under correction, so its scores are all 0
     # and argmax falls through to class 0.
-    zero_q = np.linalg.norm(queries, axis=1) == 0.0
+    safe = np.where(norms == 0.0, 1.0, norms)
+    scores = np.clip(dots / safe, -1.0, 1.0).T
+    zero_q = query_norms == 0.0
     if zero_q.any() and diag is not None:
         diag.record("zero_query", int(zero_q.sum()))
     return np.argmax(scores, axis=1), scores
-
-
-def _cosine_to(rows: np.ndarray, unit_proto: np.ndarray) -> np.ndarray:
-    """Cosines of each row against one unit vector; zero rows score 0."""
-    norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return np.clip((rows @ unit_proto) / safe, -1.0, 1.0)
 
 
 def score_episode(episode: Episode, predictions: np.ndarray) -> float:

@@ -50,6 +50,10 @@ def sparsify_top_m(s: np.ndarray, m: int) -> np.ndarray:
     The union rule preserves symmetry and never isolates a vertex that
     some row still ranks highly. Ties break toward the lowest column
     index; the diagonal is excluded from ranking (it is structurally 0).
+    Each row's m-th largest value comes from `np.partition`; the row
+    keeps every entry above it and fills its remaining slots with the
+    entries equal to it, lowest column first. A non-finite entry has no
+    rank and raises ValueError naming its row and column.
     """
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0]
@@ -57,12 +61,25 @@ def sparsify_top_m(s: np.ndarray, m: int) -> np.ndarray:
         raise ValueError("similarity matrix must be square")
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must be in [1, {n - 1}], got {m}")
+    finite = np.isfinite(s)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite similarity {s[row, col]} at row {row}, "
+                         f"column {col}")
     ranked = s.copy()
     np.fill_diagonal(ranked, -np.inf)
-    # argsort is stable: equal values order by ascending column index.
-    order = np.argsort(-ranked, axis=1, kind="stable")[:, :m]
-    keep = np.zeros_like(s, dtype=bool)
-    np.put_along_axis(keep, order, True, axis=1)
+    # m <= n - 1 finite entries per row, so the m-th largest is finite.
+    kth = np.partition(ranked, n - m, axis=1)[:, n - m, None]
+    keep = ranked >= kth
+    surplus = np.count_nonzero(keep, axis=1) - m
+    rows = np.flatnonzero(surplus)
+    if rows.size:
+        # More entries tie with the m-th largest than slots are left for
+        # them: keep the lowest-column ones.
+        tied = ranked[rows] == kth[rows]
+        slots = np.count_nonzero(tied, axis=1) - surplus[rows]
+        keep[rows] = (ranked[rows] > kth[rows]) | (
+            tied & (np.cumsum(tied, axis=1) <= slots[:, None]))
     keep |= keep.T
     np.fill_diagonal(keep, False)
     return np.where(keep, s, 0.0)

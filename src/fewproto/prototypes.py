@@ -57,16 +57,30 @@ class LossWeights:
 
 
 def mean_prototypes(support_feats: np.ndarray, labels: np.ndarray) -> PrototypeBank:
-    """Per-class arithmetic mean of the aggregated support rows."""
+    """Per-class arithmetic mean of the aggregated support rows.
+
+    The rows must come in the layout `Episode` documents: grouped by
+    class, class 0 first, the same count k per class. The means are then
+    one `reshape(n_classes, k, e).mean(axis=1)`, with the bits of each
+    class's own `rows.mean(axis=0)`. A class with no rows raises
+    ValueError naming it; any other layout raises naming the labels.
+    """
     support_feats = np.asarray(support_feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels.max()) + 1
-    protos = np.empty((n_classes, support_feats.shape[1]))
-    for c in range(n_classes):
-        rows = support_feats[labels == c]
-        if rows.shape[0] == 0:
-            raise ValueError(f"class {c} has no support rows")
-        protos[c] = rows.mean(axis=0)
+    if support_feats.shape[0] != labels.shape[0]:
+        raise ValueError(f"{support_feats.shape[0]} support rows for "
+                         f"{labels.shape[0]} labels")
+    # All-negative labels report class 0 as empty below.
+    n_classes = max(int(labels.max()) + 1, 1)
+    k = labels.shape[0] // n_classes
+    if not np.array_equal(labels, np.repeat(np.arange(n_classes), k)):
+        present = np.isin(np.arange(n_classes), labels)
+        if not present.all():
+            raise ValueError(
+                f"class {np.argmin(present)} has no support rows")
+        raise ValueError(f"support labels {labels.tolist()} are not grouped "
+                         "by class with the same count per class")
+    protos = support_feats.reshape(n_classes, k, -1).mean(axis=1)
     return PrototypeBank(protos=protos, trained=False)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewproto.classify import (AttentionMasks, build_masks, classify_batch,
                                score_episode)
@@ -88,6 +90,61 @@ def test_correct_query_matches_elementwise_oracle():
                 want = corrected @ p / (np.linalg.norm(corrected)
                                         * np.linalg.norm(p))
                 assert scores[i, c] == pytest.approx(want, abs=1e-12)
+
+
+def per_class_scores(queries, protos, masks, use_mask):
+    """Scores one class at a time: cos(boost*q*mask_c + q, p_c) (or
+    cos(q, p_c) unmasked) as `rows @ unit_proto` over each row's norm;
+    a zero row scores 0."""
+    p = protos.protos
+    unit_protos = p / np.linalg.norm(p, axis=1)[:, None]
+    scores = np.empty((queries.shape[0], p.shape[0]))
+    for c in range(p.shape[0]):
+        rows = (masks.boost * queries * masks.masks[c] + queries
+                if use_mask else queries)
+        norms = np.linalg.norm(rows, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        scores[:, c] = np.clip((rows @ unit_protos[c]) / safe, -1.0, 1.0)
+    return scores
+
+
+@pytest.mark.parametrize("n_ways, dim", [(5, 64), (20, 64), (5, 640),
+                                         (20, 640)])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("use_mask", [False, True])
+def test_classify_matches_per_class_oracle(n_ways, dim, scale, use_mask):
+    # Bit for bit, on aggregated-feature magnitudes and with a zero query.
+    rng = np.random.default_rng([n_ways, dim, int(10 * scale)])
+    for _ in range(5):
+        protos = bank_from(rng.normal(0.0, 10.0, size=(n_ways, dim)))
+        masks = build_masks(protos, scale)
+        queries = rng.normal(0.0, 10.0, size=(15 * n_ways, dim))
+        queries[7] = 0.0
+        pred, scores = classify_batch(queries, protos, masks, use_mask)
+        want = per_class_scores(queries, protos, masks, use_mask)
+        np.testing.assert_array_equal(scores, want)
+        np.testing.assert_array_equal(pred, np.argmax(want, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), use_mask=st.booleans(),
+       scale=st.sampled_from([0.0, 0.1, 1.0]),
+       factors=st.lists(st.floats(1e-3, 1e3), min_size=30, max_size=30))
+def test_classify_predictions_ignore_query_rescaling(seed, use_mask, scale,
+                                                     factors):
+    # Scaling a query by a positive factor scales each corrected row by
+    # it too, so no cosine moves beyond rounding. Rows whose top two
+    # scores are within rounding of each other may flip and are skipped.
+    rng = np.random.default_rng(seed)
+    protos = bank_from(rng.normal(0.0, 10.0, size=(5, 16)))
+    masks = build_masks(protos, scale)
+    queries = rng.normal(0.0, 10.0, size=(30, 16))
+    base, scores = classify_batch(queries, protos, masks, use_mask)
+    scaled, _ = classify_batch(queries * np.array(factors)[:, None], protos,
+                               masks, use_mask)
+    top_two = np.sort(scores, axis=1)[:, -2:]
+    clear = top_two[:, 1] - top_two[:, 0] > 1e-9
+    np.testing.assert_array_equal(scaled[clear], base[clear])
 
 
 def test_classify_query_equal_to_prototype():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewproto.diagnostics import Diagnostics
 from fewproto.graph import (build_similarity, build_task_graph,
@@ -107,6 +109,48 @@ def test_sparsify_symmetric_on_random_inputs():
         kept = sparsify_top_m(s, m)
         assert np.max(np.abs(kept - kept.T)) == 0.0
         assert np.all(np.diag(kept) == 0.0)
+
+
+def top_m_oracle(s, m):
+    """The documented rule in plain Python: each row ranks its
+    off-diagonal entries by value descending, then by column ascending,
+    and keeps the first m; an entry survives if its row or its column
+    kept it."""
+    n = len(s)
+    keep = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        ranked = sorted((j for j in range(n) if j != i),
+                        key=lambda j: (-s[i][j], j))
+        for j in ranked[:m]:
+            keep[i, j] = keep[j, i] = True
+    return np.array([[s[i][j] if keep[i, j] else 0.0 for j in range(n)]
+                     for i in range(n)])
+
+
+TIED_VALUES = (-0.5, -0.0, 0.0, 0.1, 0.5, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 30), symmetric=st.booleans())
+def test_sparsify_matches_tie_oracle(data, n, symmetric):
+    # A handful of values, so ties are the norm rather than the exception.
+    s = np.array(data.draw(st.lists(st.sampled_from(TIED_VALUES),
+                                    min_size=n * n, max_size=n * n)),
+                 dtype=np.float64).reshape(n, n)
+    if symmetric:
+        s = np.triu(s, 1) + np.triu(s, 1).T
+    for m in range(1, n):
+        np.testing.assert_array_equal(sparsify_top_m(s, m),
+                                      top_m_oracle(s.tolist(), m))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparsify_rejects_non_finite(bad):
+    s = build_similarity(np.random.default_rng(10).normal(size=(6, 4)))
+    s[4, 2] = bad
+    s[5, 1] = bad
+    with pytest.raises(ValueError, match="row 4, column 2"):
+        sparsify_top_m(s, 3)
 
 
 def test_sparsify_m_out_of_range():

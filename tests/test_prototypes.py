@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,19 +81,51 @@ def test_mean_prototypes_two_rows():
 
 
 def test_mean_prototypes_matches_direct_mean():
+    # Bit for bit against each class's own rows.mean(axis=0).
     rng = np.random.default_rng(0)
-    feats = rng.normal(size=(25, 8))
-    labels = np.repeat(np.arange(5), 5)
-    bank = mean_prototypes(feats, labels)
-    for c in range(5):
-        np.testing.assert_allclose(bank.protos[c],
-                                   feats[labels == c].mean(axis=0),
-                                   atol=1e-12)
+    for k in (1, 5, 7):
+        for dim in (64, 640):
+            feats = rng.normal(0.0, 10.0, size=(5 * k, dim))
+            labels = np.repeat(np.arange(5), k)
+            bank = mean_prototypes(feats, labels)
+            for c in range(5):
+                np.testing.assert_array_equal(
+                    bank.protos[c], feats[labels == c].mean(axis=0))
 
 
 def test_mean_prototypes_empty_class():
     with pytest.raises(ValueError, match="class 1"):
         mean_prototypes(np.ones((2, 3)), np.array([0, 2]))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0],
+                                    [0, 0, 1, 1, -1, -1]])
+def test_mean_prototypes_rejects_other_layouts(labels):
+    # Rows must come grouped by class, class 0 first, the same count each.
+    with pytest.raises(ValueError, match=re.escape(str(labels))):
+        mean_prototypes(np.ones((len(labels), 3)), np.array(labels))
+
+
+def test_mean_prototypes_rejects_row_count_mismatch():
+    with pytest.raises(ValueError, match="3 support rows for 4 labels"):
+        mean_prototypes(np.ones((3, 2)), np.array([0, 0, 1, 1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 7), dim=st.sampled_from([3, 64, 640]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mean_prototypes_support_order_within_class(k, dim, seed):
+    # Reordering a class's rows changes only the summation order, so each
+    # prototype moves by at most a few ulps of its largest entry.
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(rng.normal(0.0, 5.0, size=dim), 2.0, size=(5 * k, dim))
+    labels = np.repeat(np.arange(5), k)
+    order = np.concatenate([c * k + rng.permutation(k) for c in range(5)])
+    base = mean_prototypes(feats, labels).protos
+    moved = mean_prototypes(feats[order], labels).protos
+    for c in range(5):
+        assert (np.abs(moved[c] - base[c]).max()
+                <= 1e-12 * np.abs(base[c]).max())
 
 
 def test_loss_class_exact_onehot_is_zero():
