@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics
 from .embeddings import Episode
-from .optim import softmax
+from .optim import rescale_lost_rows, softmax
 from .prototypes import PrototypeBank
 
 
@@ -24,12 +24,11 @@ from .prototypes import PrototypeBank
 class AttentionMasks:
     """Per-class probability vectors over feature dimensions.
 
-    masks[n] sums to 1 with positive entries; `scale` sharpened the
-    softmax, `boost` weights the correction term at query time.
+    masks[n] sums to 1 with positive entries; `boost` weights the
+    correction term at query time.
     """
 
     masks: np.ndarray  # (n_classes, e)
-    scale: float
     boost: float
 
 
@@ -44,7 +43,7 @@ def build_masks(protos: PrototypeBank, scale: float,
     if not np.all(np.isfinite(p)):
         raise ValueError("prototypes must be finite")
     return AttentionMasks(masks=softmax(scale * np.abs(p), axis=1),
-                          scale=scale, boost=boost)
+                          boost=boost)
 
 
 def classify_batch(queries: np.ndarray, protos: PrototypeBank,
@@ -63,15 +62,18 @@ def classify_batch(queries: np.ndarray, protos: PrototypeBank,
     dot products with the unit prototypes by one batched matrix-vector
     `np.matmul`, row norms along the last axis. Each score has the bits
     of scoring its class alone with `rows @ unit_proto`, which
-    `np.einsum` and `(a * b).sum` do not give.
+    `np.einsum` and `(a * b).sum` do not give. Queries and prototypes
+    pass `rescale_lost_rows` first.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    p = protos.protos
-    proto_norms = np.linalg.norm(p, axis=1)
+    with np.errstate(over="ignore"):  # an inf norm is rescaled below
+        proto_norms = np.linalg.norm(protos.protos, axis=1)
+        query_norms = np.linalg.norm(queries, axis=1)
+    p, proto_norms = rescale_lost_rows(protos.protos, proto_norms)
+    queries, query_norms = rescale_lost_rows(queries, query_norms)
     if np.any(proto_norms == 0.0):
         raise ValueError("zero-norm prototype row; bank is unusable")
     unit_protos = (p / proto_norms[:, None])[:, :, None]
-    query_norms = np.linalg.norm(queries, axis=1)
     if use_mask:
         if masks is None:
             raise ValueError("use_mask=True requires masks")

@@ -178,6 +178,12 @@ def load_embedding_set(path) -> EmbeddingSet:
     return EmbeddingSet.from_arrays(vectors, labels)
 
 
+def eligible_classes(emb: EmbeddingSet, need: int) -> list[int]:
+    """Ascending ids of the classes with at least `need` records."""
+    return [c for c in sorted(emb.class_index)
+            if len(emb.class_index[c]) >= need]
+
+
 def sample_episode(emb: EmbeddingSet, n_ways: int, k_shots: int,
                    n_queries: int, rng: np.random.Generator) -> Episode:
     """Draw one episode uniformly without replacement.
@@ -193,15 +199,14 @@ def sample_episode(emb: EmbeddingSet, n_ways: int, k_shots: int,
     """
     if n_ways < 1 or k_shots < 1 or n_queries < 1:
         raise ValueError("n_ways, k_shots, n_queries must be positive")
-    class_ids = sorted(emb.class_index)
-    if len(class_ids) < n_ways:
+    if emb.n_classes < n_ways:
         raise ValueError(
-            f"pool has {len(class_ids)} classes, episode needs {n_ways}")
+            f"pool has {emb.n_classes} classes, episode needs {n_ways}")
     need = k_shots + n_queries
-    eligible = [c for c in class_ids if len(emb.class_index[c]) >= need]
+    eligible = eligible_classes(emb, need)
     if len(eligible) < n_ways:
         raise ValueError(
-            f"{len(class_ids) - len(eligible)} of {len(class_ids)} classes "
+            f"{emb.n_classes - len(eligible)} of {emb.n_classes} classes "
             f"have fewer than {need} records, episode needs {n_ways} "
             f"classes with {need}")
     picked_classes = rng.choice(len(eligible), size=n_ways, replace=False)
@@ -230,10 +235,14 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
 
     Class means sit on the sphere of radius `mean_scale`; each record is
     mean + iid Gaussian noise with standard deviation `noise_sigma`.
-    Deterministic given the generator state.
+    Deterministic given the generator state. Both scales must fit the
+    float32 records.
     """
     if n_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("n_classes, per_class, dim must be positive")
+    for name, value in ("mean_scale", mean_scale), ("noise_sigma", noise_sigma):
+        if not abs(value) <= float(np.finfo(np.float32).max):  # and NaN
+            raise ValueError(f"{name}={value!r} is not a finite float32")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
     means = rng.normal(size=(n_classes, dim))

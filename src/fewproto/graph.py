@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diagnostics import Diagnostics
+from .optim import rescale_lost_rows
 
 
 def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
@@ -23,14 +24,16 @@ def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarr
 
     A zero-norm row carries no similarity information: its similarities
     are 0 and one `zero_vector_cosine` diagnostic is recorded per zero
-    row instead of failing the episode.
+    row instead of failing the episode. Rows pass `rescale_lost_rows`.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite feature rows")
-    norms = np.linalg.norm(v, axis=1)
+    with np.errstate(over="ignore"):  # an inf norm is rescaled below
+        norms = np.linalg.norm(v, axis=1)
+    v, norms = rescale_lost_rows(v, norms)
     zero = norms == 0.0
     if zero.any():
         if diag is not None:

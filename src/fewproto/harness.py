@@ -39,12 +39,13 @@ import numpy as np
 
 from .classify import build_masks, classify_batch, score_episode
 from .diagnostics import Diagnostics, EpisodeAbort
-from .embeddings import (EmbeddingSet, Episode, generate_synthetic,
-                         load_embedding_set, sample_episode)
+from .embeddings import (EmbeddingSet, Episode, eligible_classes,
+                         generate_synthetic, load_embedding_set,
+                         sample_episode)
 from .graph import build_task_graph
 from .head import LinearHead, manifold_augment, train_head
-from .prototypes import (LossWeights, PrototypeBank, mean_prototypes,
-                         train_prototype_banks, validate_prototypes)
+from .prototypes import (LossWeights, PrototypeBank, bank_or_abort,
+                         mean_prototypes, train_prototype_banks)
 
 ABORT_CAP_FRACTION = 0.01
 # Seed stream for building a synthetic pool, distinct from episode streams.
@@ -429,15 +430,9 @@ def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
             LossWeights(config.proto.entropy_weight,
                         config.proto.class_weight),
             config.proto.epochs, config.proto.lr, [p.rng for p in prepared])
-    banks: list[PrototypeBank | EpisodeAbort] = []
-    for p in prepared:
-        bank = mean_prototypes(p.support_feats, p.episode.support_y)
-        try:
-            validate_prototypes(bank.protos)
-            banks.append(bank)
-        except EpisodeAbort as abort:
-            banks.append(abort)
-    return banks
+    return [bank_or_abort(
+        mean_prototypes(p.support_feats, p.episode.support_y).protos)
+        for p in prepared]
 
 
 def run_episode(emb: EmbeddingSet, config: RunConfig,
@@ -476,13 +471,8 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
     _lap(timings, "proto", t)
 
     for (k, p), bank in zip(prepared.items(), banks):
-        if isinstance(bank, EpisodeAbort):
-            outcomes[k] = bank
-            continue
-        try:
-            outcomes[k] = finish_episode(p, bank, config, diag, timings)
-        except EpisodeAbort as abort:
-            outcomes[k] = abort
+        outcomes[k] = (bank if isinstance(bank, EpisodeAbort)
+                       else finish_episode(p, bank, config, diag, timings))
     return outcomes
 
 
@@ -590,54 +580,42 @@ def _resolve_pool(config: RunConfig) -> EmbeddingSet:
 
 
 def run_eval(config: RunConfig) -> EvalReport:
-    """Evaluate `config.n_tasks` episodes and assemble the report.
+    """Evaluate `config.n_tasks` episodes, in worker ranges and chunks as
+    the module docstring describes, and assemble the report.
 
-    The tasks run in `worker_count` contiguous ranges, the first in this
-    process and the others in forked workers, one per CPU this process
-    may run on; the count is not configurable. Within a range,
-    trained-prototype episodes run in the chunks of `chunk_plan`, mean
-    ones one at a time. Results are merged in task order, and the abort
-    cap is applied after each merged chunk. Every reported number but
-    wall_time is the same for any worker count and chunk plan, because
-    each episode derives its own generator from the run seed and the
-    task index. The phases of wall_time are summed over the workers, so
-    they can add up to the worker count times "total". The abort count
-    in a failed run's error counts whole chunks, so for trained runs it
-    can depend on the worker count.
+    The phases of wall_time are summed over the workers, so they can add
+    up to the worker count times "total". The abort count in a failed
+    run's error counts whole chunks, so for trained runs it can depend
+    on the worker count.
     """
     config.validate()
     emb = _resolve_pool(config)
     need = config.k_shots + config.n_queries
-    usable = [c for c, idx in emb.class_index.items() if len(idx) >= need]
-    if len(usable) < config.n_ways:
-        raise RunError(
-            f"pool has {len(usable)} classes with >= {need} records, "
-            f"need {config.n_ways}")
+    usable = len(eligible_classes(emb, need))
+    if usable < config.n_ways:
+        raise RunError(f"pool has {usable} classes with >= {need} records, "
+                       f"need {config.n_ways}")
 
     t_start = time.perf_counter()
     per_task: list[float] = []
     diagnostics = Diagnostics()
     wall_time: dict = {}
-    aborted = 0
     # Mean banks train nothing, so a mean run holds one episode at a time.
     width = (stack_width(config.n_ways, emb.dim)
              if config.proto.strategy == "trained" else 1)
     with contextlib.closing(_chunk_results(emb, config, width)) as chunks:
         for accuracies, counts, timings in chunks:
             per_task += [a for a in accuracies if a is not None]
-            aborted += accuracies.count(None)
             diagnostics.counts.update(counts)
+            diagnostics.record("aborted_episodes", accuracies.count(None))
             for phase, seconds in timings.items():
                 wall_time[phase] = wall_time.get(phase, 0.0) + seconds
+            aborted = diagnostics.counts["aborted_episodes"]
             if _over_cap(aborted, config):
-                break  # aborts never fall, so the run has already failed
-    diagnostics.record("aborted_episodes", aborted)
-
-    if _over_cap(aborted, config):
-        raise RunError(
-            f"{aborted} of {config.n_tasks} episodes aborted "
-            f"(cap {ABORT_CAP_FRACTION:.0%}); diagnostics: "
-            f"{diagnostics.as_dict()}")
+                raise RunError(
+                    f"{aborted} of {config.n_tasks} episodes aborted "
+                    f"(cap {ABORT_CAP_FRACTION:.0%}); diagnostics: "
+                    f"{diagnostics.as_dict()}")
 
     wall_time["total"] = time.perf_counter() - t_start
     return EvalReport(

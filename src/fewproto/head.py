@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics, EpisodeAbort
-from .optim import LOG_FLOOR, AdamState, adam_update, softmax
+from .optim import LOG_FLOOR, AdamState, adam_step, softmax
 
 # Epoch-to-epoch loss increases beyond this slack are counted as a
 # diagnostic; full-batch training is expected to be monotone.
 LOSS_INCREASE_SLACK = 1e-6
+# Initial weights' std: small, so the first softmax is near uniform.
+HEAD_INIT_STD = 0.01
 
 
 @dataclass
@@ -99,17 +101,16 @@ def head_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
     return loss, delta.T @ feats, delta.sum(axis=0)
 
 
-def init_head(n_classes: int, dim: int, rng: np.random.Generator,
-              weight_std: float = 0.01) -> LinearHead:
-    """Small Gaussian weights, zero bias: early softmax stays near uniform."""
-    return LinearHead(weights=rng.normal(0.0, weight_std, (n_classes, dim)),
+def init_head(n_classes: int, dim: int, rng: np.random.Generator) -> LinearHead:
+    """Gaussian weights of std HEAD_INIT_STD and zero bias."""
+    return LinearHead(weights=rng.normal(0.0, HEAD_INIT_STD, (n_classes, dim)),
                       bias=np.zeros(n_classes))
 
 
 def train_head(aug: AugmentedSupport, epochs: int, lr: float,
                rng: np.random.Generator,
                diag: Diagnostics | None = None) -> LinearHead:
-    """Full-batch Adam on the head's cross-entropy loss.
+    """Full-batch Adam (in-place `adam_step`) on the head's cross-entropy.
 
     Raises EpisodeAbort on a non-finite loss, and after training on an
     overflowed Adam second moment (`head_grad_overflow`), which freezes
@@ -126,6 +127,7 @@ def train_head(aug: AugmentedSupport, epochs: int, lr: float,
     head = init_head(n_classes, aug.features.shape[1], rng)
     state_w = AdamState.fresh(head.weights.shape, lr=lr)
     state_b = AdamState.fresh(head.bias.shape, lr=lr)
+    scratch_w, scratch_b = np.empty_like(head.weights), np.empty_like(head.bias)
     prev = np.inf
     # An overflow ends in a non-finite loss or an inf moment, and both
     # abort below with the event named, so its warning is off.
@@ -138,8 +140,8 @@ def train_head(aug: AugmentedSupport, epochs: int, lr: float,
             if loss > prev + LOSS_INCREASE_SLACK and diag is not None:
                 diag.record("head_loss_increase")
             prev = loss
-            state_w, head.weights = adam_update(state_w, head.weights, gw)
-            state_b, head.bias = adam_update(state_b, head.bias, gb)
+            adam_step(state_w, head.weights, gw, scratch_w)
+            adam_step(state_b, head.bias, gb, scratch_b)
     # The bias gradient is bounded by 1; only the weights' moment can
     # overflow.
     if not np.all(np.isfinite(state_w.v)):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_FLOOR = 1e-12
+# Adam's decay rates and denominator guard, as Kingma & Ba set them.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -21,9 +23,28 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def rescale_lost_rows(x: np.ndarray, norms: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """`x` and its row `norms`, with each nonzero row whose squared norm
+    under- or overflowed (norm 0 or inf; entries beyond about 1e+-154)
+    divided by its largest |entry|, which changes none of its cosines.
+    Other rows keep their bits; when every norm is finite and nonzero,
+    the arguments themselves come back."""
+    if np.isfinite(norms).all() and norms.all():
+        return x, norms
+    lost = (norms == 0.0) | ~np.isfinite(norms)
+    lost[lost] = x[lost].any(axis=-1)  # a zero row stays zero
+    x, norms = x.copy(), norms.copy()
+    rows = x[lost]
+    rows /= np.abs(rows).max(axis=-1, keepdims=True)
+    x[lost] = rows
+    norms[lost] = np.linalg.norm(rows, axis=-1)
+    return x, norms
+
+
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one parameter array.
+    """Adam moments and learning rate for one parameter array.
 
     step counts completed updates; m and v hold the first and second
     moment running averages (same shape as the parameter).
@@ -33,15 +54,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, shape, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(step=0, m=np.zeros(shape), v=np.zeros(shape),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def fresh(cls, shape, lr: float = 1e-3) -> "AdamState":
+        return cls(step=0, m=np.zeros(shape), v=np.zeros(shape), lr=lr)
 
 
 def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
@@ -59,18 +75,18 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
     """
     t = state.step + 1
     m, v = state.m, state.v
-    m *= state.beta1
-    np.multiply(grad, 1.0 - state.beta1, out=scratch)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
     m += scratch
-    np.multiply(grad, 1.0 - state.beta2, out=scratch)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
     scratch *= grad
-    v *= state.beta2
+    v *= ADAM_BETA2
     v += scratch
-    np.divide(m, 1.0 - state.beta1 ** t, out=grad)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=grad)
     grad *= state.lr
-    np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += state.eps
+    scratch += ADAM_EPS
     grad /= scratch
     param -= grad
     state.step = t
@@ -86,8 +102,7 @@ def adam_update(state: AdamState, param: np.ndarray,
         raise ValueError(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"state {state.m.shape}")
-    new = AdamState(state.step, state.m.copy(), state.v.copy(), state.lr,
-                    state.beta1, state.beta2, state.eps)
+    new = AdamState(state.step, state.m.copy(), state.v.copy(), state.lr)
     adam_step(new, param, grad, np.empty_like(param))
     return new, param
 

@@ -36,10 +36,9 @@ from .optim import LOG_FLOOR, AdamState, adam_step, softmax
 
 @dataclass
 class PrototypeBank:
-    """One prototype row per class; `trained` marks the optimized variant."""
+    """One prototype row per class."""
 
     protos: np.ndarray  # (n_classes, e)
-    trained: bool
 
 
 @dataclass
@@ -81,7 +80,7 @@ def mean_prototypes(support_feats: np.ndarray, labels: np.ndarray) -> PrototypeB
         raise ValueError(f"support labels {labels.tolist()} are not grouped "
                          "by class with the same count per class")
     protos = support_feats.reshape(n_classes, k, -1).mean(axis=1)
-    return PrototypeBank(protos=protos, trained=False)
+    return PrototypeBank(protos=protos)
 
 
 def loss_class(protos: np.ndarray, head: LinearHead) -> float:
@@ -144,24 +143,31 @@ def loss_total(protos: np.ndarray, head: LinearHead,
 class _Workspace:
     """Constants and preallocated buffers of one batched prototype loop.
 
-    Holds a stack of B banks' frozen inputs, head_weights (B, n, e),
-    head_bias (B, n), pre-normalized support rows unit_rows (B, r, e)
-    and their labels (B, r), plus what the step derives from them once:
-    the labels one-hot, the class weight times the n x n identity and
-    the flat index of each row's own-class entry in a (B, r, n) array.
+    Built from B banks' frozen inputs: heads, support rows (r, e) and
+    labels (r,). Holds the stacked head weights (B, n, e) and unit-norm
+    support rows unit_rows (B, r, e), the labels one-hot, the class
+    weight times the n x n identity and the flat index of each row's
+    own-class entry in a (B, r, n) array. `zero_support` (B,) marks the
+    banks with a zero-norm support row, whose unit rows hold NaN.
     Every `_step_loss_and_grad` call writes the same buffers, through
     views made here, so a step allocates no array.
     """
 
-    def __init__(self, head_weights: np.ndarray, head_bias: np.ndarray,
-                 unit_rows: np.ndarray, labels: np.ndarray,
+    def __init__(self, heads: list[LinearHead],
+                 support_feats: list[np.ndarray], labels: list[np.ndarray],
                  weights: LossWeights):
+        self.head_weights = head_weights = np.stack(
+            [head.weights for head in heads])
+        feats = np.asarray(np.stack(support_feats), dtype=np.float64)
+        labels = np.asarray(np.stack(labels), dtype=np.int64)
         n_banks, n, e = head_weights.shape
-        r = unit_rows.shape[1]
+        r = feats.shape[1]
+        row_norms = np.linalg.norm(feats, axis=2, keepdims=True)
+        self.zero_support = (row_norms == 0.0).any(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # 0/0 in a zero_support bank
+            self.unit_rows = feats / row_norms
         self.weights = weights
         self.class_eye = weights.class_weight * np.eye(n)
-        self.head_weights, self.head_bias = head_weights, head_bias
-        self.unit_rows, self.labels = unit_rows, labels
         for name, shape in (
                 ("grad", (n, e)), ("unit_protos", (n, e)), ("cross", (n, e)),
                 ("probs", (n, n)), ("logp", (n, n)), ("prod", (n, n)),
@@ -171,7 +177,7 @@ class _Workspace:
                 ("term", ())):
             setattr(self, name, np.empty((n_banks,) + shape))
         self.head_weights_t = head_weights.transpose(0, 2, 1)
-        self.bias_3d = head_bias[:, None, :]
+        self.bias_3d = np.stack([head.bias for head in heads])[:, None, :]
         self.logp_diag = np.diagonal(self.logp, axis1=1, axis2=2)
         self.ent_2d = self.ent[:, :, 0]
         self.norms_2d = self.norms[:, :, 0]
@@ -332,29 +338,16 @@ def train_prototype_banks(heads: list[LinearHead],
         raise ValueError("epochs must be >= 1")
     if not heads:
         return []
-    results: list[PrototypeBank | EpisodeAbort | None] = [None] * len(heads)
-    done = np.zeros(len(heads), dtype=bool)
-    inits, unit_rows, int_labels = [], [], []
-    # A zero-norm support row divides 0/0 below; that bank starts done.
-    with np.errstate(invalid="ignore"):
-        for j, (feats, lab, rng) in enumerate(zip(support_feats, labels,
-                                                  rngs)):
-            feats = np.asarray(feats, dtype=np.float64)
-            lab = np.asarray(lab, dtype=np.int64)
-            row_norms = np.linalg.norm(feats, axis=1)
-            if np.any(row_norms == 0.0):
-                done[j] = True
-                results[j] = EpisodeAbort(
-                    "zero_support_row",
-                    "cosine undefined for a zero-norm support row")
-            unit_rows.append(feats / row_norms[:, None])
-            int_labels.append(lab)
-            inits.append(init_prototypes(int(lab.max()) + 1, feats.shape[1],
-                                         rng))
-    protos = np.stack(inits)
-    work = _Workspace(np.stack([head.weights for head in heads]),
-                      np.stack([head.bias for head in heads]),
-                      np.stack(unit_rows), np.stack(int_labels), weights)
+    work = _Workspace(heads, support_feats, labels, weights)
+    # A bank with a zero-norm support row starts done, yet still draws
+    # its init, so every generator ends where training leaves it.
+    done = work.zero_support.copy()
+    results: list[PrototypeBank | EpisodeAbort | None] = [
+        EpisodeAbort("zero_support_row",
+                     "cosine undefined for a zero-norm support row")
+        if zero else None for zero in done]
+    n_classes, dim = heads[0].weights.shape
+    protos = np.stack([init_prototypes(n_classes, dim, rng) for rng in rngs])
     state = AdamState.fresh(protos.shape, lr=lr)
     # A zero-norm row (0/0) or an overflowed logit (inf - inf) shows as a
     # NaN loss, which aborts that bank with a reason. A gradient entry
@@ -367,11 +360,8 @@ def train_prototype_banks(heads: list[LinearHead],
             loss, grad = _step_loss_and_grad(protos, work)
             failed = ~(done | np.isfinite(loss))
             for j in np.flatnonzero(failed):
-                # A zero row has zero squared norm, as in the fused step.
-                zero_row = not np.einsum("ij,ij->i", protos[j],
-                                         protos[j]).all()
                 results[j] = EpisodeAbort(
-                    "zero_prototype_row" if zero_row
+                    "zero_prototype_row" if not work.norms[j].all()
                     else "proto_loss_diverged",
                     f"loss={loss[j]} at epoch {epoch}")
             done |= failed
@@ -384,16 +374,10 @@ def train_prototype_banks(heads: list[LinearHead],
             adam_step(state, protos, grad, work.cross)
     overflowed = ~np.isfinite(state.v).all(axis=(1, 2))
     for j in np.flatnonzero(~done):
-        if overflowed[j]:
-            results[j] = EpisodeAbort(
-                "proto_grad_overflow",
-                "Adam second moment overflowed; training stalled")
-            continue
-        try:
-            validate_prototypes(protos[j])
-            results[j] = PrototypeBank(protos=protos[j], trained=True)
-        except EpisodeAbort as abort:
-            results[j] = abort
+        results[j] = (EpisodeAbort(
+            "proto_grad_overflow",
+            "Adam second moment overflowed; training stalled")
+            if overflowed[j] else bank_or_abort(protos[j]))
     return results
 
 
@@ -418,8 +402,17 @@ def train_prototypes(head: LinearHead, support_feats: np.ndarray,
 
 
 def validate_prototypes(protos: np.ndarray) -> None:
-    """Reject banks a cosine classifier cannot use."""
+    """Reject a bank with a non-finite entry or a row of zeros."""
     if not np.all(np.isfinite(protos)):
         raise EpisodeAbort("proto_nonfinite")
-    if np.any(np.linalg.norm(protos, axis=1) == 0.0):
+    if not protos.any(axis=1).all():
         raise EpisodeAbort("zero_prototype_row")
+
+
+def bank_or_abort(protos: np.ndarray) -> PrototypeBank | EpisodeAbort:
+    """`protos` as a bank, or the abort validate_prototypes raises."""
+    try:
+        validate_prototypes(protos)
+    except EpisodeAbort as abort:
+        return abort
+    return PrototypeBank(protos=protos)

@@ -21,6 +21,9 @@ from .optim import grad_check
 from .prototypes import (LossWeights, _step_loss_and_grad, _Workspace,
                          loss_total)
 
+# Each suite trial: a SUITE_WAYS-way episode, SUITE_SHOTS rows per class.
+SUITE_WAYS, SUITE_SHOTS, SUITE_DIM = 5, 3, 16
+
 
 @dataclass
 class GradCheckReport:
@@ -35,7 +38,7 @@ class GradCheckReport:
         return not self.failures and self.n_checks > 0
 
 
-def check_head_gradient(weights, bias, feats, labels, h: float = 1e-5) -> float:
+def check_head_gradient(weights, bias, feats, labels) -> float:
     """Worst relative error of the head's analytic gradient at (W, b)."""
     w_size = weights.size
 
@@ -52,34 +55,28 @@ def check_head_gradient(weights, bias, feats, labels, h: float = 1e-5) -> float:
         return np.concatenate([gw.ravel(), gb])
 
     return grad_check(loss_fn, grad_fn,
-                      np.concatenate([weights.ravel(), bias]), h)
+                      np.concatenate([weights.ravel(), bias]))
 
 
-def check_proto_gradient(protos, head, feats, labels, weights: LossWeights,
-                         h: float = 1e-5) -> float:
+def check_proto_gradient(protos, head, feats, labels,
+                         weights: LossWeights) -> float:
     """Worst relative error of the training step's prototype gradient
-    (`_step_loss_and_grad` on one bank) against central differences of
-    loss_total at the given prototypes."""
-    feats = np.asarray(feats, dtype=np.float64)
-    unit_rows = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-    labels = np.asarray(labels, dtype=np.int64)
+    (`_step_loss_and_grad` on one bank, set up as training sets it up)
+    against central differences of loss_total at the given prototypes."""
+    work = _Workspace([head], [feats], [labels], weights)
 
     def loss_fn(x):
         return loss_total(x.reshape(protos.shape), head, feats, labels, weights)
-
-    work = _Workspace(head.weights[None], head.bias[None], unit_rows[None],
-                      labels[None], weights)
 
     def grad_fn(x):
         _, grad = _step_loss_and_grad(x.reshape((1,) + protos.shape), work)
         return grad.ravel()
 
-    return grad_check(loss_fn, grad_fn, protos.ravel(), h)
+    return grad_check(loss_fn, grad_fn, protos.ravel())
 
 
 def run_gradcheck_suite(trials: int = 100, tolerance: float = 1e-4,
-                        seed: int = 0, n_ways: int = 5, dim: int = 16,
-                        shots: int = 3, h: float = 1e-5) -> GradCheckReport:
+                        seed: int = 0) -> GradCheckReport:
     """Run `trials` random instances of every gradient check.
 
     The composite-loss weights cycle through the defaults (0.1, 1.0) and
@@ -98,15 +95,14 @@ def run_gradcheck_suite(trials: int = 100, tolerance: float = 1e-4,
             report.failures.append((name, trial, err))
 
     for trial in range(trials):
-        feats = rng.normal(size=(n_ways * shots, dim))
-        labels = np.repeat(np.arange(n_ways), shots)
-        w = rng.normal(0.0, 0.3, (n_ways, dim))
-        b = rng.normal(0.0, 0.1, n_ways)
-        record("head_loss", trial,
-               check_head_gradient(w, b, feats, labels, h))
+        feats = rng.normal(size=(SUITE_WAYS * SUITE_SHOTS, SUITE_DIM))
+        labels = np.repeat(np.arange(SUITE_WAYS), SUITE_SHOTS)
+        w = rng.normal(0.0, 0.3, (SUITE_WAYS, SUITE_DIM))
+        b = rng.normal(0.0, 0.1, SUITE_WAYS)
+        record("head_loss", trial, check_head_gradient(w, b, feats, labels))
         head = LinearHead(weights=w, bias=b)
-        protos = rng.normal(size=(n_ways, dim))
+        protos = rng.normal(size=(SUITE_WAYS, SUITE_DIM))
         record("total_loss", trial,
                check_proto_gradient(protos, head, feats, labels,
-                                    weight_pairs[trial % len(weight_pairs)], h))
+                                    weight_pairs[trial % len(weight_pairs)]))
     return report

@@ -13,8 +13,7 @@ from fewproto.prototypes import PrototypeBank
 
 
 def bank_from(rows):
-    return PrototypeBank(protos=np.asarray(rows, dtype=np.float64),
-                         trained=False)
+    return PrototypeBank(protos=np.asarray(rows, dtype=np.float64))
 
 
 def test_masks_zero_prototype_row_uniform():
@@ -42,13 +41,14 @@ def test_masks_rows_sum_to_one_and_negation_invariant():
     rng = np.random.default_rng(1)
     for _ in range(20):
         protos = rng.normal(size=(5, 12))
-        masks = build_masks(bank_from(protos), scale=rng.uniform(0.0, 3.0))
+        scale = rng.uniform(0.0, 3.0)
+        masks = build_masks(bank_from(protos), scale=scale)
         np.testing.assert_allclose(masks.masks.sum(axis=1), np.ones(5),
                                    atol=1e-12)
         assert np.all(masks.masks > 0)
         flipped = protos.copy()
         flipped[2] *= -1.0
-        again = build_masks(bank_from(flipped), scale=masks.scale)
+        again = build_masks(bank_from(flipped), scale=scale)
         np.testing.assert_allclose(again.masks, masks.masks, atol=1e-15)
 
 
@@ -56,7 +56,7 @@ def test_correct_query_zero_boost():
     rng = np.random.default_rng(2)
     protos = bank_from(rng.normal(size=(3, 6)))
     queries = rng.normal(size=(10, 6))
-    masks = AttentionMasks(masks=np.full((3, 6), 1 / 6), scale=0.0, boost=0.0)
+    masks = AttentionMasks(masks=np.full((3, 6), 1 / 6), boost=0.0)
     _, masked = classify_batch(queries, protos, masks, use_mask=True)
     _, plain = classify_batch(queries, protos, None, use_mask=False)
     np.testing.assert_array_equal(masked, plain)
@@ -67,7 +67,7 @@ def test_correct_query_uniform_mask_doubles():
     # exactly query + query.
     protos = bank_from(np.random.default_rng(3).normal(size=(2, 4)))
     q = np.array([[1.0, -2.0, 3.0, 0.5]])
-    masks = AttentionMasks(masks=np.full((2, 4), 0.25), scale=0.0, boost=4.0)
+    masks = AttentionMasks(masks=np.full((2, 4), 0.25), boost=4.0)
     _, masked = classify_batch(q, protos, masks, use_mask=True)
     _, doubled = classify_batch(2.0 * q, protos, None, use_mask=False)
     np.testing.assert_array_equal(masked, doubled)
@@ -80,7 +80,7 @@ def test_correct_query_matches_elementwise_oracle():
         queries = rng.normal(size=(4, 9))
         raw = rng.uniform(0.1, 1.0, size=(3, 9))
         masks = AttentionMasks(masks=raw / raw.sum(axis=1, keepdims=True),
-                               scale=1.0, boost=rng.uniform(0.0, 1e4))
+                               boost=rng.uniform(0.0, 1e4))
         _, scores = classify_batch(queries, bank_from(protos), masks,
                                    use_mask=True)
         for i, q in enumerate(queries):
@@ -247,3 +247,32 @@ def test_score_episode_random_predictions_monte_carlo():
         preds = rng.integers(0, 5, size=75)
         accs.append(score_episode(ep, preds))
     assert np.mean(accs) == pytest.approx(0.2, abs=0.02)
+
+
+def test_classify_tiny_query_keeps_its_direction():
+    # The squared norm of [1e-170, 0] underflows to 0, yet the query
+    # points along class 1's prototype.
+    diag = Diagnostics()
+    predictions, scores = classify_batch(
+        np.array([[1e-170, 0.0]]), bank_from([[0.0, 1.0], [1.0, 0.0]]),
+        None, use_mask=False, diag=diag)
+    assert predictions.tolist() == [1]
+    np.testing.assert_array_equal(scores, [[0.0, 1.0]])
+    assert "zero_query" not in diag.counts
+
+
+@pytest.mark.parametrize("use_mask", [False, True])
+def test_classify_huge_rows_keep_their_predictions(use_mask):
+    # Squared norms of 1e170 queries and 1e200 prototypes overflow.
+    rng = np.random.default_rng(30)
+    protos = rng.normal(size=(5, 16))
+    queries = rng.normal(size=(40, 16))
+    masks = build_masks(bank_from(protos), scale=0.1)
+    want, want_scores = classify_batch(queries, bank_from(protos), masks,
+                                       use_mask)
+    for q_scale, p_scale in ((1e170, 1.0), (1.0, 1e200), (1e170, 1e200)):
+        got, scores = classify_batch(q_scale * queries,
+                                     bank_from(p_scale * protos), masks,
+                                     use_mask)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(scores, want_scores, atol=1e-12)

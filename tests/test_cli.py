@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fewproto.cli import build_parser, eval_config, main
 from fewproto.embeddings import load_embedding_set
 from fewproto.harness import RunConfig, load_config_file, load_report
@@ -126,6 +128,25 @@ def test_eval_rejects_out_of_range_synthetic_spec(capsys):
     rc = main(["eval", "--synthetic", "0,50,64,1.0,1.0"])
     assert rc == 2
     assert "synthetic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form, value, name", [
+    ("eval", "1e300", "mean_scale"), ("synth", "1e300", "mean_scale"),
+    ("synth", "nan", "noise_sigma")])
+def test_synthetic_pool_beyond_float32_names_its_parameter(
+        tmp_path, capsys, form, value, name):
+    out = tmp_path / "pool.emb"
+    if form == "eval":
+        argv = ["eval", "--synthetic", f"6,30,8,{value},0.1", "--tasks", "2"]
+    elif name == "mean_scale":
+        argv = ["synth", "--out", str(out), "--classes", "6", "--per-class",
+                "30", "--dim", "8", "--mean-scale", value, "--sigma", "0.1"]
+    else:
+        argv = ["synth", "--out", str(out), "--classes", "6", "--per-class",
+                "30", "--dim", "8", "--mean-scale", "1.0", "--sigma", value]
+    assert main(argv) == 2
+    assert f"{name}=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_config_example_is_valid(tmp_path):

@@ -268,3 +268,14 @@ def test_task_graph_shapes_and_invariants():
     want = dense_power_oracle(v, adjacency, 1.0, 3)
     np.testing.assert_allclose(np.vstack([support_feats, query_feats]), want,
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_similarity_rows_beyond_norm_range_keep_their_direction(scale):
+    # Squared norms of these rows under- or overflow float64.
+    diag = Diagnostics()
+    s = build_similarity(np.array([[scale, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+                         diag)
+    np.testing.assert_array_equal(s, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                      [0.0, 0.0, 0.0]])
+    assert "zero_vector_cosine" not in diag.counts

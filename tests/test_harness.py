@@ -582,3 +582,14 @@ def test_four_toggle_combinations_clean():
             rep = run_eval(cfg)
             assert rep.diagnostics == {"aborted_episodes": 0}, (strategy, mask_on)
             assert rep.mean_accuracy == 1.0
+
+
+def test_mean_run_with_overflowing_norms_keeps_directions():
+    # Three rounds at self_weight=1e60 scale the features to about 1e180,
+    # so their squared norms overflow; cosines must still see them. Any
+    # RuntimeWarning fails the test.
+    report = run_eval(RunConfig.from_flat({
+        "synthetic": "20,50,64,3.0,1.5", "proto.strategy": "mean",
+        "graph.self_weight": 1e60, "n_tasks": 100, "seed": 3}))
+    assert report.ci95 > 0.0
+    assert "± 0.00%" not in report.summary_line()

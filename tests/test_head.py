@@ -5,7 +5,7 @@ import pytest
 
 from fewproto.head import (LinearHead, head_loss_and_grad, head_predict,
                            manifold_augment, train_head)
-from fewproto.optim import softmax
+from fewproto.optim import AdamState, adam_update, softmax
 from fewproto.verification import check_head_gradient
 
 
@@ -184,3 +184,25 @@ def test_train_head_rejects_bad_epochs():
     aug = manifold_augment(feats, labels, 0, np.random.default_rng(18))
     with pytest.raises(ValueError):
         train_head(aug, 0, 1e-2, np.random.default_rng(19))
+
+
+@pytest.mark.parametrize("k_shots, dim", [(5, 64), (1, 640)])
+def test_train_head_matches_allocating_adam(k_shots, dim):
+    # train_head steps in place; an allocating adam_update loop from the
+    # same init must give the same bits.
+    rng = np.random.default_rng(21)
+    feats = rng.normal(size=(5 * k_shots, dim))
+    labels = np.repeat(np.arange(5), k_shots)
+    aug = manifold_augment(feats, labels, 5, rng)
+    head = train_head(aug, 11, 1e-2, np.random.default_rng(22))
+    weights = np.random.default_rng(22).normal(0.0, 0.01, (5, dim))
+    bias = np.zeros(5)
+    state_w = AdamState.fresh(weights.shape, lr=1e-2)
+    state_b = AdamState.fresh(bias.shape, lr=1e-2)
+    for _ in range(11):
+        _, gw, gb = head_loss_and_grad(weights, bias, aug.features,
+                                       aug.labels)
+        state_w, weights = adam_update(state_w, weights, gw)
+        state_b, bias = adam_update(state_b, bias, gb)
+    np.testing.assert_array_equal(head.weights, weights)
+    np.testing.assert_array_equal(head.bias, bias)

@@ -71,7 +71,7 @@ def test_adam_matches_reference_recurrence_and_converges():
         v_hat = v / (1 - b2 ** t)
         x_ref = x_ref - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    state = AdamState.fresh(2, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = AdamState.fresh(2, lr=lr)
     x = np.array([1.0, 1.0])
     for _ in range(100):
         state, x = adam_update(state, x, 2.0 * x)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewproto import prototypes
 from fewproto.diagnostics import EpisodeAbort
 from fewproto.head import LinearHead
 from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
@@ -71,7 +72,6 @@ def test_mean_prototypes_single_shot():
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     bank = mean_prototypes(feats, np.array([0, 1, 2]))
     np.testing.assert_array_equal(bank.protos, feats)
-    assert not bank.trained
 
 
 def test_mean_prototypes_two_rows():
@@ -257,10 +257,7 @@ def test_fused_step_matches_public_functions():
 
     def fused(instances, weights):
         protos, heads, feats, labels = zip(*instances)
-        unit = [f / np.linalg.norm(f, axis=1, keepdims=True) for f in feats]
-        work = _Workspace(np.stack([h.weights for h in heads]),
-                          np.stack([h.bias for h in heads]), np.stack(unit),
-                          np.stack(labels), weights)
+        work = _Workspace(heads, feats, labels, weights)
         return _step_loss_and_grad(np.stack(protos), work)
 
     for trial in range(20):
@@ -457,7 +454,6 @@ def test_train_reaches_support_equal_bound():
                             1000, 1e-2, np.random.default_rng(10))
     final = loss_metric(bank.protos, feats, labels)
     assert final <= bound + 1e-3
-    assert bank.trained
 
 
 def test_train_deterministic():
@@ -523,6 +519,8 @@ def test_validate_prototypes():
     with pytest.raises(EpisodeAbort):
         validate_prototypes(np.array([[1.0, np.nan]]))
     validate_prototypes(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    # Squared norms under- and overflow, yet neither row is zero.
+    validate_prototypes(np.array([[1e-170, 0.0], [0.0, 1e200]]))
 
 
 def test_init_prototypes_modes():
@@ -531,3 +529,34 @@ def test_init_prototypes_modes():
     np.testing.assert_array_equal(
         random_init, np.random.default_rng(1).normal(0.0, 1.0 / np.sqrt(6),
                                                      (5, 6)))
+
+
+def test_zero_init_row_aborts_only_its_bank(monkeypatch):
+    # A zero prototype row shows up inside the loop, at epoch 0, as a
+    # zero norm in the step; the other banks of the stack keep the bits
+    # they get alone.
+    rng = np.random.default_rng(31)
+    _, heads, feats, labels = zip(*(random_instance(rng) for _ in range(3)))
+    seeds, weights = (40, 41, 42), LossWeights()
+    real_init = prototypes.init_prototypes
+    drawn = []
+
+    def init_with_zero_row(n_classes, dim, rng):
+        protos = real_init(n_classes, dim, rng)
+        drawn.append(protos)
+        if len(drawn) == 2:
+            protos[3] = 0.0
+        return protos
+
+    monkeypatch.setattr(prototypes, "init_prototypes", init_with_zero_row)
+    banks = train_prototype_banks(
+        list(heads), list(feats), list(labels), weights, 30, 1e-2,
+        [np.random.default_rng(seed) for seed in seeds])
+    monkeypatch.undo()
+    assert isinstance(banks[1], EpisodeAbort)
+    assert banks[1].reason == "zero_prototype_row"
+    assert str(banks[1]).endswith("at epoch 0")
+    for j in (0, 2):
+        alone = train_prototypes(heads[j], feats[j], labels[j], weights, 30,
+                                 1e-2, np.random.default_rng(seeds[j]))
+        np.testing.assert_array_equal(banks[j].protos, alone.protos)
