@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics
 from .embeddings import Episode
-from .optim import rescale_lost_rows, softmax
+from .optim import row_norms, softmax
 from .prototypes import PrototypeBank
 
 
@@ -62,28 +62,36 @@ def classify_batch(queries: np.ndarray, protos: PrototypeBank,
     dot products with the unit prototypes by one batched matrix-vector
     `np.matmul`, row norms along the last axis. Each score has the bits
     of scoring its class alone with `rows @ unit_proto`, which
-    `np.einsum` and `(a * b).sum` do not give. Queries and prototypes
-    pass `rescale_lost_rows` first.
+    `np.einsum` and `(a * b).sum` do not give. Query and prototype norms
+    come from `row_norms`. A corrected row whose norm overflows is
+    rebuilt from its query divided by the query's largest |entry|, which
+    changes none of its cosines, and scored through `row_norms`.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an inf norm is rescaled below
-        proto_norms = np.linalg.norm(protos.protos, axis=1)
-        query_norms = np.linalg.norm(queries, axis=1)
-    p, proto_norms = rescale_lost_rows(protos.protos, proto_norms)
-    queries, query_norms = rescale_lost_rows(queries, query_norms)
+    p, proto_norms = row_norms(protos.protos)
+    queries, query_norms = row_norms(queries)
     if np.any(proto_norms == 0.0):
         raise ValueError("zero-norm prototype row; bank is unusable")
     unit_protos = (p / proto_norms[:, None])[:, :, None]
     if use_mask:
         if masks is None:
             raise ValueError("use_mask=True requires masks")
-        corrected = masks.boost * queries * masks.masks[:, None, :]
-        corrected += queries
-        dots = np.matmul(corrected, unit_protos)[:, :, 0]
-        # np.linalg.norm's own sqrt(sum(x * x)), squared in place: one
-        # stack-sized temporary fewer.
-        np.multiply(corrected, corrected, out=corrected)
-        norms = np.sqrt(corrected.sum(axis=2))
+        with np.errstate(over="ignore", invalid="ignore"):  # rebuilt below
+            corrected = masks.boost * queries * masks.masks[:, None, :]
+            corrected += queries
+            dots = np.matmul(corrected, unit_protos)[:, :, 0]
+            # np.linalg.norm's own sqrt(sum(x * x)), squared in place:
+            # one stack-sized temporary fewer.
+            np.multiply(corrected, corrected, out=corrected)
+            norms = np.sqrt(corrected.sum(axis=2))
+        lost = ~np.isfinite(norms)
+        if lost.any():
+            classes, rows = np.nonzero(lost)
+            q = queries[rows]
+            q = q / np.abs(q).max(axis=1, keepdims=True)
+            fixed, norms[lost] = row_norms(
+                masks.boost * q * masks.masks[classes] + q)
+            dots[lost] = (fixed * unit_protos[classes, :, 0]).sum(axis=1)
     else:
         dots = np.matmul(queries, unit_protos)[:, :, 0]
         norms = query_norms

@@ -235,8 +235,8 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
 
     Class means sit on the sphere of radius `mean_scale`; each record is
     mean + iid Gaussian noise with standard deviation `noise_sigma`.
-    Deterministic given the generator state. Both scales must fit the
-    float32 records.
+    Deterministic given the generator state. Both scales, and the
+    records they sum to, must fit float32.
     """
     if n_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("n_classes, per_class, dim must be positive")
@@ -252,4 +252,7 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
     for c in range(n_classes):
         block = slice(c * per_class, (c + 1) * per_class)
         vectors[block] = means[c] + noise_sigma * rng.normal(size=(per_class, dim))
+    if not (np.abs(vectors) <= float(np.finfo(np.float32).max)).all():
+        raise ValueError(f"records of mean_scale={mean_scale!r} plus noise "
+                         f"of noise_sigma={noise_sigma!r} exceed float32 range")
     return EmbeddingSet.from_arrays(vectors, labels)

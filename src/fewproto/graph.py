@@ -6,6 +6,8 @@ gives a dense matrix; keeping each row's top-m entries (union with the
 transposed selection, so the result stays symmetric) zeroes the rest; a
 symmetric degree normalization turns it into the adjacency; features are
 then smoothed by `rounds` applications of x <- self_weight*x + A x.
+Smoothing that leaves float64 range (a large self_weight raised to the
+power `rounds`) aborts the episode as `graph_overflow`.
 An episode has n_ways*(k_shots+n_queries) vertices, about 100 in the
 usual few-shot shapes, so every matrix here is a plain dense array.
 """
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import Diagnostics
-from .optim import rescale_lost_rows
+from .diagnostics import Diagnostics, EpisodeAbort
+from .optim import row_norms
 
 
 def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
@@ -24,16 +26,14 @@ def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarr
 
     A zero-norm row carries no similarity information: its similarities
     are 0 and one `zero_vector_cosine` diagnostic is recorded per zero
-    row instead of failing the episode. Rows pass `rescale_lost_rows`.
+    row instead of failing the episode. Norms come from `row_norms`.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite feature rows")
-    with np.errstate(over="ignore"):  # an inf norm is rescaled below
-        norms = np.linalg.norm(v, axis=1)
-    v, norms = rescale_lost_rows(v, norms)
+    v, norms = row_norms(v)
     zero = norms == 0.0
     if zero.any():
         if diag is not None:
@@ -133,12 +133,18 @@ def build_task_graph(support_x: np.ndarray, query_x: np.ndarray, m: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Run the full graph stage for one episode's features.
 
-    Returns the aggregated (support rows, query rows).
+    Returns the aggregated (support rows, query rows). Raises
+    EpisodeAbort("graph_overflow") when an aggregated entry is not finite.
     """
     v = np.vstack([np.asarray(support_x, dtype=np.float64),
                    np.asarray(query_x, dtype=np.float64)])
     adjacency = normalize_adjacency(
         sparsify_top_m(build_similarity(v, diag), m), diag)
-    aggregated = propagate(v, adjacency, self_weight, rounds)
+    with np.errstate(over="ignore", invalid="ignore"):  # aborted below
+        aggregated = propagate(v, adjacency, self_weight, rounds)
+    if not np.isfinite(aggregated).all():
+        raise EpisodeAbort(
+            "graph_overflow", f"aggregated features left float64 range at "
+            f"self_weight={self_weight!r}, rounds={rounds}")
     n_support = support_x.shape[0]
     return aggregated[:n_support], aggregated[n_support:]

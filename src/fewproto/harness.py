@@ -166,7 +166,9 @@ class RunConfig:
         for key, owner, f, hint in checked:
             value, meta = getattr(owner, f.name), f.metadata
             name = f"{key}={value!r}"
-            if hint is float and not _finite_float(value):
+            # A float field may hold an int, which _coerce rejects
+            # past float range.
+            if hint is float and not math.isfinite(_coerce(value, hint, key)):
                 raise RunError(f"{name} must be a finite float")
             if meta["ge"] is not None and value < meta["ge"]:
                 raise RunError(f"{name} must be >= {meta['ge']}")
@@ -211,15 +213,6 @@ class RunConfig:
 _hints = functools.cache(get_type_hints)
 
 
-def _finite_float(value) -> bool:
-    """Whether the real number `value` is a finite float64; an int too
-    large for one is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def flat_fields(obj, prefix: str = ""):
     """Yield (flat key, owner, field, type) for each settable value of
     the dataclass instance `obj`, in declaration order; the fields of a
@@ -262,7 +255,14 @@ def _coerce(value, hint, key: str):
             return int(value)
     elif hint is float:
         if isinstance(value, numbers.Real) and not isinstance(value, bool):
-            return value
+            try:
+                return float(value)
+            except OverflowError:  # an int past float range
+                raise RunError(f"{key}={value!r} must be a finite float"
+                               ) from None
+    elif hint is bool:
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
     else:
         return value
     raise RunError(f"cannot parse {hint.__name__} {key}={value!r}")

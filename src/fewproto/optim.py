@@ -23,18 +23,19 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def rescale_lost_rows(x: np.ndarray, norms: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """`x` and its row `norms`, with each nonzero row whose squared norm
-    under- or overflowed (norm 0 or inf; entries beyond about 1e+-154)
-    divided by its largest |entry|, which changes none of its cosines.
-    Other rows keep their bits; when every norm is finite and nonzero,
-    the arguments themselves come back."""
+def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`x` and the norms of its rows along the last axis. Each nonzero
+    row whose squared norm under- or overflowed (norm 0 or inf; entries
+    beyond about 1e+-154) is divided by its largest |entry|, which
+    changes none of its cosines. Other rows keep their bits; when every
+    norm is finite and nonzero, `x` itself comes back."""
+    with np.errstate(over="ignore"):  # an inf norm is rescaled below
+        norms = np.linalg.norm(x, axis=-1)
     if np.isfinite(norms).all() and norms.all():
         return x, norms
     lost = (norms == 0.0) | ~np.isfinite(norms)
     lost[lost] = x[lost].any(axis=-1)  # a zero row stays zero
-    x, norms = x.copy(), norms.copy()
+    x = x.copy()
     rows = x[lost]
     rows /= np.abs(rows).max(axis=-1, keepdims=True)
     x[lost] = rows

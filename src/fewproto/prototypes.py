@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagnostics import EpisodeAbort
 from .head import LinearHead, head_predict
-from .optim import LOG_FLOOR, AdamState, adam_step, softmax
+from .optim import LOG_FLOOR, AdamState, adam_step, row_norms, softmax
 
 
 @dataclass
@@ -101,15 +101,15 @@ def loss_entropy(protos: np.ndarray, head: LinearHead) -> float:
 
 def _cosine_scores(rows: np.ndarray, protos: np.ndarray) -> np.ndarray:
     """Pairwise cosines of support rows against prototypes."""
-    row_norms = np.linalg.norm(rows, axis=1)
-    proto_norms = np.linalg.norm(protos, axis=1)
-    if np.any(row_norms == 0.0):
+    rows, norms = row_norms(rows)
+    protos, proto_norms = row_norms(protos)
+    if np.any(norms == 0.0):
         raise EpisodeAbort("zero_support_row",
                            "cosine undefined for a zero-norm support row")
     if np.any(proto_norms == 0.0):
         raise EpisodeAbort("zero_prototype_row",
                            "cosine undefined for a zero-norm prototype")
-    unit_rows = rows / row_norms[:, None]
+    unit_rows = rows / norms[:, None]
     unit_protos = protos / proto_norms[:, None]
     return np.clip(unit_rows @ unit_protos.T, -1.0, 1.0)
 
@@ -147,8 +147,9 @@ class _Workspace:
     labels (r,). Holds the stacked head weights (B, n, e) and unit-norm
     support rows unit_rows (B, r, e), the labels one-hot, the class
     weight times the n x n identity and the flat index of each row's
-    own-class entry in a (B, r, n) array. `zero_support` (B,) marks the
-    banks with a zero-norm support row, whose unit rows hold NaN.
+    own-class entry in a (B, r, n) array. Support norms come from
+    `row_norms`. `zero_support` (B,) marks the banks with an all-zero
+    support row, whose unit rows hold NaN.
     Every `_step_loss_and_grad` call writes the same buffers, through
     views made here, so a step allocates no array.
     """
@@ -158,14 +159,13 @@ class _Workspace:
                  weights: LossWeights):
         self.head_weights = head_weights = np.stack(
             [head.weights for head in heads])
-        feats = np.asarray(np.stack(support_feats), dtype=np.float64)
+        feats, norms = row_norms(np.stack(support_feats, dtype=np.float64))
         labels = np.asarray(np.stack(labels), dtype=np.int64)
         n_banks, n, e = head_weights.shape
         r = feats.shape[1]
-        row_norms = np.linalg.norm(feats, axis=2, keepdims=True)
-        self.zero_support = (row_norms == 0.0).any(axis=(1, 2))
+        self.zero_support = (norms == 0.0).any(axis=1)
         with np.errstate(invalid="ignore"):  # 0/0 in a zero_support bank
-            self.unit_rows = feats / row_norms
+            self.unit_rows = feats / norms[:, :, None]
         self.weights = weights
         self.class_eye = weights.class_weight * np.eye(n)
         for name, shape in (

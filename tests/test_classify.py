@@ -276,3 +276,15 @@ def test_classify_huge_rows_keep_their_predictions(use_mask):
                                      use_mask)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(scores, want_scores, atol=1e-12)
+
+
+def test_classify_corrected_rows_past_norm_range():
+    # The query's own norm is finite, but its corrected rows (about
+    # boost * 1e152) square past float64 range. Any RuntimeWarning fails.
+    protos = bank_from([[0.0, 1.0], [1.0, 0.0]])
+    masks = build_masks(protos, 0.1)
+    predictions, scores = classify_batch(np.array([[1e152, 5e151]]), protos,
+                                         masks, True)
+    assert predictions.tolist() == [1]
+    _, want = classify_batch(np.array([[1.0, 0.5]]), protos, masks, True)
+    np.testing.assert_allclose(scores, want, rtol=1e-15)

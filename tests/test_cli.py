@@ -149,6 +149,17 @@ def test_synthetic_pool_beyond_float32_names_its_parameter(
     assert not out.exists()
 
 
+def test_synthetic_records_beyond_float32_name_both_scales(tmp_path, capsys):
+    # Each scale fits float32, but their sum does not.
+    out = tmp_path / "pool.emb"
+    assert main(["synth", "--out", str(out), "--classes", "6", "--per-class",
+                 "30", "--dim", "8", "--mean-scale", "3e38",
+                 "--sigma", "1e38"]) == 2
+    err = capsys.readouterr().err
+    assert "mean_scale=3e+38" in err and "noise_sigma=1e+38" in err
+    assert not out.exists()
+
+
 def test_readme_config_example_is_valid(tmp_path):
     block = re.search(r"Config files are flat.*?```\n(.*?)```", README,
                       re.S).group(1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewproto.diagnostics import Diagnostics
+from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.graph import (build_similarity, build_task_graph,
                             normalize_adjacency, propagate, sparsify_top_m)
 
@@ -279,3 +279,14 @@ def test_similarity_rows_beyond_norm_range_keep_their_direction(scale):
     np.testing.assert_array_equal(s, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                                       [0.0, 0.0, 0.0]])
     assert "zero_vector_cosine" not in diag.counts
+
+
+def test_task_graph_aborts_when_aggregation_overflows():
+    # 1e110 cubed passes float64 range. Any RuntimeWarning fails the test.
+    rng = np.random.default_rng(8)
+    support, query = rng.normal(size=(6, 4)), rng.normal(size=(9, 4))
+    with pytest.raises(EpisodeAbort, match="self_weight=1e\\+110") as err:
+        build_task_graph(support, query, 3, 1e110, 3)
+    assert err.value.reason == "graph_overflow"
+    s, q = build_task_graph(support, query, 3, 1e100, 3)
+    assert np.isfinite(s).all() and np.isfinite(q).all()

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import multiprocessing
@@ -165,6 +166,30 @@ def test_config_float_field_rejects_what_no_float_holds():
 def test_config_int_field_takes_integral_float():
     cfg = small_config(**{"graph.top_m": 4.0})
     assert cfg.graph.top_m == 4 and isinstance(cfg.graph.top_m, int)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mask.enabled", None), ("mask.enabled", 0.5), ("mask.enabled", 1),
+    pytest.param("graph.self_weight", 10 ** 400, id="self_weight-10**400"),
+])
+def test_config_rejects_a_value_not_of_the_field_type(key, value):
+    with pytest.raises(RunError, match=re.escape(f"{key}={value!r}")):
+        RunConfig.from_flat({"synthetic": "8,25,16,8.0,0.3", key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mask.enabled", np.bool_(False)), ("mask.enabled", np.bool_(True)),
+    ("proto.lr", np.float32(0.01)), ("mask.scale", np.float64(0.5)),
+    ("seed", np.int64(4)),
+])
+def test_config_numpy_value_round_trips_through_the_report(
+        tmp_path, capsys, key, value):
+    report = run_eval(small_config(**{"n_tasks": 3, key: value}))
+    assert report.config[key] == value.item()
+    assert type(report.config[key]) is type(value.item())
+    path = tmp_path / "report.json"
+    emit_report(report, path)
+    assert load_report(path) == report
 
 
 def test_config_file_rejects_repeated_key(tmp_path):
@@ -593,3 +618,67 @@ def test_mean_run_with_overflowing_norms_keeps_directions():
         "graph.self_weight": 1e60, "n_tasks": 100, "seed": 3}))
     assert report.ci95 > 0.0
     assert "± 0.00%" not in report.summary_line()
+
+
+def test_trained_run_with_overflowing_norms_keeps_directions():
+    # Three rounds at self_weight=5e51 scale the features to about 1e156,
+    # so the support rows' squared norms overflow in the prototype loss.
+    # With those rows zeroed the run gave 26.80%. Any RuntimeWarning
+    # fails the test.
+    report = run_eval(RunConfig.from_flat({
+        "synthetic": "20,50,64,3.0,1.5", "graph.self_weight": 5e51,
+        "n_tasks": 40, "seed": 3}))
+    assert report.mean_accuracy > 0.35
+
+
+def run_diagnostics(err: RunError) -> dict:
+    """The diagnostics a failed run's error lists."""
+    return ast.literal_eval(str(err).split("diagnostics: ", 1)[1])
+
+
+@pytest.mark.parametrize("strategy", ["trained", "mean"])
+def test_graph_overflow_aborts_at_the_graph(strategy):
+    # 1e110 cubed passes float64 range in the graph; no later stage may
+    # see the non-finite features and abort with a reason of its own.
+    with pytest.raises(RunError) as err:
+        run_eval(RunConfig.from_flat({
+            "synthetic": "20,50,64,3.0,1.5", "graph.self_weight": 1e110,
+            "proto.strategy": strategy, "proto.epochs": 50, "n_tasks": 4}))
+    assert run_diagnostics(err.value).keys() == {"abort:graph_overflow",
+                                                 "aborted_episodes"}
+
+
+SWEEP_POOL = {"synthetic": "8,12,16,3.0,1.5", "n_ways": 3, "k_shots": 2,
+              "n_queries": 4, "n_tasks": 4, "proto.epochs": 50}
+EXTREME_SETTINGS = [
+    ("graph.self_weight", 5e51), ("graph.self_weight", 1e110),
+    *[(key, 1e300) for key in (
+        "mask.boost", "mask.scale", "head.lr", "proto.lr",
+        "proto.entropy_weight", "proto.class_weight")],
+    ("graph.rounds", 0),
+]
+
+
+@pytest.mark.parametrize("strategy", ["trained", "mean"])
+@pytest.mark.parametrize("key, value", EXTREME_SETTINGS)
+def test_extreme_setting_completes_or_names_its_aborts(strategy, key, value):
+    # A RuntimeWarning, in this process or a worker, fails the test.
+    config = RunConfig.from_flat(
+        {**SWEEP_POOL, "proto.strategy": strategy, key: value})
+    try:
+        report = run_eval(config)
+    except RunError as err:
+        assert any(name.startswith("abort:")
+                   for name in run_diagnostics(err))
+    else:
+        assert len(report.per_task_accuracy) == config.n_tasks
+
+
+@pytest.mark.parametrize("strategy", ["trained", "mean"])
+def test_mask_boost_past_norm_range_keeps_predictions(strategy):
+    # At either boost the correction swamps the query; at 1e300 the
+    # corrected rows also square past float64 range.
+    accuracies = [run_eval(RunConfig.from_flat({
+        **SWEEP_POOL, "proto.strategy": strategy, "mask.boost": boost}
+    )).per_task_accuracy for boost in (1e150, 1e300)]
+    assert accuracies[0] == accuracies[1]

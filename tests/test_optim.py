@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fewproto.optim import AdamState, adam_step, adam_update, grad_check, softmax
+from fewproto.optim import (AdamState, adam_step, adam_update, grad_check,
+                            row_norms, softmax)
 
 
 def test_softmax_uniform_pair():
@@ -155,3 +156,21 @@ def test_grad_check_nonfinite_loss():
 
     with pytest.raises(FloatingPointError):
         grad_check(bad_loss, lambda x: x, np.ones(2))
+
+
+def test_row_norms_returns_its_input_when_every_norm_is_usable():
+    x = np.random.default_rng(4).normal(size=(3, 7, 5))
+    got, norms = row_norms(x)
+    assert got is x
+    np.testing.assert_array_equal(norms, np.linalg.norm(x, axis=-1))
+
+
+def test_row_norms_rescales_only_the_lost_rows():
+    # Squared norms of the first two rows under- and overflow; the zero
+    # row has no direction and keeps norm 0. Any RuntimeWarning fails.
+    x = np.array([[3e-170, 4e-170], [3e170, -4e170], [0.0, 0.0], [3.0, 4.0]])
+    got, norms = row_norms(x)
+    np.testing.assert_array_equal(got, [[0.75, 1.0], [0.75, -1.0],
+                                        [0.0, 0.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(norms, [1.25, 1.25, 0.0, 5.0])
+    assert x[0, 0] == 3e-170  # the input is left as it was

@@ -560,3 +560,26 @@ def test_zero_init_row_aborts_only_its_bank(monkeypatch):
         alone = train_prototypes(heads[j], feats[j], labels[j], weights, 30,
                                  1e-2, np.random.default_rng(seeds[j]))
         np.testing.assert_array_equal(banks[j].protos, alone.protos)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_workspace_keeps_support_directions_beyond_norm_range(scale):
+    # Squared norms of these rows over- or underflow float64; the unit
+    # rows, the loss oracle and the step must still see their
+    # directions. Any RuntimeWarning fails the test.
+    rng = np.random.default_rng(12)
+    feats = rng.normal(size=(25, 64))
+    labels = np.repeat(np.arange(5), 5)
+    head = LinearHead(rng.normal(size=(5, 64)), rng.normal(size=5))
+    protos = rng.normal(size=(5, 64))
+    weights = LossWeights()
+    want = _Workspace([head], [feats], [labels], weights)
+    got = _Workspace([head], [scale * feats], [labels], weights)
+    assert not got.zero_support.any()
+    np.testing.assert_allclose(got.unit_rows, want.unit_rows, rtol=0,
+                               atol=1e-15)
+    loss, _ = _step_loss_and_grad(protos[None], got)
+    assert loss[0] == pytest.approx(
+        loss_total(protos, head, scale * feats, labels, weights), rel=1e-12)
+    assert loss_metric(protos, scale * feats, labels) == pytest.approx(
+        loss_metric(protos, feats, labels), rel=1e-12)
