@@ -19,6 +19,7 @@ to names ("id<TAB>name" per line); it is informational only.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,6 +28,9 @@ import numpy as np
 
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
+# Bytes of rows the finiteness scan checks at a time, so its temporaries
+# stay this small however large the pool.
+SCAN_BYTES = 1 << 20
 
 
 class EmbeddingFormatError(ValueError):
@@ -37,14 +41,30 @@ class EmbeddingFormatError(ValueError):
         super().__init__(f"{message} (byte offset {offset})")
 
 
+class NonFiniteValue(ValueError):
+    """A NaN or infinity at `vectors[record, component]`."""
+
+    def __init__(self, record: int, component: int):
+        self.record, self.component = record, component
+        super().__init__(
+            f"non-finite value in record {record} component {component}")
+
+
 @dataclass
 class EmbeddingSet:
     """Immutable labeled pool of embedding vectors.
 
+    A set loaded from a file holds no copy of its records: `vectors` is
+    a strided view of a read-only mapping of the file, which forked
+    workers share. Such a file must be replaced by renaming a new one
+    over it, as `save_embedding_set` does, and never rewritten in place:
+    a process that has it mapped would read the new bytes, or die of
+    SIGBUS where the file got shorter.
+
     Attributes:
         dim: embedding dimension; every vector has exactly this length.
-        vectors: (n, dim) float32 array, all entries finite.
-        labels: (n,) int64 array of non-negative class ids.
+        vectors: (n, dim) read-only float32 array, all entries finite.
+        labels: (n,) read-only int64 array of non-negative class ids.
         class_index: class id -> sorted array of record indices; every
             listed class has at least one record.
     """
@@ -57,8 +77,15 @@ class EmbeddingSet:
     @classmethod
     def from_arrays(cls, vectors: np.ndarray, labels: np.ndarray) -> "EmbeddingSet":
         """Build and validate a set from raw arrays (copied to float32/int64)."""
-        vectors = np.array(vectors, dtype=np.float32, order="C")
-        labels = np.array(labels, dtype=np.int64)
+        return cls._validated(np.array(vectors, dtype=np.float32, order="C"),
+                              np.array(labels, dtype=np.int64))
+
+    @classmethod
+    def _validated(cls, vectors: np.ndarray, labels: np.ndarray
+                   ) -> "EmbeddingSet":
+        """The set of float32 `vectors` and int64 `labels`, which it
+        holds read-only and does not copy. Raises ValueError for the
+        first invariant they break, NonFiniteValue for a NaN or inf."""
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
         if labels.shape != (vectors.shape[0],):
@@ -67,10 +94,12 @@ class EmbeddingSet:
             raise ValueError("embedding dimension must be positive")
         if labels.size and labels.min() < 0:
             raise ValueError("class ids must be non-negative")
-        if not np.all(np.isfinite(vectors)):
-            bad = np.argwhere(~np.isfinite(vectors))[0]
-            raise ValueError(
-                f"non-finite value in record {bad[0]} component {bad[1]}")
+        rows = max(1, SCAN_BYTES // (vectors.itemsize * vectors.shape[1]))
+        for start in range(0, vectors.shape[0], rows):
+            block = vectors[start:start + rows]
+            if not np.isfinite(block).all():
+                i, j = np.argwhere(~np.isfinite(block))[0]
+                raise NonFiniteValue(start + int(i), int(j))
         index = {
             int(c): np.flatnonzero(labels == c) for c in np.unique(labels)
         }
@@ -108,8 +137,16 @@ class Episode:
     query_idx: np.ndarray
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("class_id", "<u4"), ("vec", "<f4", (dim,))])
+
+
 def save_embedding_set(emb: EmbeddingSet, path) -> None:
     """Write `emb` in the binary format; load_embedding_set inverts this.
+
+    The bytes go to a new file beside `path`, which is then renamed over
+    it. So a process that has the old file loaded keeps reading the old
+    set, and no reader sees a partly written one.
 
     Raises ValueError if the set violates its invariants or has a class
     id outside [0, 2**32) (checked before any bytes are written).
@@ -119,21 +156,30 @@ def save_embedding_set(emb: EmbeddingSet, path) -> None:
     if checked.labels.size and checked.labels.max() >= 2 ** 32:
         raise ValueError(f"class id {int(checked.labels.max())} does not fit "
                          "the format's u32 class_id field")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<III", checked.dim, checked.n_records,
-                            checked.n_classes))
-        rec = np.empty(
-            checked.n_records,
-            dtype=np.dtype([("class_id", "<u4"), ("vec", "<f4", (checked.dim,))]),
-        )
-        rec["class_id"] = checked.labels
-        rec["vec"] = checked.vectors
-        f.write(rec.tobytes())
+    rec = np.empty(checked.n_records, dtype=_record_dtype(checked.dim))
+    rec["class_id"] = checked.labels
+    rec["vec"] = checked.vectors
+    part = f"{os.fspath(path)}.{os.urandom(6).hex()}.part"
+    try:
+        with open(part, "xb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<III", checked.dim, checked.n_records,
+                                checked.n_classes))
+            f.write(rec.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(part)
+        raise
 
 
 def load_embedding_set(path) -> EmbeddingSet:
-    """Read and validate an embedding file.
+    """Read and validate an embedding file, mapping its records.
+
+    The set's `vectors` view the read-only mapping, so the payload is
+    never copied; only the labels are read into memory.
 
     Raises:
         EmbeddingFormatError: bad magic, zero dimension, class-count
@@ -161,21 +207,20 @@ def load_embedding_set(path) -> EmbeddingSet:
             raise EmbeddingFormatError(
                 f"{size - expected} trailing bytes after last record",
                 expected)
-        rec_dtype = np.dtype([("class_id", "<u4"), ("vec", "<f4", (dim,))])
-        records = np.fromfile(f, dtype=rec_dtype, count=count)
-    # A strided view: from_arrays makes the one contiguous float32 copy.
-    vectors = records["vec"]
-    labels = records["class_id"].astype(np.int64)
-    if not np.isfinite(vectors).all():
-        i, j = np.argwhere(~np.isfinite(vectors))[0]
+        records = np.memmap(f, dtype=_record_dtype(dim), mode="r",
+                            offset=HEADER_SIZE, shape=(count,))
+    labels = np.array(records["class_id"], dtype=np.int64)
+    try:
+        emb = EmbeddingSet._validated(records["vec"].view(np.ndarray), labels)
+    except NonFiniteValue as bad:
         raise EmbeddingFormatError(
-            f"non-finite value in record {i} component {j}",
-            HEADER_SIZE + int(i) * record_size + 4 + 4 * int(j))
-    if count and len(np.unique(labels)) != n_classes:
+            str(bad), HEADER_SIZE + bad.record * record_size
+            + 4 + 4 * bad.component) from None
+    if count and emb.n_classes != n_classes:
         raise EmbeddingFormatError(
             f"header declares {n_classes} classes, payload has "
-            f"{len(np.unique(labels))}", 12)
-    return EmbeddingSet.from_arrays(vectors, labels)
+            f"{emb.n_classes}", 12)
+    return emb
 
 
 def eligible_classes(emb: EmbeddingSet, need: int) -> list[int]:

@@ -16,8 +16,8 @@ A bank's bits do not depend on the chunk it trains in, so reports are
 identical for any chunk plan and any worker count. Mean-prototype
 episodes train nothing and run one at a time. Episodes that hit a fatal
 numerical condition are aborted, counted, and excluded; a run fails
-outright once aborts exceed 1% of the requested tasks, at the end of
-the chunk that crosses that cap, counted in task order.
+outright at the abort, counted in task order, that takes their number
+past 1% of the requested tasks.
 """
 
 from __future__ import annotations
@@ -157,26 +157,20 @@ class RunConfig:
     seed: int = _setting(0, "--seed", ge=0)
 
     def validate(self) -> None:
-        """Reject a config no run can use; each error names its field."""
+        """Reject a config no run can use; each error names its field.
+
+        Every value goes through `_coerce`, as a flag or a config line
+        does, and is kept in the type it gives, so 3.0 in an int field
+        becomes 3. Text is parsed only by `set_flat`: a value assigned
+        directly must be one `_coerce` keeps equal."""
         if sum(getattr(self, key) is not None for key in SOURCES) != 1:
             raise RunError("exactly one of data path or synthetic spec required")
-        checked = [*flat_fields(self)]
+        for key, owner, f, hint in flat_fields(self):
+            _check_field(key, owner, f, hint)
         if self.synthetic is not None:
-            checked += flat_fields(self.synthetic, "synthetic.")
-        for key, owner, f, hint in checked:
-            value, meta = getattr(owner, f.name), f.metadata
-            name = f"{key}={value!r}"
-            # A float field may hold an int, which _coerce rejects
-            # past float range.
-            if hint is float and not math.isfinite(_coerce(value, hint, key)):
-                raise RunError(f"{name} must be a finite float")
-            if meta["ge"] is not None and value < meta["ge"]:
-                raise RunError(f"{name} must be >= {meta['ge']}")
-            if meta["gt"] is not None and value <= meta["gt"]:
-                raise RunError(f"{name} must be > {meta['gt']}")
-            if meta["choices"] and value not in meta["choices"]:
-                raise RunError(f"{name} must be one of "
-                               f"{', '.join(meta['choices'])}")
+            for key, owner, f, hint in flat_fields(self.synthetic,
+                                                   "synthetic."):
+                _check_field(key, owner, f, hint)
         n_vertices = self.n_ways * (self.k_shots + self.n_queries)
         if self.graph.top_m > n_vertices - 1:
             raise RunError(
@@ -225,6 +219,26 @@ def flat_fields(obj, prefix: str = ""):
             yield prefix + f.name, obj, f, hint
 
 
+def _check_field(key: str, owner, f, hint) -> None:
+    """Store field `f` of `owner`, flat key `key`, as its `_coerce`d
+    value, or raise RunError naming `key=value` if that is not equal to
+    it or lies outside the field's domain."""
+    value, meta = getattr(owner, f.name), f.metadata
+    name = f"{key}={value!r}"
+    typed = _coerce(value, hint, key)
+    if hint is float and not math.isfinite(typed):
+        raise RunError(f"{name} must be a finite float")
+    if typed != value:  # such as text, which only set_flat parses
+        raise RunError(f"{name} must be given as {typed!r}")
+    setattr(owner, f.name, typed)
+    if meta["ge"] is not None and typed < meta["ge"]:
+        raise RunError(f"{name} must be >= {meta['ge']}")
+    if meta["gt"] is not None and typed <= meta["gt"]:
+        raise RunError(f"{name} must be > {meta['gt']}")
+    if meta["choices"] and typed not in meta["choices"]:
+        raise RunError(f"{name} must be one of {', '.join(meta['choices'])}")
+
+
 def _coerce(value, hint, key: str):
     """`value` as a value of config field `key`, of type `hint`; raises
     RunError naming `key=value` when it is not one. Text is parsed, so a
@@ -233,6 +247,8 @@ def _coerce(value, hint, key: str):
         if value in (None, ""):
             return None
         inner = get_args(hint)[0]
+        if isinstance(value, inner):
+            return value
         return inner.parse(str(value)) if is_dataclass(inner) else str(value)
     if isinstance(value, str):
         text = value.strip()
@@ -445,22 +461,23 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
     only record diagnostics. Gives the accuracy run_eval gives for the
     same generator.
     """
-    outcome, = _run_chunk(emb, config, [rng], diag, timings)
+    outcome, = _run_chunk(emb, config, [rng], [diag], timings)
     if isinstance(outcome, EpisodeAbort):
         raise outcome
     return outcome
 
 
 def _run_chunk(emb: EmbeddingSet, config: RunConfig,
-               rngs: list[np.random.Generator], diag: Diagnostics | None,
+               rngs: list[np.random.Generator],
+               diags: list[Diagnostics | None],
                timings: dict | None) -> list[float | EpisodeAbort]:
-    """One episode on each generator of `rngs`, with one batched loop
-    for their trained prototypes; returns each one's accuracy or the
-    abort that ended it. The chunk's prototype time is added to the
-    "proto" phase once."""
+    """One episode on each generator of `rngs`, recording into the
+    matching entry of `diags`, with one batched loop for their trained
+    prototypes; returns each one's accuracy or the abort that ended it.
+    The chunk's prototype time is added to the "proto" phase once."""
     outcomes: list[float | EpisodeAbort | None] = [None] * len(rngs)
     prepared: dict[int, PreparedEpisode] = {}
-    for k, rng in enumerate(rngs):
+    for k, (rng, diag) in enumerate(zip(rngs, diags)):
         try:
             prepared[k] = prepare_episode(emb, config, rng, diag, timings)
         except EpisodeAbort as abort:
@@ -472,13 +489,14 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
 
     for (k, p), bank in zip(prepared.items(), banks):
         outcomes[k] = (bank if isinstance(bank, EpisodeAbort)
-                       else finish_episode(p, bank, config, diag, timings))
+                       else finish_episode(p, bank, config, diags[k],
+                                           timings))
     return outcomes
 
 
-# One chunk's result: each task's accuracy, None for an aborted one, the
-# chunk's diagnostic counts, abort reasons included, and its phase times.
-ChunkResult = tuple[list, Counter, dict]
+# One chunk's result: for each task, its accuracy or, if it aborted, the
+# abort's reason, with its diagnostic counts; and the chunk's phase times.
+ChunkResult = tuple[list[tuple[float | str, Counter]], dict]
 
 
 def _over_cap(aborted: int, config: RunConfig) -> bool:
@@ -492,16 +510,16 @@ def _run_range(emb: EmbeddingSet, config: RunConfig, width: int,
     results: list[ChunkResult] = []
     aborted = 0
     for chunk in chunk_plan(len(tasks), width):
-        diag, timings = Diagnostics(), {}
+        diags, timings = [Diagnostics() for _ in chunk], {}
         rngs = [episode_rng(config.seed, tasks[k]) for k in chunk]
-        accuracies = []
-        for outcome in _run_chunk(emb, config, rngs, diag, timings):
+        outcomes = []
+        for outcome, diag in zip(
+                _run_chunk(emb, config, rngs, diags, timings), diags):
             if isinstance(outcome, EpisodeAbort):
-                diag.record(f"abort:{outcome.reason}")
-                outcome = None
-            accuracies.append(outcome)
-        results.append((accuracies, diag.counts, timings))
-        aborted += accuracies.count(None)
+                outcome = outcome.reason
+                aborted += 1
+            outcomes.append((outcome, diag.counts))
+        results.append((outcomes, timings))
         if _over_cap(aborted, config):
             break
     return results
@@ -584,9 +602,10 @@ def run_eval(config: RunConfig) -> EvalReport:
     the module docstring describes, and assemble the report.
 
     The phases of wall_time are summed over the workers, so they can add
-    up to the worker count times "total". The abort count in a failed
-    run's error counts whole chunks, so for trained runs it can depend
-    on the worker count.
+    up to the worker count times "total". A run fails at the abort that
+    passes the cap, counted in task order. Its error names that task and
+    the diagnostics of the tasks up to it, so its text does not depend
+    on the worker count or the chunks.
     """
     config.validate()
     emb = _resolve_pool(config)
@@ -604,18 +623,24 @@ def run_eval(config: RunConfig) -> EvalReport:
     width = (stack_width(config.n_ways, emb.dim)
              if config.proto.strategy == "trained" else 1)
     with contextlib.closing(_chunk_results(emb, config, width)) as chunks:
-        for accuracies, counts, timings in chunks:
-            per_task += [a for a in accuracies if a is not None]
-            diagnostics.counts.update(counts)
-            diagnostics.record("aborted_episodes", accuracies.count(None))
+        for outcomes, timings in chunks:
+            for outcome, counts in outcomes:
+                diagnostics.counts.update(counts)
+                if not isinstance(outcome, str):
+                    per_task.append(outcome)
+                    continue
+                diagnostics.record(f"abort:{outcome}")
+                diagnostics.record("aborted_episodes")
+                aborted = diagnostics.counts["aborted_episodes"]
+                if _over_cap(aborted, config):
+                    raise RunError(
+                        f"{aborted} of {config.n_tasks} episodes aborted by "
+                        f"task {len(per_task) + aborted - 1} (cap "
+                        f"{ABORT_CAP_FRACTION:.0%}); diagnostics: "
+                        f"{diagnostics.as_dict()}")
             for phase, seconds in timings.items():
                 wall_time[phase] = wall_time.get(phase, 0.0) + seconds
-            aborted = diagnostics.counts["aborted_episodes"]
-            if _over_cap(aborted, config):
-                raise RunError(
-                    f"{aborted} of {config.n_tasks} episodes aborted "
-                    f"(cap {ABORT_CAP_FRACTION:.0%}); diagnostics: "
-                    f"{diagnostics.as_dict()}")
+    diagnostics.record("aborted_episodes", 0)  # a key of every report
 
     wall_time["total"] = time.perf_counter() - t_start
     return EvalReport(

@@ -147,6 +147,27 @@ def test_classify_predictions_ignore_query_rescaling(seed, use_mask, scale,
     np.testing.assert_array_equal(scaled[clear], base[clear])
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_ways=st.integers(2, 8),
+       dim=st.integers(1, 64),
+       boost=st.one_of(st.just(0.0), st.floats(1e-3, 1e300)))
+def test_classify_zero_scale_masks_keep_unmasked_predictions(seed, n_ways,
+                                                             dim, boost):
+    # At scale 0 every mask is uniform, so each corrected row is its
+    # query times 1 + boost / dim and no cosine moves beyond rounding.
+    # Rows whose top two scores are within rounding of each other may
+    # flip and are skipped.
+    rng = np.random.default_rng(seed)
+    protos = bank_from(rng.normal(0.0, 10.0, size=(n_ways, dim)))
+    queries = rng.normal(0.0, 10.0, size=(30, dim))
+    masked, _ = classify_batch(queries, protos,
+                               build_masks(protos, 0.0, boost), True)
+    plain, scores = classify_batch(queries, protos, None, False)
+    top_two = np.sort(scores, axis=1)[:, -2:]
+    clear = top_two[:, 1] - top_two[:, 0] > 1e-9
+    np.testing.assert_array_equal(masked[clear], plain[clear])
+
+
 def test_classify_query_equal_to_prototype():
     protos = bank_from(np.eye(4))
     pred, scores = classify_batch(np.eye(4)[2:3], protos, None,

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fewproto import embeddings
 from fewproto.embeddings import (MAGIC, EmbeddingFormatError, EmbeddingSet,
                                  generate_synthetic, load_embedding_set,
                                  sample_episode, save_embedding_set)
@@ -39,8 +40,9 @@ def test_load_minimal_file(tmp_path):
 
 
 def test_load_peak_memory_bounded(tmp_path):
-    # One read buffer plus the contiguous float32 copy, with small index
-    # arrays on top; a third payload-sized copy would pass 3x.
+    # The records are mapped, not read: the loader allocates the labels,
+    # the class index and one scan block's finiteness mask (a quarter of
+    # SCAN_BYTES), and a single payload-sized copy would pass 1x.
     rng = np.random.default_rng(21)
     emb = EmbeddingSet.from_arrays(
         rng.normal(size=(2000, 256)).astype(np.float32),
@@ -55,7 +57,51 @@ def test_load_peak_memory_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(loaded.vectors, emb.vectors)
-    assert peak <= 2.5 * payload
+    assert peak <= 0.5 * payload
+
+
+def test_loaded_vectors_are_a_read_only_view(tmp_path):
+    emb = make_set(np.random.default_rng(16), n_classes=4, per_class=6)
+    path = tmp_path / "pool.emb"
+    save_embedding_set(emb, path)
+    loaded = load_embedding_set(path)
+    assert type(loaded.vectors) is np.ndarray  # no np.memmap subclass
+    assert not loaded.vectors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.vectors[0, 0] = 1.0
+    ep = sample_episode(loaded, 3, 2, 3, np.random.default_rng(1))
+    assert type(ep.support_x) is np.ndarray
+    assert ep.support_x.dtype == np.float64 and ep.support_x.flags.writeable
+
+
+def test_save_over_a_loaded_pool_leaves_it_intact(tmp_path):
+    # Writing a shorter file in place would cut the loaded set's mapping
+    # short, and touching it would kill the process with SIGBUS.
+    rng = np.random.default_rng(17)
+    old = make_set(rng, n_classes=4, per_class=300, dim=64)
+    new = make_set(rng, n_classes=2, per_class=3, dim=8)
+    path = tmp_path / "pool.emb"
+    save_embedding_set(old, path)
+    loaded = load_embedding_set(path)
+    save_embedding_set(new, path)
+    np.testing.assert_array_equal(loaded.vectors, old.vectors)
+    fresh = load_embedding_set(path)
+    np.testing.assert_array_equal(fresh.vectors, new.vectors)
+    np.testing.assert_array_equal(fresh.labels, new.labels)
+    assert [p.name for p in tmp_path.iterdir()] == ["pool.emb"]
+
+
+def test_unlinked_pool_samples_the_same_episodes(tmp_path):
+    emb = make_set(np.random.default_rng(18), n_classes=6, per_class=10)
+    path = tmp_path / "pool.emb"
+    save_embedding_set(emb, path)
+    loaded = load_embedding_set(path)
+    path.unlink()
+    for seed in range(5):
+        want = sample_episode(emb, 4, 2, 3, np.random.default_rng(seed))
+        got = sample_episode(loaded, 4, 2, 3, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got.support_x, want.support_x)
+        np.testing.assert_array_equal(got.query_x, want.query_x)
 
 
 def test_truncated_payload(tmp_path):
@@ -114,6 +160,22 @@ def test_nonfinite_value_offset(tmp_path):
         load_embedding_set(path)
     # record 1 (record size 20), class_id u32, then component 2
     assert exc.value.offset == 16 + 20 + 4 + 8
+
+
+def test_nonfinite_value_past_the_first_scan_block(tmp_path):
+    dim = 256
+    record = embeddings.SCAN_BYTES // (4 * dim) + 3  # in the second block
+    vectors = np.ones((record + 50, dim), dtype=np.float32)
+    vectors[record, 7] = -np.inf
+    labels = np.arange(record + 50) % 3
+    with pytest.raises(ValueError, match=f"record {record} component 7$"):
+        EmbeddingSet.from_arrays(vectors, labels)
+    path = tmp_path / "inf.emb"
+    write_raw(path, dim, list(zip(labels.tolist(), vectors)))
+    with pytest.raises(EmbeddingFormatError,
+                       match=f"record {record} component 7 ") as exc:
+        load_embedding_set(path)
+    assert exc.value.offset == 16 + record * (4 + 4 * dim) + 4 + 4 * 7
 
 
 def test_save_rejects_nonfinite_before_writing(tmp_path):

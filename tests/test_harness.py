@@ -15,7 +15,7 @@ import pytest
 import fewproto
 from fewproto import harness
 from fewproto.diagnostics import EpisodeAbort
-from fewproto.embeddings import EmbeddingSet
+from fewproto.embeddings import EmbeddingSet, save_embedding_set
 from fewproto.harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                               confidence_interval_95, emit_report, episode_rng,
                               load_config_file, load_report, run_episode,
@@ -130,12 +130,13 @@ def test_config_parse_error_names_the_field(key, value):
         small_config(**{key: value})
 
 
-def float_fields(cfg) -> dict:
-    """Config key -> (owner, attribute name) of every float field, those
-    of the synthetic spec included."""
+def config_fields(cfg, kind=object) -> dict:
+    """Config key -> (owner, attribute name) of every field of type
+    `kind`, those of the synthetic spec included."""
     return {key: (owner, f.name) for key, owner, f, hint in [
         *harness.flat_fields(cfg),
-        *harness.flat_fields(cfg.synthetic, "synthetic.")] if hint is float}
+        *harness.flat_fields(cfg.synthetic, "synthetic.")]
+        if kind is object or hint is kind}
 
 
 def test_config_float_field_rejects_what_no_float_holds():
@@ -143,7 +144,7 @@ def test_config_float_field_rejects_what_no_float_holds():
     # fails like inf; one within it validates as the equal float does.
     def complaint(key, value):
         cfg = small_config()
-        setattr(*float_fields(cfg)[key], value)
+        setattr(*config_fields(cfg, float)[key], value)
         try:
             cfg.validate()
         except RunError as err:
@@ -151,7 +152,7 @@ def test_config_float_field_rejects_what_no_float_holds():
             return str(err).split(" must ")[1]
         return None
 
-    keys = float_fields(small_config())
+    keys = config_fields(small_config(), float)
     assert len(keys) == 9
     for key in keys:
         for value in (10 ** 400, -10 ** 400):
@@ -166,6 +167,24 @@ def test_config_float_field_rejects_what_no_float_holds():
 def test_config_int_field_takes_integral_float():
     cfg = small_config(**{"graph.top_m": 4.0})
     assert cfg.graph.top_m == 4 and isinstance(cfg.graph.top_m, int)
+    # validate() keeps a value assigned directly as set_flat would.
+    cfg.n_tasks, cfg.proto.lr, cfg.mask.enabled = 3.0, 1, np.bool_(False)
+    cfg.synthetic.per_class = np.int64(25)
+    cfg.validate()
+    assert type(cfg.n_tasks) is int and type(cfg.proto.lr) is float
+    assert cfg.mask.enabled is False and type(cfg.synthetic.per_class) is int
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mask.enabled", None), ("n_tasks", 3.5), ("proto.lr", "0.1"),
+    ("mask.enabled", "on"), ("synthetic.dim", "16"), ("proto.strategy", 1),
+])
+def test_config_validate_names_a_bad_value_assigned_directly(key, value):
+    # An assignment skips set_flat, so validate() is the only check.
+    cfg = small_config()
+    setattr(*config_fields(cfg)[key], value)
+    with pytest.raises(RunError, match=re.escape(f"{key}={value!r}")):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -316,25 +335,32 @@ def report_text(config) -> str:
     return json.dumps(raw, sort_keys=True)
 
 
-def test_run_eval_same_report_on_one_and_two_workers(monkeypatch):
-    # Episodes abort by task index, on both sides of the 100/100 split:
-    # two in the trained run, at the cap of 2, and five in the mean run,
-    # whose third abort, at task 130, ends the run however many workers
-    # the later ones ran in.
-    aborting = {"trained": {37, 150}, "mean": {10, 120, 130, 140, 150}}
+def test_run_eval_same_report_on_one_and_two_workers(monkeypatch, tmp_path):
+    # Episodes abort by task index, on both sides of the worker split:
+    # two in the 200-task trained run, at the cap of 2, and five in the
+    # mean run, whose third abort, at task 130, ends the run however many
+    # workers the later ones ran in. The 100-task trained run fails at
+    # task 30: one worker runs 0-33 as one chunk, two run 25-49 as one.
+    aborting = {("trained", 200): {37, 150}, ("trained", 100): {20, 30, 40},
+                ("mean", 200): {10, 120, 130, 140, 150}}
     real_prepare = harness.prepare_episode
 
     def prepare(emb, config, rng, diag=None, timings=None):
         prepared = real_prepare(emb, config, rng, diag, timings)
-        if task_index(prepared, config) in aborting[config.proto.strategy]:
+        key = (config.proto.strategy, config.n_tasks)
+        if task_index(prepared, config) in aborting.get(key, ()):
             raise EpisodeAbort("test_abort")
         return prepared
 
     # A noisy pool, so that accuracies vary from task to task and a
-    # merge out of task order shows.
+    # merge out of task order shows; also as a file, which workers share
+    # mapped.
     noisy = {"synthetic": "8,25,16,2.0,1.0"}
+    pool = tmp_path / "noisy.emb"
+    save_embedding_set(harness._resolve_pool(small_config(**noisy)), pool)
     configs = [small_config(**noisy, n_tasks=40),
-               small_config(**noisy, n_tasks=200, **{"proto.strategy": "mean"})]
+               small_config(**noisy, n_tasks=200, **{"proto.strategy": "mean"}),
+               small_config(synthetic=None, data=str(pool), n_tasks=40)]
     texts = {}
     for workers in (1, 2):
         monkeypatch.setattr(harness, "worker_count",
@@ -344,12 +370,18 @@ def test_run_eval_same_report_on_one_and_two_workers(monkeypatch):
                 patched.setattr(os, "fork", None)
             texts[workers] = [report_text(cfg) for cfg in configs]
             patched.setattr(harness, "prepare_episode", prepare)
-            texts[workers] += [report_text(small_config(**noisy, n_tasks=200)),
-                               report_text(configs[1])]
+            texts[workers] += [report_text(small_config(**noisy, n_tasks=n))
+                               for n in (200, 100)]
+            texts[workers].append(report_text(configs[1]))
     assert texts[1] == texts[2]
     assert len(set(json.loads(texts[1][0])["per_task_accuracy"])) > 1
-    assert '"abort:test_abort": 2' in texts[1][2]
-    assert texts[1][3].startswith("RunError: 3 of 200 episodes aborted")
+    assert (json.loads(texts[1][2])["per_task_accuracy"]
+            == json.loads(texts[1][0])["per_task_accuracy"])
+    assert '"abort:test_abort": 2' in texts[1][3]
+    assert texts[1][4].startswith(
+        "RunError: 2 of 100 episodes aborted by task 30 ")
+    assert texts[1][5].startswith(
+        "RunError: 3 of 200 episodes aborted by task 130 ")
 
 
 def two_workers(monkeypatch):
