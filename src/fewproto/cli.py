@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -66,7 +67,11 @@ def eval_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _eval_command(args: argparse.Namespace) -> int:
-    report = run_eval(eval_config(args))
+    config = eval_config(args)
+    # A report with nowhere to go fails before the run, not after it.
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise RunError(f"--out {args.out}: its directory does not exist")
+    report = run_eval(config)
     if args.out:
         emit_report(report, args.out)
     else:

@@ -149,13 +149,18 @@ def save_embedding_set(emb: EmbeddingSet, path) -> None:
     set, and no reader sees a partly written one.
 
     Raises ValueError if the set violates its invariants or has a class
-    id outside [0, 2**32) (checked before any bytes are written).
+    id outside [0, 2**32) (checked before any bytes are written). The
+    set's arrays are checked through views, so a float32 set is not
+    copied and the caller's arrays stay as writeable as they were.
     """
     # Revalidate: callers may have built the instance by hand.
-    checked = EmbeddingSet.from_arrays(emb.vectors, emb.labels)
-    if checked.labels.size and checked.labels.max() >= 2 ** 32:
-        raise ValueError(f"class id {int(checked.labels.max())} does not fit "
+    labels = np.asarray(emb.labels)
+    if labels.size and labels.max() >= 2 ** 32:  # before a cast can wrap it
+        raise ValueError(f"class id {int(labels.max())} does not fit "
                          "the format's u32 class_id field")
+    checked = EmbeddingSet._validated(
+        np.asarray(emb.vectors, dtype=np.float32).view(),
+        labels.astype(np.int64, copy=False).view())
     rec = np.empty(checked.n_records, dtype=_record_dtype(checked.dim))
     rec["class_id"] = checked.labels
     rec["vec"] = checked.vectors
@@ -165,7 +170,7 @@ def save_embedding_set(emb: EmbeddingSet, path) -> None:
             f.write(MAGIC)
             f.write(struct.pack("<III", checked.dim, checked.n_records,
                                 checked.n_classes))
-            f.write(rec.tobytes())
+            rec.tofile(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(part, path)

@@ -15,9 +15,13 @@ trains the chunk's prototype banks, then each is classified and scored.
 A bank's bits do not depend on the chunk it trains in, so reports are
 identical for any chunk plan and any worker count. Mean-prototype
 episodes train nothing and run one at a time. Episodes that hit a fatal
-numerical condition are aborted, counted, and excluded; a run fails
-outright at the abort, counted in task order, that takes their number
-past 1% of the requested tasks.
+numerical condition are aborted, counted, and excluded. The results
+reach `run_eval` as one stream in task order; a worker sends the ones
+it finished along with its exception, which is raised after them. The
+abort cap is checked once, on that stream, so a failed run ends at
+whichever comes first in task order, at any worker count: the abort
+that takes the count past 1% of the requested tasks, or an exception
+(which discards the results of its chunk; a mean chunk is one task).
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 import numbers
 import os
 import time
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
@@ -481,7 +484,8 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
         try:
             prepared[k] = prepare_episode(emb, config, rng, diag, timings)
         except EpisodeAbort as abort:
-            outcomes[k] = abort
+            # Its traceback would keep the episode's frames alive.
+            outcomes[k] = abort.with_traceback(None)
 
     t = time.perf_counter()
     banks = _prototype_banks(list(prepared.values()), config)
@@ -494,47 +498,32 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
     return outcomes
 
 
-# One chunk's result: for each task, its accuracy or, if it aborted, the
-# abort's reason, with its diagnostic counts; and the chunk's phase times.
-ChunkResult = tuple[list[tuple[float | str, Counter]], dict]
-
-
-def _over_cap(aborted: int, config: RunConfig) -> bool:
-    return aborted > ABORT_CAP_FRACTION * config.n_tasks
+# A task's accuracy, or the abort that ended it, and its diagnostics.
+TaskResult = tuple[float | EpisodeAbort, Diagnostics]
 
 
 def _run_range(emb: EmbeddingSet, config: RunConfig, width: int,
-               tasks: range) -> list[ChunkResult]:
-    """Run the tasks of `tasks` in the chunks of `chunk_plan`; stop after
-    the chunk where this range's own aborts pass the run's cap."""
-    results: list[ChunkResult] = []
-    aborted = 0
+               tasks: range, timings: dict) -> Iterator[TaskResult]:
+    """Each task of `tasks` in order. Runs a chunk of `chunk_plan` when
+    its first result is asked for; adds its phases to `timings`."""
     for chunk in chunk_plan(len(tasks), width):
-        diags, timings = [Diagnostics() for _ in chunk], {}
+        diags = [Diagnostics() for _ in chunk]
         rngs = [episode_rng(config.seed, tasks[k]) for k in chunk]
-        outcomes = []
-        for outcome, diag in zip(
-                _run_chunk(emb, config, rngs, diags, timings), diags):
-            if isinstance(outcome, EpisodeAbort):
-                outcome = outcome.reason
-                aborted += 1
-            outcomes.append((outcome, diag.counts))
-        results.append((outcomes, timings))
-        if _over_cap(aborted, config):
-            break
-    return results
+        yield from zip(_run_chunk(emb, config, rngs, diags, timings), diags)
 
 
 def _range_worker(send, emb: EmbeddingSet, config: RunConfig, width: int,
                   tasks: range) -> None:
-    """A forked worker: send `_run_range`'s results, or the exception
-    that stopped it with its traceback text."""
+    """A forked worker: send the results it finished, its phase times,
+    and the exception that stopped it with its traceback text, or None."""
+    results, timings, failure = [], {}, None
     try:
-        message = (_run_range(emb, config, width, tasks), None)
+        for result in _run_range(emb, config, width, tasks, timings):
+            results.append(result)
     except Exception as exc:
         import traceback
-        message = (None, (exc, traceback.format_exc()))
-    send.send(message)
+        failure = (exc, traceback.format_exc())
+    send.send((results, timings, failure))
     send.close()
 
 
@@ -552,24 +541,29 @@ def _start_worker(emb: EmbeddingSet, config: RunConfig, width: int,
     return process, receive
 
 
-def _worker_results(process, receive, tasks: range) -> list[ChunkResult]:
+def _worker_results(process, receive, tasks: range, timings: dict
+                    ) -> Iterator[TaskResult]:
+    """The results a worker finished, then the exception that stopped
+    it; its phases are added to `timings`."""
     try:
-        results, failure = receive.recv()
+        results, worker_timings, failure = receive.recv()
     except EOFError:
         process.join()
         raise RunError(f"the worker for tasks {tasks.start}-{tasks.stop - 1} "
                        f"exited with code {process.exitcode} before sending "
                        f"its results") from None
+    for phase, seconds in worker_timings.items():
+        timings[phase] = timings.get(phase, 0.0) + seconds
+    yield from results
     if failure is not None:
         exc, text = failure
         raise exc from RuntimeError(
             f"in the worker for tasks {tasks.start}-{tasks.stop - 1}:\n{text}")
-    return results
 
 
-def _chunk_results(emb: EmbeddingSet, config: RunConfig, width: int
-                   ) -> Iterator[ChunkResult]:
-    """Every chunk's result, in task order. The tasks are split into
+def _task_results(emb: EmbeddingSet, config: RunConfig, width: int,
+                  timings: dict) -> Iterator[TaskResult]:
+    """Every task's result, in task order. The tasks are split into
     `worker_count` ranges: forked workers run all but the first, which
     runs in this process meanwhile. Closing the iterator stops and
     reaps the workers."""
@@ -578,9 +572,9 @@ def _chunk_results(emb: EmbeddingSet, config: RunConfig, width: int
     try:
         for tasks in rest:
             workers.append(_start_worker(emb, config, width, tasks))
-        yield from _run_range(emb, config, width, first)
+        yield from _run_range(emb, config, width, first, timings)
         for tasks, (process, receive) in zip(rest, workers):
-            yield from _worker_results(process, receive, tasks)
+            yield from _worker_results(process, receive, tasks, timings)
     finally:
         for process, receive in workers:
             process.terminate()
@@ -602,10 +596,11 @@ def run_eval(config: RunConfig) -> EvalReport:
     the module docstring describes, and assemble the report.
 
     The phases of wall_time are summed over the workers, so they can add
-    up to the worker count times "total". A run fails at the abort that
-    passes the cap, counted in task order. Its error names that task and
-    the diagnostics of the tasks up to it, so its text does not depend
-    on the worker count or the chunks.
+    up to the worker count times "total". The abort cap is checked only
+    here, in task order; the error names the task that passes it and the
+    diagnostics of the tasks up to it. A worker's exception is raised
+    after the results it finished, so a failed run ends at the first of
+    these in task order, and its text does not depend on the worker count.
     """
     config.validate()
     emb = _resolve_pool(config)
@@ -622,24 +617,22 @@ def run_eval(config: RunConfig) -> EvalReport:
     # Mean banks train nothing, so a mean run holds one episode at a time.
     width = (stack_width(config.n_ways, emb.dim)
              if config.proto.strategy == "trained" else 1)
-    with contextlib.closing(_chunk_results(emb, config, width)) as chunks:
-        for outcomes, timings in chunks:
-            for outcome, counts in outcomes:
-                diagnostics.counts.update(counts)
-                if not isinstance(outcome, str):
-                    per_task.append(outcome)
-                    continue
-                diagnostics.record(f"abort:{outcome}")
-                diagnostics.record("aborted_episodes")
-                aborted = diagnostics.counts["aborted_episodes"]
-                if _over_cap(aborted, config):
-                    raise RunError(
-                        f"{aborted} of {config.n_tasks} episodes aborted by "
-                        f"task {len(per_task) + aborted - 1} (cap "
-                        f"{ABORT_CAP_FRACTION:.0%}); diagnostics: "
-                        f"{diagnostics.as_dict()}")
-            for phase, seconds in timings.items():
-                wall_time[phase] = wall_time.get(phase, 0.0) + seconds
+    with contextlib.closing(
+            _task_results(emb, config, width, wall_time)) as results:
+        for outcome, diag in results:
+            diagnostics.counts.update(diag.counts)
+            if not isinstance(outcome, EpisodeAbort):
+                per_task.append(outcome)
+                continue
+            diagnostics.record(f"abort:{outcome.reason}")
+            diagnostics.record("aborted_episodes")
+            aborted = diagnostics.counts["aborted_episodes"]
+            if aborted > ABORT_CAP_FRACTION * config.n_tasks:
+                raise RunError(
+                    f"{aborted} of {config.n_tasks} episodes aborted by "
+                    f"task {len(per_task) + aborted - 1} (cap "
+                    f"{ABORT_CAP_FRACTION:.0%}); diagnostics: "
+                    f"{diagnostics.as_dict()}")
     diagnostics.record("aborted_episodes", 0)  # a key of every report
 
     wall_time["total"] = time.perf_counter() - t_start

@@ -7,11 +7,24 @@ from pathlib import Path
 
 import pytest
 
+from fewproto import cli
 from fewproto.cli import build_parser, eval_config, main
 from fewproto.embeddings import load_embedding_set
 from fewproto.harness import RunConfig, load_config_file, load_report
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_eval_out_in_a_missing_directory_fails_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    def run_eval(config):
+        raise AssertionError("run_eval called")
+
+    monkeypatch.setattr(cli, "run_eval", run_eval)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["eval", "--synthetic", "6,20,8,8.0,0.2", "--tasks", "2",
+                 "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_synth_writes_loadable_file(tmp_path, capsys):

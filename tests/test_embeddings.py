@@ -60,6 +60,38 @@ def test_load_peak_memory_bounded(tmp_path):
     assert peak <= 0.5 * payload
 
 
+def test_save_peak_memory_bounded(tmp_path):
+    # One record array of the payload's size is the only large buffer:
+    # the set is checked through views and the records go out with
+    # tofile, so a revalidation copy or a bytes copy would pass 1.5x.
+    rng = np.random.default_rng(22)
+    emb = EmbeddingSet.from_arrays(
+        rng.normal(size=(2000, 256)).astype(np.float32),
+        np.repeat(np.arange(20), 100))
+    path = tmp_path / "pool.emb"
+    tracemalloc.start()
+    try:
+        save_embedding_set(emb, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = path.stat().st_size - 16
+    assert payload == 2000 * (4 + 4 * 256)
+    assert peak <= 1.5 * payload
+    np.testing.assert_array_equal(load_embedding_set(path).vectors,
+                                  emb.vectors)
+
+
+def test_save_leaves_a_hand_built_set_writeable(tmp_path):
+    vectors = np.arange(12, dtype=np.float32).reshape(4, 3)
+    labels = np.array([0, 1, 0, 1])
+    emb = EmbeddingSet(dim=3, vectors=vectors, labels=labels, class_index={})
+    save_embedding_set(emb, tmp_path / "pool.emb")
+    assert vectors.flags.writeable and labels.flags.writeable
+    np.testing.assert_array_equal(
+        load_embedding_set(tmp_path / "pool.emb").vectors, vectors)
+
+
 def test_loaded_vectors_are_a_read_only_view(tmp_path):
     emb = make_set(np.random.default_rng(16), n_classes=4, per_class=6)
     path = tmp_path / "pool.emb"
@@ -194,6 +226,13 @@ def test_save_rejects_class_id_beyond_u32(tmp_path):
     path = tmp_path / "never.emb"
     with pytest.raises(ValueError, match=str(2 ** 32 + 1)):
         save_embedding_set(emb, path)
+    assert not path.exists()
+    # Checked before any cast: as int64, 2**64 - 1 would read as -1.
+    wide = EmbeddingSet(dim=3, vectors=np.ones((1, 3), dtype=np.float32),
+                        labels=np.array([2 ** 64 - 1], dtype=np.uint64),
+                        class_index={})
+    with pytest.raises(ValueError, match="u32"):
+        save_embedding_set(wide, path)
     assert not path.exists()
     top = EmbeddingSet.from_arrays(np.ones((1, 3), dtype=np.float32),
                                    np.array([2 ** 32 - 1]))

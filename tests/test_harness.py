@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -404,6 +405,70 @@ def test_worker_error_reaches_the_caller(monkeypatch, task):
     with pytest.raises(ValueError, match=f"bad task {task}"):
         run_eval(small_config(**{"n_tasks": 20}))
     assert multiprocessing.active_children() == []
+
+
+def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
+        monkeypatch):
+    # Of 200 mean tasks, 10, 120 and 130 abort, and task 150 raises. The
+    # third abort comes first in task order, so the run fails at the cap
+    # on one worker, and on two, where the worker for 100-199 raises
+    # after finishing 120 and 130.
+    real_prepare = harness.prepare_episode
+
+    def prepare(emb, config, rng, diag=None, timings=None):
+        prepared = real_prepare(emb, config, rng, diag, timings)
+        task = task_index(prepared, config)
+        if task in (10, 120, 130):
+            raise EpisodeAbort("test_abort")
+        if task == 150:
+            raise ValueError("bad task 150")
+        return prepared
+
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    cfg = small_config(**{"n_tasks": 200, "proto.strategy": "mean"})
+    texts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        texts.append(report_text(cfg))
+        assert multiprocessing.active_children() == []
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(
+        "RunError: 3 of 200 episodes aborted by task 130 ")
+
+
+def test_abort_cap_stops_two_workers_early(tmp_path, monkeypatch):
+    # Every episode aborts. This process runs tasks 0-99 and stops at
+    # the third abort, the cap of 2 of 200, then stops the worker.
+    path = tmp_path / "degenerate.emb"
+    save_embedding_set(zero_class_pool(), path)
+    cfg = RunConfig(data=str(path), n_ways=2, k_shots=1, n_queries=2,
+                    n_tasks=200, seed=0)
+    cfg.graph.top_m = 3
+    cfg.proto.strategy = "mean"
+    real_prepare = harness.prepare_episode
+
+    def prepare(*args, **kwargs):
+        prepare.calls += 1
+        return real_prepare(*args, **kwargs)
+
+    prepare.calls = 0
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    two_workers(monkeypatch)
+    with pytest.raises(RunError, match="3 of 200 episodes aborted by task 2 "):
+        run_eval(cfg)
+    assert prepare.calls == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_episode_abort_survives_a_pickle_round_trip():
+    # Workers send their aborts to this process as they are.
+    for abort in (EpisodeAbort("zero_support_row"),
+                  EpisodeAbort("head_loss_diverged", "loss=nan")):
+        back = pickle.loads(pickle.dumps(abort))
+        assert type(back) is EpisodeAbort
+        assert back.reason == abort.reason
+        assert str(back) == str(abort)
 
 
 def test_dead_worker_fails_the_run(monkeypatch):
