@@ -22,10 +22,12 @@ class EpisodeAbort(Exception):
 
 
 class Diagnostics:
-    """Mutable bag of named event counters, owned by a single episode or run."""
+    """Mutable record of one episode or run: named event counters, and
+    the seconds spent in each phase (not part of `as_dict`)."""
 
     def __init__(self):
         self.counts: Counter[str] = Counter()
+        self.seconds: Counter[str] = Counter()
 
     def record(self, name: str, n: int = 1) -> None:
         self.counts[name] += n

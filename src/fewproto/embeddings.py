@@ -126,9 +126,6 @@ class Episode:
     by contract only scoring code reads it.
     """
 
-    n_ways: int
-    k_shots: int
-    n_queries: int
     support_x: np.ndarray        # (N*k, dim) float64
     support_y: np.ndarray        # (N*k,) int64 local classes
     query_x: np.ndarray          # (N*q, dim) float64
@@ -269,7 +266,6 @@ def sample_episode(emb: EmbeddingSet, n_ways: int, k_shots: int,
     sup_idx = np.concatenate(sup_idx)
     qry_idx = np.concatenate(qry_idx)
     return Episode(
-        n_ways=n_ways, k_shots=k_shots, n_queries=n_queries,
         support_x=emb.vectors[sup_idx].astype(np.float64),
         support_y=np.repeat(np.arange(n_ways, dtype=np.int64), k_shots),
         query_x=emb.vectors[qry_idx].astype(np.float64),

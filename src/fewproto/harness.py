@@ -16,12 +16,15 @@ A bank's bits do not depend on the chunk it trains in, so reports are
 identical for any chunk plan and any worker count. Mean-prototype
 episodes train nothing and run one at a time. Episodes that hit a fatal
 numerical condition are aborted, counted, and excluded. The results
-reach `run_eval` as one stream in task order; a worker sends the ones
-it finished along with its exception, which is raised after them. The
-abort cap is checked once, on that stream, so a failed run ends at
-whichever comes first in task order, at any worker count: the abort
-that takes the count past 1% of the requested tasks, or an exception
-(which discards the results of its chunk; a mean chunk is one task).
+reach `run_eval` as one stream in task order, each with its episode's
+`Diagnostics`: its event counts and its phase seconds, where a chunk's
+prototype loop is split evenly over its banks. A worker sends the
+results it finished along with its exception, which is raised after
+them. The abort cap is checked once, on that stream, so a failed run
+ends at whichever comes first in task order, at any worker count: the
+abort that takes the count past 1% of the requested tasks, or an
+exception. Only an exception from the batched prototype loop itself
+stands at its chunk's first task.
 """
 
 from __future__ import annotations
@@ -388,53 +391,52 @@ class PreparedEpisode:
     rng: np.random.Generator
 
 
-def _lap(timings: dict | None, phase: str, since: float) -> float:
-    """Add the time from `since` to now to `timings[phase]`; return now."""
+def _lap(diag: Diagnostics | None, phase: str, since: float) -> float:
+    """Add the time from `since` to now to `diag.seconds[phase]`; return now."""
     now = time.perf_counter()
-    if timings is not None:
-        timings[phase] = timings.get(phase, 0.0) + now - since
+    if diag is not None:
+        diag.seconds[phase] += now - since
     return now
 
 
 def prepare_episode(emb: EmbeddingSet, config: RunConfig,
                     rng: np.random.Generator,
-                    diag: Diagnostics | None = None,
-                    timings: dict | None = None) -> PreparedEpisode:
+                    diag: Diagnostics | None = None) -> PreparedEpisode:
     """Sample an episode, aggregate it through the task graph and, for
     trained prototypes, train its head: only the prototype loss reads
     the head. Adds the "sample", "graph" and, with a head, "head"
-    phases to `timings`."""
+    phases to `diag.seconds`."""
     t = time.perf_counter()
     episode = sample_episode(emb, config.n_ways, config.k_shots,
                              config.n_queries, rng)
-    t = _lap(timings, "sample", t)
+    t = _lap(diag, "sample", t)
     support_feats, query_feats = build_task_graph(
         episode.support_x, episode.query_x, config.graph.top_m,
         config.graph.self_weight, config.graph.rounds, diag)
     episode = replace(episode, support_x=None, query_x=None)
-    t = _lap(timings, "graph", t)
+    t = _lap(diag, "graph", t)
     head = None
     if config.proto.strategy == "trained":
         aug = manifold_augment(support_feats, episode.support_y,
                                config.head.n_aug, rng)
         head = train_head(aug, config.head.epochs, config.head.lr, rng,
                           diag)
-        _lap(timings, "head", t)
+        _lap(diag, "head", t)
     return PreparedEpisode(episode, support_feats, query_feats, head, rng)
 
 
 def finish_episode(prepared: PreparedEpisode, bank: PrototypeBank,
-                   config: RunConfig, diag: Diagnostics | None = None,
-                   timings: dict | None = None) -> float:
+                   config: RunConfig, diag: Diagnostics | None = None
+                   ) -> float:
     """Build masks, classify the queries against `bank`, return the
-    accuracy. Adds the "classify" phase to `timings`."""
+    accuracy. Adds the "classify" phase to `diag.seconds`."""
     t = time.perf_counter()
     masks = (build_masks(bank, config.mask.scale, config.mask.boost)
              if config.mask.enabled else None)
     predictions, _ = classify_batch(prepared.query_feats, bank, masks,
                                     config.mask.enabled, diag)
     accuracy = score_episode(prepared.episode, predictions)
-    _lap(timings, "classify", t)
+    _lap(diag, "classify", t)
     return accuracy
 
 
@@ -456,15 +458,14 @@ def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
 
 def run_episode(emb: EmbeddingSet, config: RunConfig,
                 rng: np.random.Generator,
-                diag: Diagnostics | None = None,
-                timings: dict | None = None) -> float:
+                diag: Diagnostics | None = None) -> float:
     """One full task: sample, aggregate, train, classify, score.
 
     Raises EpisodeAbort on fatal numerical conditions; soft conditions
     only record diagnostics. Gives the accuracy run_eval gives for the
     same generator.
     """
-    outcome, = _run_chunk(emb, config, [rng], [diag], timings)
+    outcome, = _run_chunk(emb, config, [rng], [diag])
     if isinstance(outcome, EpisodeAbort):
         raise outcome
     return outcome
@@ -472,30 +473,42 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
 
 def _run_chunk(emb: EmbeddingSet, config: RunConfig,
                rngs: list[np.random.Generator],
-               diags: list[Diagnostics | None],
-               timings: dict | None) -> list[float | EpisodeAbort]:
+               diags: list[Diagnostics | None]
+               ) -> Iterator[float | EpisodeAbort]:
     """One episode on each generator of `rngs`, recording into the
     matching entry of `diags`, with one batched loop for their trained
-    prototypes; returns each one's accuracy or the abort that ended it.
-    The chunk's prototype time is added to the "proto" phase once."""
-    outcomes: list[float | EpisodeAbort | None] = [None] * len(rngs)
-    prepared: dict[int, PreparedEpisode] = {}
-    for k, (rng, diag) in enumerate(zip(rngs, diags)):
+    prototypes; yields each one's accuracy or the abort that ended it,
+    in order. The loop's time is split evenly over the prepared
+    episodes' "proto" phases. An exception from preparing an episode
+    stops the preparing, and is raised after the outcomes before it."""
+    started: list[PreparedEpisode | EpisodeAbort] = []
+    failure = None
+    for rng, diag in zip(rngs, diags):
         try:
-            prepared[k] = prepare_episode(emb, config, rng, diag, timings)
+            started.append(prepare_episode(emb, config, rng, diag))
         except EpisodeAbort as abort:
             # Its traceback would keep the episode's frames alive.
-            outcomes[k] = abort.with_traceback(None)
+            started.append(abort.with_traceback(None))
+        except Exception as exc:
+            failure = exc
+            break
 
+    prepared = [p for p in started if isinstance(p, PreparedEpisode)]
     t = time.perf_counter()
-    banks = _prototype_banks(list(prepared.values()), config)
-    _lap(timings, "proto", t)
+    banks = iter(_prototype_banks(prepared, config))
+    share = (time.perf_counter() - t) / max(len(prepared), 1)
 
-    for (k, p), bank in zip(prepared.items(), banks):
-        outcomes[k] = (bank if isinstance(bank, EpisodeAbort)
-                       else finish_episode(p, bank, config, diags[k],
-                                           timings))
-    return outcomes
+    for p, diag in zip(started, diags):
+        if isinstance(p, EpisodeAbort):
+            yield p
+            continue
+        if diag is not None:
+            diag.seconds["proto"] += share
+        bank = next(banks)
+        yield (bank if isinstance(bank, EpisodeAbort)
+               else finish_episode(p, bank, config, diag))
+    if failure is not None:
+        raise failure
 
 
 # A task's accuracy, or the abort that ended it, and its diagnostics.
@@ -503,27 +516,27 @@ TaskResult = tuple[float | EpisodeAbort, Diagnostics]
 
 
 def _run_range(emb: EmbeddingSet, config: RunConfig, width: int,
-               tasks: range, timings: dict) -> Iterator[TaskResult]:
+               tasks: range) -> Iterator[TaskResult]:
     """Each task of `tasks` in order. Runs a chunk of `chunk_plan` when
-    its first result is asked for; adds its phases to `timings`."""
+    its first result is asked for."""
     for chunk in chunk_plan(len(tasks), width):
         diags = [Diagnostics() for _ in chunk]
         rngs = [episode_rng(config.seed, tasks[k]) for k in chunk]
-        yield from zip(_run_chunk(emb, config, rngs, diags, timings), diags)
+        yield from zip(_run_chunk(emb, config, rngs, diags), diags)
 
 
 def _range_worker(send, emb: EmbeddingSet, config: RunConfig, width: int,
                   tasks: range) -> None:
-    """A forked worker: send the results it finished, its phase times,
-    and the exception that stopped it with its traceback text, or None."""
-    results, timings, failure = [], {}, None
+    """A forked worker: send the results it finished and the exception
+    that stopped it with its traceback text, or None."""
+    results, failure = [], None
     try:
-        for result in _run_range(emb, config, width, tasks, timings):
+        for result in _run_range(emb, config, width, tasks):
             results.append(result)
     except Exception as exc:
         import traceback
         failure = (exc, traceback.format_exc())
-    send.send((results, timings, failure))
+    send.send((results, failure))
     send.close()
 
 
@@ -541,19 +554,15 @@ def _start_worker(emb: EmbeddingSet, config: RunConfig, width: int,
     return process, receive
 
 
-def _worker_results(process, receive, tasks: range, timings: dict
-                    ) -> Iterator[TaskResult]:
-    """The results a worker finished, then the exception that stopped
-    it; its phases are added to `timings`."""
+def _worker_results(process, receive, tasks: range) -> Iterator[TaskResult]:
+    """The results a worker finished, then the exception that stopped it."""
     try:
-        results, worker_timings, failure = receive.recv()
+        results, failure = receive.recv()
     except EOFError:
         process.join()
         raise RunError(f"the worker for tasks {tasks.start}-{tasks.stop - 1} "
                        f"exited with code {process.exitcode} before sending "
                        f"its results") from None
-    for phase, seconds in worker_timings.items():
-        timings[phase] = timings.get(phase, 0.0) + seconds
     yield from results
     if failure is not None:
         exc, text = failure
@@ -561,8 +570,8 @@ def _worker_results(process, receive, tasks: range, timings: dict
             f"in the worker for tasks {tasks.start}-{tasks.stop - 1}:\n{text}")
 
 
-def _task_results(emb: EmbeddingSet, config: RunConfig, width: int,
-                  timings: dict) -> Iterator[TaskResult]:
+def _task_results(emb: EmbeddingSet, config: RunConfig, width: int
+                  ) -> Iterator[TaskResult]:
     """Every task's result, in task order. The tasks are split into
     `worker_count` ranges: forked workers run all but the first, which
     runs in this process meanwhile. Closing the iterator stops and
@@ -572,9 +581,9 @@ def _task_results(emb: EmbeddingSet, config: RunConfig, width: int,
     try:
         for tasks in rest:
             workers.append(_start_worker(emb, config, width, tasks))
-        yield from _run_range(emb, config, width, first, timings)
+        yield from _run_range(emb, config, width, first)
         for tasks, (process, receive) in zip(rest, workers):
-            yield from _worker_results(process, receive, tasks, timings)
+            yield from _worker_results(process, receive, tasks)
     finally:
         for process, receive in workers:
             process.terminate()
@@ -595,12 +604,13 @@ def run_eval(config: RunConfig) -> EvalReport:
     """Evaluate `config.n_tasks` episodes, in worker ranges and chunks as
     the module docstring describes, and assemble the report.
 
-    The phases of wall_time are summed over the workers, so they can add
-    up to the worker count times "total". The abort cap is checked only
-    here, in task order; the error names the task that passes it and the
-    diagnostics of the tasks up to it. A worker's exception is raised
-    after the results it finished, so a failed run ends at the first of
-    these in task order, and its text does not depend on the worker count.
+    The phases of wall_time are the tasks' phase seconds summed, over
+    every worker, so they can add up to the worker count times "total".
+    The abort cap is checked only here, in task order; the error names
+    the task that passes it and the diagnostics of the tasks up to it. A
+    worker's exception is raised after the results it finished, so a
+    failed run ends at the first of these in task order, and its text
+    does not depend on the worker count.
     """
     config.validate()
     emb = _resolve_pool(config)
@@ -613,14 +623,13 @@ def run_eval(config: RunConfig) -> EvalReport:
     t_start = time.perf_counter()
     per_task: list[float] = []
     diagnostics = Diagnostics()
-    wall_time: dict = {}
     # Mean banks train nothing, so a mean run holds one episode at a time.
     width = (stack_width(config.n_ways, emb.dim)
              if config.proto.strategy == "trained" else 1)
-    with contextlib.closing(
-            _task_results(emb, config, width, wall_time)) as results:
+    with contextlib.closing(_task_results(emb, config, width)) as results:
         for outcome, diag in results:
             diagnostics.counts.update(diag.counts)
+            diagnostics.seconds.update(diag.seconds)
             if not isinstance(outcome, EpisodeAbort):
                 per_task.append(outcome)
                 continue
@@ -635,7 +644,7 @@ def run_eval(config: RunConfig) -> EvalReport:
                     f"{diagnostics.as_dict()}")
     diagnostics.record("aborted_episodes", 0)  # a key of every report
 
-    wall_time["total"] = time.perf_counter() - t_start
+    wall_time = dict(diagnostics.seconds, total=time.perf_counter() - t_start)
     return EvalReport(
         config=config.to_flat(),
         per_task_accuracy=per_task,

@@ -129,9 +129,10 @@ def train_head(aug: AugmentedSupport, epochs: int, lr: float,
     state_b = AdamState.fresh(head.bias.shape, lr=lr)
     scratch_w, scratch_b = np.empty_like(head.weights), np.empty_like(head.bias)
     prev = np.inf
-    # An overflow ends in a non-finite loss or an inf moment, and both
-    # abort below with the event named, so its warning is off.
-    with np.errstate(over="ignore"):
+    # An overflow, and the inf - inf or 0 * inf it leads to, ends in a
+    # non-finite loss, moment or parameter, and each aborts with the
+    # event named, so their warnings are off.
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             loss, gw, gb = head_loss_and_grad(head.weights, head.bias,
                                               aug.features, aug.labels)

@@ -1,11 +1,13 @@
 """The library calls the benchmark makes still work.
 
-Tier-1 runs nothing under bench/, so this drives bench/tracing.py's
-traced pass, which calls the pipeline's public functions one by one, and
-checks it against run_eval on small configs of the bench's synthetic
-workloads.
+This drives bench/tracing.py's traced pass, which calls the pipeline's
+public functions one by one, and checks it against run_eval on small
+configs of the bench's synthetic workloads. It also runs the benchmark
+itself once, briefly, as its command line does.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +44,15 @@ def test_adam_update_samples(bench):
     tracing, _ = bench
     samples = tracing.adam_update_samples((5, 64), 3)
     assert len(samples) == 3 and all(s >= 0.0 for s in samples)
+
+
+def test_bench_smoke_run():
+    # The shortest run still makes its reference check and one timed call.
+    proc = subprocess.run(
+        [sys.executable, str(Path(BENCH) / "run.py"), "--workload",
+         "mean_5w5s", "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["episodes_per_s"]["value"] > 0

@@ -9,13 +9,14 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fewproto
 from fewproto import harness
-from fewproto.diagnostics import EpisodeAbort
+from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.embeddings import EmbeddingSet, save_embedding_set
 from fewproto.harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                               confidence_interval_95, emit_report, episode_rng,
@@ -346,8 +347,8 @@ def test_run_eval_same_report_on_one_and_two_workers(monkeypatch, tmp_path):
                 ("mean", 200): {10, 120, 130, 140, 150}}
     real_prepare = harness.prepare_episode
 
-    def prepare(emb, config, rng, diag=None, timings=None):
-        prepared = real_prepare(emb, config, rng, diag, timings)
+    def prepare(emb, config, rng, diag=None):
+        prepared = real_prepare(emb, config, rng, diag)
         key = (config.proto.strategy, config.n_tasks)
         if task_index(prepared, config) in aborting.get(key, ()):
             raise EpisodeAbort("test_abort")
@@ -396,10 +397,10 @@ def test_worker_error_reaches_the_caller(monkeypatch, task):
     two_workers(monkeypatch)
     real_finish = harness.finish_episode
 
-    def finish(prepared, bank, config, diag=None, timings=None):
+    def finish(prepared, bank, config, diag=None):
         if task_index(prepared, config) == task:
             raise ValueError(f"bad task {task}")
-        return real_finish(prepared, bank, config, diag, timings)
+        return real_finish(prepared, bank, config, diag)
 
     monkeypatch.setattr(harness, "finish_episode", finish)
     with pytest.raises(ValueError, match=f"bad task {task}"):
@@ -415,8 +416,8 @@ def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
     # after finishing 120 and 130.
     real_prepare = harness.prepare_episode
 
-    def prepare(emb, config, rng, diag=None, timings=None):
-        prepared = real_prepare(emb, config, rng, diag, timings)
+    def prepare(emb, config, rng, diag=None):
+        prepared = real_prepare(emb, config, rng, diag)
         task = task_index(prepared, config)
         if task in (10, 120, 130):
             raise EpisodeAbort("test_abort")
@@ -435,6 +436,103 @@ def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
     assert texts[0] == texts[1]
     assert texts[0].startswith(
         "RunError: 3 of 200 episodes aborted by task 130 ")
+
+
+def test_trained_chunk_keeps_its_results_before_an_exception(monkeypatch):
+    # Of 200 trained tasks, 10, 20 and 118 abort, and preparing task 121
+    # raises. One worker runs 120-159 as a chunk, two run 100-133: the
+    # chunk finishes the tasks it prepared before the exception, so the
+    # third abort ends the run on both.
+    real_prepare = harness.prepare_episode
+
+    def prepare(emb, config, rng, diag=None):
+        prepared = real_prepare(emb, config, rng, diag)
+        task = task_index(prepared, config)
+        if task in (10, 20, 118):
+            raise EpisodeAbort("test_abort")
+        if task == 121:
+            raise ValueError("bad task 121")
+        return prepared
+
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    cfg = small_config(**{"n_tasks": 200, "proto.epochs": 20})
+    texts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        texts.append(report_text(cfg))
+        assert multiprocessing.active_children() == []
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(
+        "RunError: 3 of 200 episodes aborted by task 118 ")
+
+
+def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
+        monkeypatch):
+    real_finish = harness.finish_episode
+
+    def finish(prepared, bank, config, diag=None):
+        if task_index(prepared, config) == 2:
+            raise ValueError("bad task 2")
+        return real_finish(prepared, bank, config, diag)
+
+    monkeypatch.setattr(harness, "finish_episode", finish)
+    cfg = small_config(**{"proto.epochs": 20})
+    emb = harness._resolve_pool(cfg)
+    rngs = [episode_rng(cfg.seed, i) for i in range(4)]
+    outcomes = harness._run_chunk(emb, cfg, rngs, [None] * 4)
+    assert [next(outcomes), next(outcomes)] == [
+        run_episode(emb, cfg, episode_rng(cfg.seed, i)) for i in range(2)]
+    with pytest.raises(ValueError, match="bad task 2"):
+        next(outcomes)
+
+
+@pytest.mark.parametrize("strategy, phases", [
+    ("trained", {"sample", "graph", "head", "proto", "classify"}),
+    ("mean", {"sample", "graph", "proto", "classify"})])
+def test_episode_diagnostics_carry_its_phase_seconds(monkeypatch, strategy,
+                                                     phases):
+    cfg = small_config(**{"proto.strategy": strategy, "proto.epochs": 20})
+    diag = Diagnostics()
+    run_episode(harness._resolve_pool(cfg), cfg, episode_rng(cfg.seed, 0),
+                diag)
+    assert set(diag.seconds) == phases
+    assert all(seconds > 0 for seconds in diag.seconds.values())
+    assert diag.as_dict() == {}  # seconds are no event counts
+    keys = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        keys.append(sorted(run_eval(cfg).wall_time))
+    assert keys[0] == keys[1] == sorted(phases | {"total"})
+
+
+def test_chunk_splits_its_prototype_loop_over_its_banks(monkeypatch):
+    # A clock that moves only while the batched loop runs: its 6 s go in
+    # equal shares to the three episodes it trains, none to the abort.
+    clock = SimpleNamespace(now=0.0)
+    real_banks, real_prepare = harness._prototype_banks, harness.prepare_episode
+
+    def banks(prepared, config):
+        clock.now += 6.0
+        return real_banks(prepared, config)
+
+    def prepare(emb, config, rng, diag=None):
+        prepared = real_prepare(emb, config, rng, diag)
+        if task_index(prepared, config) == 1:
+            raise EpisodeAbort("test_abort")
+        return prepared
+
+    monkeypatch.setattr(harness, "time",
+                        SimpleNamespace(perf_counter=lambda: clock.now))
+    monkeypatch.setattr(harness, "_prototype_banks", banks)
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    cfg = small_config(**{"proto.epochs": 20})
+    diags = [Diagnostics() for _ in range(4)]
+    rngs = [episode_rng(cfg.seed, i) for i in range(4)]
+    list(harness._run_chunk(harness._resolve_pool(cfg), cfg, rngs, diags))
+    assert [d.seconds["proto"] for d in diags] == [2.0, 0.0, 2.0, 2.0]
+    assert sum(d.seconds["proto"] for d in diags) == clock.now == 6.0
 
 
 def test_abort_cap_stops_two_workers_early(tmp_path, monkeypatch):
@@ -475,10 +573,10 @@ def test_dead_worker_fails_the_run(monkeypatch):
     two_workers(monkeypatch)
     real_finish = harness.finish_episode
 
-    def finish(prepared, bank, config, diag=None, timings=None):
+    def finish(prepared, bank, config, diag=None):
         if task_index(prepared, config) == 15:
             os._exit(3)
-        return real_finish(prepared, bank, config, diag, timings)
+        return real_finish(prepared, bank, config, diag)
 
     monkeypatch.setattr(harness, "finish_episode", finish)
     with pytest.raises(RunError, match="tasks 10-19 exited with code 3"):
@@ -534,8 +632,8 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
         cfg.n_tasks, harness.stack_width(cfg.n_ways, cfg.synthetic.dim))[1]
     broken = {second.start + 2: "nan_head", second.start + 5: "zero_row"}
 
-    def prepare(emb, config, rng, diag=None, timings=None):
-        prepared = real_prepare(emb, config, rng, diag, timings)
+    def prepare(emb, config, rng, diag=None):
+        prepared = real_prepare(emb, config, rng, diag)
         how = broken.get(prepare.calls % config.n_tasks)
         prepare.calls += 1
         if how == "nan_head":
@@ -670,13 +768,13 @@ def test_abort_cap_stops_the_run_early(tmp_path, monkeypatch):
 def test_aborted_episodes_excluded(monkeypatch):
     real_prepare = harness.prepare_episode
 
-    def fake_prepare(emb, config, rng, diag=None, timings=None):
+    def fake_prepare(emb, config, rng, diag=None):
         fake_prepare.calls += 1
         if fake_prepare.calls - 1 == 5:
             raise EpisodeAbort("synthetic_test_abort")
-        return real_prepare(emb, config, rng, diag, timings)
+        return real_prepare(emb, config, rng, diag)
 
-    def fake_finish(prepared, bank, config, diag=None, timings=None):
+    def fake_finish(prepared, bank, config, diag=None):
         fake_finish.calls += 1
         return float((fake_finish.calls - 1) % 2)
 
@@ -752,7 +850,7 @@ EXTREME_SETTINGS = [
     *[(key, 1e300) for key in (
         "mask.boost", "mask.scale", "head.lr", "proto.lr",
         "proto.entropy_weight", "proto.class_weight")],
-    ("graph.rounds", 0),
+    ("graph.rounds", 0), ("head.lr", 1.7e308),
 ]
 
 

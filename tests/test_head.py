@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fewproto.head import (LinearHead, head_loss_and_grad, head_predict,
-                           manifold_augment, train_head)
+from fewproto.diagnostics import EpisodeAbort
+from fewproto.head import (AugmentedSupport, LinearHead, head_loss_and_grad,
+                           head_predict, manifold_augment, train_head)
 from fewproto.optim import AdamState, adam_update, softmax
 from fewproto.verification import check_head_gradient
 
@@ -184,6 +185,19 @@ def test_train_head_rejects_bad_epochs():
     aug = manifold_augment(feats, labels, 0, np.random.default_rng(18))
     with pytest.raises(ValueError):
         train_head(aug, 0, 1e-2, np.random.default_rng(19))
+
+
+@pytest.mark.parametrize("epochs, reason", [
+    (3, "head_params_nonfinite"), (11, "head_loss_diverged")])
+def test_train_head_names_a_step_past_float_range(epochs, reason):
+    # At the largest learning rate, the third step takes the weights
+    # past float range, and the next loss is NaN. A RuntimeWarning on
+    # the way fails the test.
+    feats = np.random.default_rng(23).normal(size=(12, 8)) * 1e-300
+    aug = AugmentedSupport(features=feats, labels=np.repeat(np.arange(3), 4))
+    with pytest.raises(EpisodeAbort) as caught:
+        train_head(aug, epochs, 1.7e308, np.random.default_rng(24))
+    assert caught.value.reason == reason
 
 
 @pytest.mark.parametrize("k_shots, dim", [(5, 64), (1, 640)])
