@@ -71,6 +71,8 @@ def _eval_command(args: argparse.Namespace) -> int:
     # A report with nowhere to go fails before the run, not after it.
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise RunError(f"--out {args.out}: its directory does not exist")
+    if args.out and os.path.isdir(args.out):
+        raise RunError(f"--out {args.out}: is a directory, not a file path")
     report = run_eval(config)
     if args.out:
         emit_report(report, args.out)

@@ -284,8 +284,10 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
     Deterministic given the generator state. Both scales, and the
     records they sum to, must fit float32.
     """
-    if n_classes < 1 or per_class < 1 or dim < 1:
-        raise ValueError("n_classes, per_class, dim must be positive")
+    for name, count in (("n_classes", n_classes), ("per_class", per_class),
+                        ("dim", dim)):
+        if count < 1:
+            raise ValueError(f"{name}={count!r} must be >= 1")
     for name, value in ("mean_scale", mean_scale), ("noise_sigma", noise_sigma):
         if not abs(value) <= float(np.finfo(np.float32).max):  # and NaN
             raise ValueError(f"{name}={value!r} is not a finite float32")

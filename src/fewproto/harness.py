@@ -9,13 +9,12 @@ splits its tasks into `worker_count` contiguous ranges of near-equal
 size, one per CPU the process may run on. This process runs the first
 range while forked workers run the others. Within its range, each runs
 episodes in chunks of consecutive task indices (`chunk_plan`), as many
-as `stack_width` allows for the bank width and split evenly over the
-range: each is prepared on its own generator, one batched Adam loop
-trains the chunk's prototype banks, then each is classified and scored.
-A bank's bits do not depend on the chunk it trains in, so reports are
-identical for any chunk plan and any worker count. Mean-prototype
-episodes train nothing and run one at a time. Episodes that hit a fatal
-numerical condition are aborted, counted, and excluded. The results
+as `stack_width` allows and split evenly over the range: each is
+prepared on its own generator, one batched Adam loop trains the chunk's
+prototype banks, then each is classified and scored. A bank's bits do
+not depend on the chunk it trains in, so reports are identical for any
+chunk plan and any worker count. Episodes that hit a fatal numerical
+condition are aborted, counted, and excluded. The results
 reach `run_eval` as one stream in task order, each with its episode's
 `Diagnostics`: its event counts and its phase seconds, where a chunk's
 prototype loop is split evenly over its banks. A worker sends the
@@ -338,10 +337,14 @@ def episode_rng(seed: int, task_index: int) -> np.random.Generator:
     return np.random.default_rng(seed + task_index)
 
 
-def stack_width(n_ways: int, dim: int) -> int:
-    """Most episodes one batched prototype loop stacks, for banks of
-    `n_ways` rows of `dim` float64 entries."""
-    return max(1, min(MAX_STACK, STACK_BYTES // (8 * n_ways * dim)))
+def stack_width(config: RunConfig, dim: int) -> int:
+    """Most episodes one chunk of a `config` run holds. Trained banks of
+    `config.n_ways` rows of `dim` float64 entries share one batched loop,
+    within MAX_STACK and STACK_BYTES. Mean banks train nothing, so a
+    mean run holds one episode at a time."""
+    if config.proto.strategy != "trained":
+        return 1
+    return max(1, min(MAX_STACK, STACK_BYTES // (8 * config.n_ways * dim)))
 
 
 def _split_tasks(n_tasks: int, parts: int) -> list[range]:
@@ -391,17 +394,16 @@ class PreparedEpisode:
     rng: np.random.Generator
 
 
-def _lap(diag: Diagnostics | None, phase: str, since: float) -> float:
+def _lap(diag: Diagnostics, phase: str, since: float) -> float:
     """Add the time from `since` to now to `diag.seconds[phase]`; return now."""
     now = time.perf_counter()
-    if diag is not None:
-        diag.seconds[phase] += now - since
+    diag.seconds[phase] += now - since
     return now
 
 
 def prepare_episode(emb: EmbeddingSet, config: RunConfig,
                     rng: np.random.Generator,
-                    diag: Diagnostics | None = None) -> PreparedEpisode:
+                    diag: Diagnostics) -> PreparedEpisode:
     """Sample an episode, aggregate it through the task graph and, for
     trained prototypes, train its head: only the prototype loss reads
     the head. Adds the "sample", "graph" and, with a head, "head"
@@ -426,8 +428,7 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
 
 
 def finish_episode(prepared: PreparedEpisode, bank: PrototypeBank,
-                   config: RunConfig, diag: Diagnostics | None = None
-                   ) -> float:
+                   config: RunConfig, diag: Diagnostics) -> float:
     """Build masks, classify the queries against `bank`, return the
     accuracy. Adds the "classify" phase to `diag.seconds`."""
     t = time.perf_counter()
@@ -465,7 +466,8 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
     only record diagnostics. Gives the accuracy run_eval gives for the
     same generator.
     """
-    outcome, = _run_chunk(emb, config, [rng], [diag])
+    outcome, = _run_chunk(emb, config, [rng],
+                          [Diagnostics() if diag is None else diag])
     if isinstance(outcome, EpisodeAbort):
         raise outcome
     return outcome
@@ -473,8 +475,7 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
 
 def _run_chunk(emb: EmbeddingSet, config: RunConfig,
                rngs: list[np.random.Generator],
-               diags: list[Diagnostics | None]
-               ) -> Iterator[float | EpisodeAbort]:
+               diags: list[Diagnostics]) -> Iterator[float | EpisodeAbort]:
     """One episode on each generator of `rngs`, recording into the
     matching entry of `diags`, with one batched loop for their trained
     prototypes; yields each one's accuracy or the abort that ended it,
@@ -502,8 +503,7 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
         if isinstance(p, EpisodeAbort):
             yield p
             continue
-        if diag is not None:
-            diag.seconds["proto"] += share
+        diag.seconds["proto"] += share
         bank = next(banks)
         yield (bank if isinstance(bank, EpisodeAbort)
                else finish_episode(p, bank, config, diag))
@@ -515,23 +515,23 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
 TaskResult = tuple[float | EpisodeAbort, Diagnostics]
 
 
-def _run_range(emb: EmbeddingSet, config: RunConfig, width: int,
-               tasks: range) -> Iterator[TaskResult]:
+def _run_range(emb: EmbeddingSet, config: RunConfig, tasks: range
+               ) -> Iterator[TaskResult]:
     """Each task of `tasks` in order. Runs a chunk of `chunk_plan` when
     its first result is asked for."""
-    for chunk in chunk_plan(len(tasks), width):
+    for chunk in chunk_plan(len(tasks), stack_width(config, emb.dim)):
         diags = [Diagnostics() for _ in chunk]
         rngs = [episode_rng(config.seed, tasks[k]) for k in chunk]
         yield from zip(_run_chunk(emb, config, rngs, diags), diags)
 
 
-def _range_worker(send, emb: EmbeddingSet, config: RunConfig, width: int,
+def _range_worker(send, emb: EmbeddingSet, config: RunConfig,
                   tasks: range) -> None:
     """A forked worker: send the results it finished and the exception
     that stopped it with its traceback text, or None."""
     results, failure = [], None
     try:
-        for result in _run_range(emb, config, width, tasks):
+        for result in _run_range(emb, config, tasks):
             results.append(result)
     except Exception as exc:
         import traceback
@@ -540,15 +540,14 @@ def _range_worker(send, emb: EmbeddingSet, config: RunConfig, width: int,
     send.close()
 
 
-def _start_worker(emb: EmbeddingSet, config: RunConfig, width: int,
-                  tasks: range):
+def _start_worker(emb: EmbeddingSet, config: RunConfig, tasks: range):
     """Fork a worker for `tasks`; it inherits the pool and config, so
     only its results cross the pipe."""
     import multiprocessing  # only a run that forks loads it
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
     process = context.Process(target=_range_worker,
-                              args=(send, emb, config, width, tasks))
+                              args=(send, emb, config, tasks))
     process.start()
     send.close()  # the worker holds the only write end: EOF if it dies
     return process, receive
@@ -570,7 +569,7 @@ def _worker_results(process, receive, tasks: range) -> Iterator[TaskResult]:
             f"in the worker for tasks {tasks.start}-{tasks.stop - 1}:\n{text}")
 
 
-def _task_results(emb: EmbeddingSet, config: RunConfig, width: int
+def _task_results(emb: EmbeddingSet, config: RunConfig
                   ) -> Iterator[TaskResult]:
     """Every task's result, in task order. The tasks are split into
     `worker_count` ranges: forked workers run all but the first, which
@@ -580,8 +579,8 @@ def _task_results(emb: EmbeddingSet, config: RunConfig, width: int
     workers = []
     try:
         for tasks in rest:
-            workers.append(_start_worker(emb, config, width, tasks))
-        yield from _run_range(emb, config, width, first)
+            workers.append(_start_worker(emb, config, tasks))
+        yield from _run_range(emb, config, first)
         for tasks, (process, receive) in zip(rest, workers):
             yield from _worker_results(process, receive, tasks)
     finally:
@@ -623,10 +622,7 @@ def run_eval(config: RunConfig) -> EvalReport:
     t_start = time.perf_counter()
     per_task: list[float] = []
     diagnostics = Diagnostics()
-    # Mean banks train nothing, so a mean run holds one episode at a time.
-    width = (stack_width(config.n_ways, emb.dim)
-             if config.proto.strategy == "trained" else 1)
-    with contextlib.closing(_task_results(emb, config, width)) as results:
+    with contextlib.closing(_task_results(emb, config)) as results:
         for outcome, diag in results:
             diagnostics.counts.update(diag.counts)
             diagnostics.seconds.update(diag.seconds)

@@ -383,19 +383,15 @@ def train_prototype_banks(heads: list[LinearHead],
 
 def train_prototypes(head: LinearHead, support_feats: np.ndarray,
                      labels: np.ndarray, weights: LossWeights, epochs: int,
-                     lr: float, rng: np.random.Generator,
-                     trajectory: list[float] | None = None) -> PrototypeBank:
+                     lr: float, rng: np.random.Generator) -> PrototypeBank:
     """Full-batch Adam on loss_total with the prototypes as sole parameters.
 
     The head is frozen. This is train_prototype_banks for one episode.
-    Appends the per-epoch loss (evaluated before each update) to
-    `trajectory` when given. Raises EpisodeAbort on a zero-norm support
-    row, a non-finite loss, an overflowed Adam moment or a degenerate
-    final bank.
+    Raises EpisodeAbort on a zero-norm support row, a non-finite loss, an
+    overflowed Adam moment or a degenerate final bank.
     """
     result, = train_prototype_banks(
-        [head], [support_feats], [labels], weights, epochs, lr, [rng],
-        None if trajectory is None else [trajectory])
+        [head], [support_feats], [labels], weights, epochs, lr, [rng])
     if isinstance(result, EpisodeAbort):
         raise result
     return result

@@ -12,6 +12,7 @@ the training code; the CLI exposes it as the `gradcheck` subcommand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +81,14 @@ def run_gradcheck_suite(trials: int = 100, tolerance: float = 1e-4,
     """Run `trials` random instances of every gradient check.
 
     The composite-loss weights cycle through the defaults (0.1, 1.0) and
-    five random pairs drawn once per suite run.
+    five random pairs drawn once per suite run. Raises ValueError naming
+    `trials` below 1 or a `tolerance` that is not finite and positive:
+    either would let the gate pass or fail without checking anything.
     """
+    if trials < 1:
+        raise ValueError(f"trials={trials!r} must be >= 1")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance={tolerance!r} must be finite and > 0")
     rng = np.random.default_rng(seed)
     weight_pairs = [LossWeights(0.1, 1.0)]
     weight_pairs += [LossWeights(*rng.uniform(0.0, 2.0, size=2))

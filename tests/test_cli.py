@@ -27,6 +27,47 @@ def test_eval_out_in_a_missing_directory_fails_before_the_run(
     assert str(out) in capsys.readouterr().err
 
 
+def test_eval_out_that_is_a_directory_fails_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    def run_eval(config):
+        raise AssertionError("run_eval called")
+
+    monkeypatch.setattr(cli, "run_eval", run_eval)
+    assert main(["eval", "--synthetic", "6,20,8,8.0,0.2", "--tasks", "2",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(tmp_path) in err
+
+
+SYNTH = ["synth", "--out", "{tmp}/pool.emb", "--classes", "6", "--per-class",
+         "9", "--dim", "12", "--mean-scale", "4.0", "--sigma", "0.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gradcheck", "--trials", "0"], "trials=0 must be >= 1"),
+    (["gradcheck", "--trials", "-3"], "trials=-3 must be >= 1"),
+    (["gradcheck", "--trials", "2", "--tolerance", "nan"], "tolerance=nan"),
+    (["gradcheck", "--trials", "2", "--tolerance", "inf"], "tolerance=inf"),
+    (["gradcheck", "--trials", "2", "--tolerance", "0"], "tolerance=0.0"),
+    (["gradcheck", "--trials", "2", "--tolerance=-1e-4"],
+     "tolerance=-0.0001"),
+    (SYNTH[:3] + ["--classes", "0"] + SYNTH[5:], "n_classes=0 must be >= 1"),
+    (SYNTH[:5] + ["--per-class", "0"] + SYNTH[7:],
+     "per_class=0 must be >= 1"),
+    (SYNTH[:7] + ["--dim", "0"] + SYNTH[9:], "dim=0 must be >= 1"),
+    (["eval", "--config", "{tmp}/bad.cfg"], "bad.cfg:1: expected key = value"),
+    (["eval", "--data", "{tmp}/short.emb"],
+     "truncated header (byte offset 10)"),
+])
+def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
+                                             message):
+    (tmp_path / "bad.cfg").write_text("n_ways 3\n")
+    (tmp_path / "short.emb").write_bytes(b"EMB1" + bytes(6))
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "pool.emb").exists()
+
+
 def test_synth_writes_loadable_file(tmp_path, capsys):
     path = tmp_path / "pool.emb"
     rc = main(["synth", "--out", str(path), "--classes", "6", "--per-class",

@@ -111,7 +111,7 @@ def test_config_rejects_top_m_beyond_episode():
     ("proto.entropy_weight", "-0.1"), ("proto.class_weight", "-1"),
     ("synthetic", "0,25,16,8.0,0.3"), ("synthetic", "8,0,16,8.0,0.3"),
     ("synthetic", "8,25,0,8.0,0.3"), ("synthetic", "8,25,16,nan,0.3"),
-    ("synthetic", "8,25,16,8.0,-0.1"),
+    ("synthetic", "8,25,16,8.0,-0.1"), ("seed", str(2 ** 64)),
 ])
 def test_config_error_names_the_field(key, value):
     cfg = small_config(**{key: value})
@@ -295,10 +295,25 @@ def test_run_episode_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("strategy", ["trained", "mean"])
+def test_run_episode_same_accuracy_with_and_without_diagnostics(strategy):
+    cfg = small_config(**{"proto.strategy": strategy, "proto.epochs": 30})
+    emb = harness._resolve_pool(cfg)
+    for i in range(3):
+        diag = Diagnostics()
+        assert run_episode(emb, cfg, episode_rng(cfg.seed, i), diag) == \
+            run_episode(emb, cfg, episode_rng(cfg.seed, i))
+        assert diag.seconds
+
+
 def test_chunk_plan_covers_tasks_evenly():
-    assert harness.stack_width(5, 640) == 16
-    assert harness.stack_width(5, 64) == 48
-    assert harness.stack_width(5, 10 ** 6) == 1
+    trained = small_config(n_ways=5)
+    assert harness.stack_width(trained, 640) == 16
+    assert harness.stack_width(trained, 64) == 48
+    assert harness.stack_width(trained, 10 ** 6) == 1
+    # Mean banks train nothing: a mean run holds one episode at a time.
+    assert harness.stack_width(small_config(**{"proto.strategy": "mean"}),
+                               64) == 1
     for n_tasks in (1, 15, 16, 17, 40, 47, 48, 49, 100, 1000):
         for width in (1, 7, 16, 48):
             plan = harness.chunk_plan(n_tasks, width)
@@ -347,7 +362,7 @@ def test_run_eval_same_report_on_one_and_two_workers(monkeypatch, tmp_path):
                 ("mean", 200): {10, 120, 130, 140, 150}}
     real_prepare = harness.prepare_episode
 
-    def prepare(emb, config, rng, diag=None):
+    def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
         key = (config.proto.strategy, config.n_tasks)
         if task_index(prepared, config) in aborting.get(key, ()):
@@ -397,7 +412,7 @@ def test_worker_error_reaches_the_caller(monkeypatch, task):
     two_workers(monkeypatch)
     real_finish = harness.finish_episode
 
-    def finish(prepared, bank, config, diag=None):
+    def finish(prepared, bank, config, diag):
         if task_index(prepared, config) == task:
             raise ValueError(f"bad task {task}")
         return real_finish(prepared, bank, config, diag)
@@ -416,7 +431,7 @@ def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
     # after finishing 120 and 130.
     real_prepare = harness.prepare_episode
 
-    def prepare(emb, config, rng, diag=None):
+    def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
         task = task_index(prepared, config)
         if task in (10, 120, 130):
@@ -445,7 +460,7 @@ def test_trained_chunk_keeps_its_results_before_an_exception(monkeypatch):
     # third abort ends the run on both.
     real_prepare = harness.prepare_episode
 
-    def prepare(emb, config, rng, diag=None):
+    def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
         task = task_index(prepared, config)
         if task in (10, 20, 118):
@@ -471,7 +486,7 @@ def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
         monkeypatch):
     real_finish = harness.finish_episode
 
-    def finish(prepared, bank, config, diag=None):
+    def finish(prepared, bank, config, diag):
         if task_index(prepared, config) == 2:
             raise ValueError("bad task 2")
         return real_finish(prepared, bank, config, diag)
@@ -480,7 +495,8 @@ def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
     cfg = small_config(**{"proto.epochs": 20})
     emb = harness._resolve_pool(cfg)
     rngs = [episode_rng(cfg.seed, i) for i in range(4)]
-    outcomes = harness._run_chunk(emb, cfg, rngs, [None] * 4)
+    outcomes = harness._run_chunk(emb, cfg, rngs,
+                                  [Diagnostics() for _ in rngs])
     assert [next(outcomes), next(outcomes)] == [
         run_episode(emb, cfg, episode_rng(cfg.seed, i)) for i in range(2)]
     with pytest.raises(ValueError, match="bad task 2"):
@@ -517,7 +533,7 @@ def test_chunk_splits_its_prototype_loop_over_its_banks(monkeypatch):
         clock.now += 6.0
         return real_banks(prepared, config)
 
-    def prepare(emb, config, rng, diag=None):
+    def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
         if task_index(prepared, config) == 1:
             raise EpisodeAbort("test_abort")
@@ -573,7 +589,7 @@ def test_dead_worker_fails_the_run(monkeypatch):
     two_workers(monkeypatch)
     real_finish = harness.finish_episode
 
-    def finish(prepared, bank, config, diag=None):
+    def finish(prepared, bank, config, diag):
         if task_index(prepared, config) == 15:
             os._exit(3)
         return real_finish(prepared, bank, config, diag)
@@ -629,10 +645,10 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
     real_prepare = harness.prepare_episode
     cfg = small_config(**{"n_tasks": "200"})
     second = harness.chunk_plan(
-        cfg.n_tasks, harness.stack_width(cfg.n_ways, cfg.synthetic.dim))[1]
+        cfg.n_tasks, harness.stack_width(cfg, cfg.synthetic.dim))[1]
     broken = {second.start + 2: "nan_head", second.start + 5: "zero_row"}
 
-    def prepare(emb, config, rng, diag=None):
+    def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
         how = broken.get(prepare.calls % config.n_tasks)
         prepare.calls += 1
@@ -768,13 +784,13 @@ def test_abort_cap_stops_the_run_early(tmp_path, monkeypatch):
 def test_aborted_episodes_excluded(monkeypatch):
     real_prepare = harness.prepare_episode
 
-    def fake_prepare(emb, config, rng, diag=None):
+    def fake_prepare(emb, config, rng, diag):
         fake_prepare.calls += 1
         if fake_prepare.calls - 1 == 5:
             raise EpisodeAbort("synthetic_test_abort")
         return real_prepare(emb, config, rng, diag)
 
-    def fake_finish(prepared, bank, config, diag=None):
+    def fake_finish(prepared, bank, config, diag):
         fake_finish.calls += 1
         return float((fake_finish.calls - 1) % 2)
 

@@ -272,6 +272,15 @@ def test_fused_step_matches_public_functions():
             np.testing.assert_array_equal(fused_grad[j], alone[0])
 
 
+def _train_alone(head, feats, labels, weights, epochs, lr, rng):
+    """One bank trained in a stack of one, as `train_prototypes` trains
+    it: its bank or abort, and its per-epoch losses."""
+    trajectory = []
+    result, = train_prototype_banks([head], [feats], [labels], weights,
+                                    epochs, lr, [rng], [trajectory])
+    return result, trajectory
+
+
 def _batched_against_alone(instances, seeds, weights, epochs, lr):
     """Train `instances` in one stack and each alone; every bank must get
     the same loss trajectory and the same bits or the same abort.
@@ -284,18 +293,15 @@ def _batched_against_alone(instances, seeds, weights, epochs, lr):
     reasons = []
     for (_, head, f, lab), seed, got, traj in zip(instances, seeds, batched,
                                                   trajectories):
-        alone_traj = []
-        try:
-            alone = train_prototypes(head, f, lab, weights, epochs, lr,
-                                     np.random.default_rng(seed), alone_traj)
-        except EpisodeAbort as abort:
+        alone, alone_traj = _train_alone(head, f, lab, weights, epochs, lr,
+                                         np.random.default_rng(seed))
+        assert traj == alone_traj
+        if isinstance(alone, EpisodeAbort):
             assert isinstance(got, EpisodeAbort)
-            assert str(got) == str(abort)
-            assert traj == alone_traj
-            reasons.append(str(abort))
+            assert str(got) == str(alone)
+            reasons.append(str(alone))
             continue
         np.testing.assert_array_equal(got.protos, alone.protos)
-        assert traj == alone_traj
         reasons.append(None)
     return reasons
 
@@ -426,15 +432,12 @@ def test_grad_overflow_aborts_serial_and_batched():
         1e-2, [np.random.default_rng(30 + j) for j in range(3)])
     reasons = []
     for j, (_, head, f, lab) in enumerate(instances):
-        traj = []
-        try:
-            alone = train_prototypes(head, f, lab, LossWeights(), 200,
-                                     1e-2, np.random.default_rng(30 + j),
-                                     trajectory=traj)
-        except EpisodeAbort as abort:
-            assert str(batched[j]) == str(abort)
+        alone, traj = _train_alone(head, f, lab, LossWeights(), 200, 1e-2,
+                                   np.random.default_rng(30 + j))
+        if isinstance(alone, EpisodeAbort):
+            assert str(batched[j]) == str(alone)
             assert len(traj) == 200 and np.all(np.isfinite(traj))
-            reasons.append(abort.reason)
+            reasons.append(alone.reason)
             continue
         np.testing.assert_array_equal(batched[j].protos, alone.protos)
         reasons.append(None)
@@ -470,9 +473,8 @@ def test_train_deterministic():
 def test_train_records_trajectory():
     rng = np.random.default_rng(12)
     protos, head, feats, labels = random_instance(rng)
-    traj = []
-    train_prototypes(head, feats, labels, LossWeights(), 40, 1e-2,
-                     np.random.default_rng(0), trajectory=traj)
+    _, traj = _train_alone(head, feats, labels, LossWeights(), 40, 1e-2,
+                           np.random.default_rng(0))
     assert len(traj) == 40
     assert all(np.isfinite(traj))
 
@@ -490,9 +492,8 @@ def test_trajectory_non_increasing_after_warmup():
     support, _ = build_task_graph(ep.support_x, ep.query_x, 10, 1.0, 3)
     aug = manifold_augment(support, ep.support_y, 5, rng)
     head = train_head(aug, 11, 1e-2, rng)
-    traj = []
-    train_prototypes(head, support, ep.support_y, LossWeights(0.1, 1.0),
-                     1000, 1e-2, rng, trajectory=traj)
+    _, traj = _train_alone(head, support, ep.support_y, LossWeights(0.1, 1.0),
+                           1000, 1e-2, rng)
     arr = np.asarray(traj)
     jumps = arr[51:] - arr[50:-1]
     assert jumps.max() <= 1e-4
