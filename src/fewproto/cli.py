@@ -6,11 +6,9 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .embeddings import generate_synthetic, save_embedding_set
-from .harness import (SOURCES, RunConfig, RunError, emit_report, flat_fields,
-                      load_config_file, run_eval)
+from .embeddings import save_embedding_set
+from .harness import (SOURCES, RunConfig, RunError, _resolve_pool, emit_report,
+                      flat_fields, load_config_file, run_eval)
 from .verification import run_gradcheck_suite
 
 
@@ -32,14 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=f.metadata["choices"], help=f.metadata["help"])
     ev.add_argument("--out", help="report path (JSON)")
 
-    sy = sub.add_parser("synth", help="write a synthetic embedding file")
-    sy.add_argument("--out", required=True)
-    sy.add_argument("--classes", type=int, required=True)
-    sy.add_argument("--per-class", type=int, required=True)
-    sy.add_argument("--dim", type=int, required=True)
-    sy.add_argument("--mean-scale", type=float, required=True)
-    sy.add_argument("--sigma", type=float, required=True)
-    sy.add_argument("--seed", type=int, default=0)
+    sy = sub.add_parser("synth", help="write the pool eval --synthetic reads")
+    sy.add_argument("--out", required=True, help="embedding file path")
+    sy.add_argument("--synthetic", required=True, metavar="synthetic")
+    sy.add_argument("--seed", default=0, metavar="seed")
 
     gc = sub.add_parser("gradcheck",
                         help="finite-difference check of analytic gradients")
@@ -66,13 +60,17 @@ def eval_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _check_out(path: str | None) -> None:
+    """An output with nowhere to go fails before the work, not after it."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise RunError(f"--out {path}: its directory does not exist")
+    if path and os.path.isdir(path):
+        raise RunError(f"--out {path}: is a directory, not a file path")
+
+
 def _eval_command(args: argparse.Namespace) -> int:
     config = eval_config(args)
-    # A report with nowhere to go fails before the run, not after it.
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise RunError(f"--out {args.out}: its directory does not exist")
-    if args.out and os.path.isdir(args.out):
-        raise RunError(f"--out {args.out}: is a directory, not a file path")
+    _check_out(args.out)
     report = run_eval(config)
     if args.out:
         emit_report(report, args.out)
@@ -82,9 +80,11 @@ def _eval_command(args: argparse.Namespace) -> int:
 
 
 def _synth_command(args: argparse.Namespace) -> int:
-    emb = generate_synthetic(args.classes, args.per_class, args.dim,
-                             args.mean_scale, args.sigma,
-                             np.random.default_rng(args.seed))
+    config = RunConfig.from_flat({"synthetic": args.synthetic,
+                                  "seed": args.seed})
+    config.validate()
+    _check_out(args.out)
+    emb = _resolve_pool(config)
     save_embedding_set(emb, args.out)
     print(f"wrote {emb.n_records} records, {emb.n_classes} classes, "
           f"dim {emb.dim} to {args.out}")

@@ -82,13 +82,16 @@ def run_gradcheck_suite(trials: int = 100, tolerance: float = 1e-4,
 
     The composite-loss weights cycle through the defaults (0.1, 1.0) and
     five random pairs drawn once per suite run. Raises ValueError naming
-    `trials` below 1 or a `tolerance` that is not finite and positive:
-    either would let the gate pass or fail without checking anything.
+    `trials` below 1, a `tolerance` that is not finite and positive, or
+    a negative `seed`. Either of the first two would let the gate pass
+    or fail without checking anything.
     """
     if trials < 1:
         raise ValueError(f"trials={trials!r} must be >= 1")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance={tolerance!r} must be finite and > 0")
+    if seed < 0:
+        raise ValueError(f"seed={seed!r} must be >= 0")
     rng = np.random.default_rng(seed)
     weight_pairs = [LossWeights(0.1, 1.0)]
     weight_pairs += [LossWeights(*rng.uniform(0.0, 2.0, size=2))

@@ -231,6 +231,18 @@ def test_classify_rejects_zero_prototype():
         classify_batch(np.ones((1, 2)), protos, None, use_mask=False)
 
 
+def test_classify_masked_without_masks_raises():
+    with pytest.raises(ValueError, match="use_mask=True requires masks"):
+        classify_batch(np.ones((1, 2)), bank_from([[1.0, 0.0]]), None,
+                       use_mask=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_masks_reject_nonfinite_prototypes(bad):
+    with pytest.raises(ValueError, match="prototypes must be finite"):
+        build_masks(bank_from([[1.0, 0.0], [0.5, bad]]), scale=0.1)
+
+
 def test_classify_batch_matches_single():
     rng = np.random.default_rng(6)
     protos = bank_from(rng.normal(size=(5, 8)))

@@ -39,8 +39,19 @@ def test_eval_out_that_is_a_directory_fails_before_the_run(
     assert "--out" in err and str(tmp_path) in err
 
 
-SYNTH = ["synth", "--out", "{tmp}/pool.emb", "--classes", "6", "--per-class",
-         "9", "--dim", "12", "--mean-scale", "4.0", "--sigma", "0.5"]
+def test_synth_out_that_is_a_directory_fails_before_the_pool(
+        tmp_path, capsys, monkeypatch):
+    def resolve_pool(config):
+        raise AssertionError("pool built")
+
+    monkeypatch.setattr(cli, "_resolve_pool", resolve_pool)
+    assert main(["synth", "--out", str(tmp_path), "--synthetic",
+                 "6,20,8,8.0,0.2"]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(tmp_path) in err
+
+
+SYNTH = ["synth", "--out", "{tmp}/pool.emb", "--synthetic"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -51,13 +62,14 @@ SYNTH = ["synth", "--out", "{tmp}/pool.emb", "--classes", "6", "--per-class",
     (["gradcheck", "--trials", "2", "--tolerance", "0"], "tolerance=0.0"),
     (["gradcheck", "--trials", "2", "--tolerance=-1e-4"],
      "tolerance=-0.0001"),
-    (SYNTH[:3] + ["--classes", "0"] + SYNTH[5:], "n_classes=0 must be >= 1"),
-    (SYNTH[:5] + ["--per-class", "0"] + SYNTH[7:],
-     "per_class=0 must be >= 1"),
-    (SYNTH[:7] + ["--dim", "0"] + SYNTH[9:], "dim=0 must be >= 1"),
+    (SYNTH + ["0,9,12,4.0,0.5"], "n_classes=0 must be >= 1"),
+    (SYNTH + ["6,0,12,4.0,0.5"], "per_class=0 must be >= 1"),
+    (SYNTH + ["6,9,0,4.0,0.5"], "dim=0 must be >= 1"),
     (["eval", "--config", "{tmp}/bad.cfg"], "bad.cfg:1: expected key = value"),
     (["eval", "--data", "{tmp}/short.emb"],
      "truncated header (byte offset 10)"),
+    (["gradcheck", "--trials", "2", "--seed", "-1"], "seed=-1 must be >= 0"),
+    (SYNTH + ["6,9,12,4.0,0.5", "--seed", "-1"], "seed=-1 must be >= 0"),
 ])
 def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
                                              message):
@@ -70,8 +82,7 @@ def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
 
 def test_synth_writes_loadable_file(tmp_path, capsys):
     path = tmp_path / "pool.emb"
-    rc = main(["synth", "--out", str(path), "--classes", "6", "--per-class",
-               "9", "--dim", "12", "--mean-scale", "4.0", "--sigma", "0.5",
+    rc = main(["synth", "--out", str(path), "--synthetic", "6,9,12,4.0,0.5",
                "--seed", "3"])
     assert rc == 0
     assert "6 classes" in capsys.readouterr().out
@@ -80,10 +91,30 @@ def test_synth_writes_loadable_file(tmp_path, capsys):
     assert emb.dim == 12
 
 
+@pytest.mark.parametrize("strategy", ["mean", "trained"])
+def test_synth_pool_is_the_pool_eval_synthetic_reads(tmp_path, capsys,
+                                                     strategy):
+    spec, seed, pool = "8,12,16,3.0,1.5", "7", tmp_path / "pool.emb"
+    assert main(["synth", "--out", str(pool), "--synthetic", spec,
+                 "--seed", seed]) == 0
+    run = ["--ways", "3", "--shots", "2", "--queries", "4", "--tasks", "8",
+           "--seed", seed, "--proto", strategy, "--proto-epochs", "60",
+           "--top-m", "4"]
+    reports = []
+    for source in (["--data", str(pool)], ["--synthetic", spec]):
+        out = tmp_path / "report.json"
+        assert main(["eval", *source, *run, "--out", str(out)]) == 0
+        reports.append(load_report(out))
+    from_file, inline = reports
+    assert from_file.per_task_accuracy == inline.per_task_accuracy
+    assert from_file.diagnostics == inline.diagnostics
+    capsys.readouterr()
+
+
 def test_eval_from_file_writes_report(tmp_path, capsys):
     pool = tmp_path / "pool.emb"
-    main(["synth", "--out", str(pool), "--classes", "6", "--per-class", "20",
-          "--dim", "8", "--mean-scale", "8.0", "--sigma", "0.2", "--seed", "1"])
+    main(["synth", "--out", str(pool), "--synthetic", "6,20,8,8.0,0.2",
+          "--seed", "1"])
     out = tmp_path / "report.json"
     rc = main(["eval", "--data", str(pool), "--ways", "3", "--shots", "2",
                "--queries", "4", "--tasks", "4", "--seed", "9",
@@ -132,8 +163,7 @@ def test_eval_flags_reach_the_config(tmp_path, capsys):
     # the report's config echo under its config key.
     from fewproto.harness import RunConfig
     pool = tmp_path / "pool.emb"
-    main(["synth", "--out", str(pool), "--classes", "5", "--per-class",
-          "12", "--dim", "8", "--mean-scale", "6.0", "--sigma", "0.3"])
+    main(["synth", "--out", str(pool), "--synthetic", "5,12,8,6.0,0.3"])
     flags = [
         ("--ways", "n_ways", 3), ("--shots", "k_shots", 2),
         ("--queries", "n_queries", 3), ("--tasks", "n_tasks", 2),
@@ -186,18 +216,16 @@ def test_eval_rejects_out_of_range_synthetic_spec(capsys):
 
 @pytest.mark.parametrize("form, value, name", [
     ("eval", "1e300", "mean_scale"), ("synth", "1e300", "mean_scale"),
-    ("synth", "nan", "noise_sigma")])
+    ("synth", "nan", "synthetic.sigma")])
 def test_synthetic_pool_beyond_float32_names_its_parameter(
         tmp_path, capsys, form, value, name):
     out = tmp_path / "pool.emb"
+    spec = (f"6,30,8,{value},0.1" if name == "mean_scale"
+            else f"6,30,8,1.0,{value}")
     if form == "eval":
-        argv = ["eval", "--synthetic", f"6,30,8,{value},0.1", "--tasks", "2"]
-    elif name == "mean_scale":
-        argv = ["synth", "--out", str(out), "--classes", "6", "--per-class",
-                "30", "--dim", "8", "--mean-scale", value, "--sigma", "0.1"]
+        argv = ["eval", "--synthetic", spec, "--tasks", "2"]
     else:
-        argv = ["synth", "--out", str(out), "--classes", "6", "--per-class",
-                "30", "--dim", "8", "--mean-scale", "1.0", "--sigma", value]
+        argv = ["synth", "--out", str(out), "--synthetic", spec]
     assert main(argv) == 2
     assert f"{name}=" in capsys.readouterr().err
     assert not out.exists()
@@ -206,9 +234,8 @@ def test_synthetic_pool_beyond_float32_names_its_parameter(
 def test_synthetic_records_beyond_float32_name_both_scales(tmp_path, capsys):
     # Each scale fits float32, but their sum does not.
     out = tmp_path / "pool.emb"
-    assert main(["synth", "--out", str(out), "--classes", "6", "--per-class",
-                 "30", "--dim", "8", "--mean-scale", "3e38",
-                 "--sigma", "1e38"]) == 2
+    assert main(["synth", "--out", str(out), "--synthetic",
+                 "6,30,8,3e38,1e38"]) == 2
     err = capsys.readouterr().err
     assert "mean_scale=3e+38" in err and "noise_sigma=1e+38" in err
     assert not out.exists()
@@ -224,7 +251,7 @@ def test_readme_config_example_is_valid(tmp_path):
     RunConfig.from_flat(flat).validate()
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path, capsys):
     commands = []
     for block in re.findall(r"```sh\n(.*?)```", README, re.S):
         for line in block.replace("\\\n", " ").splitlines():
@@ -235,6 +262,11 @@ def test_readme_commands_parse():
         args = build_parser().parse_args(argv)
         if args.command == "eval":
             eval_config(args).validate()
+        if args.command == "synth":  # run it, writing under tmp_path
+            out = tmp_path / args.out
+            assert main([*argv, "--out", str(out)]) == 0
+            assert load_embedding_set(out).n_records == 20 * 50
+    capsys.readouterr()
 
 
 def test_gradcheck_passes(capsys):

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -220,6 +221,27 @@ def test_save_rejects_nonfinite_before_writing(tmp_path):
     assert not path.exists()
 
 
+def test_save_onto_a_directory_removes_its_part_file(tmp_path):
+    target = tmp_path / "pool.emb"
+    target.mkdir()
+    (target / "kept").write_text("x")
+    with pytest.raises(IsADirectoryError):
+        save_embedding_set(make_set(np.random.default_rng(18)), target)
+    assert not list(tmp_path.glob("*.part"))
+    assert [p.name for p in target.iterdir()] == ["kept"]
+
+
+@pytest.mark.parametrize("vectors, labels, message", [
+    (np.ones(4), np.zeros(4), "vectors must be 2-D, got shape (4,)"),
+    (np.ones((3, 2)), np.zeros(2), "labels length does not match"),
+    (np.ones((3, 0)), np.zeros(3), "embedding dimension must be positive"),
+    (np.ones((3, 2)), np.array([0, -1, 2]), "class ids must be non-negative"),
+])
+def test_from_arrays_rejects_a_broken_invariant(vectors, labels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EmbeddingSet.from_arrays(vectors, labels)
+
+
 def test_save_rejects_class_id_beyond_u32(tmp_path):
     emb = EmbeddingSet.from_arrays(np.ones((2, 3), dtype=np.float32),
                                    np.array([7, 2 ** 32 + 1]))
@@ -308,6 +330,13 @@ def test_episode_deterministic_given_seed():
     np.testing.assert_array_equal(a.support_x, b.support_x)
 
 
+@pytest.mark.parametrize("shape", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+def test_episode_rejects_an_empty_shape(shape):
+    emb = make_set(np.random.default_rng(16))
+    with pytest.raises(ValueError, match="must be positive"):
+        sample_episode(emb, *shape, np.random.default_rng(0))
+
+
 def test_episode_insufficient_classes():
     rng = np.random.default_rng(14)
     emb = make_set(rng, n_classes=3, per_class=10)
@@ -370,9 +399,16 @@ def test_synthetic_nearest_mean_oracle():
     assert correct / total >= 0.99
 
 
-def test_invalid_generation_args():
-    rng = np.random.default_rng(25)
-    with pytest.raises(ValueError):
-        generate_synthetic(0, 5, 8, 1.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        generate_synthetic(2, 5, 8, 1.0, -0.1, rng)
+@pytest.mark.parametrize("args, message", [
+    ((0, 5, 8, 1.0, 1.0), "n_classes=0 must be >= 1"),
+    ((2, 0, 8, 1.0, 1.0), "per_class=0 must be >= 1"),
+    ((2, 5, 0, 1.0, 1.0), "dim=0 must be >= 1"),
+    ((2, 5, 8, 1.0, -0.1), "noise_sigma must be non-negative"),
+    ((2, 5, 8, 1.0, np.nan), "noise_sigma=nan is not a finite float32"),
+    ((2, 5, 8, 1e300, 1.0), "mean_scale=1e+300 is not a finite float32"),
+    ((6, 30, 8, 3e38, 1e38), "records of mean_scale=3e+38 plus noise of "
+     "noise_sigma=1e+38 exceed float32 range"),
+])
+def test_invalid_generation_args(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_synthetic(*args, np.random.default_rng(25))
