@@ -33,7 +33,7 @@ class AttentionMasks:
 
 
 def build_masks(protos: PrototypeBank, scale: float,
-                boost: float = 10000.0) -> AttentionMasks:
+                boost: float) -> AttentionMasks:
     """Mask row n = softmax over dimensions of scale * |proto_n|.
 
     The absolute value makes masks invariant to negating a prototype;
@@ -48,7 +48,7 @@ def build_masks(protos: PrototypeBank, scale: float,
 
 def classify_batch(queries: np.ndarray, protos: PrototypeBank,
                    masks: AttentionMasks | None, use_mask: bool,
-                   diag: Diagnostics | None = None):
+                   diag: Diagnostics):
     """Predict each row of a (n_queries, e) matrix; returns the argmax
     indices and the (n_queries, n_classes) cosine scores.
 
@@ -100,7 +100,7 @@ def classify_batch(queries: np.ndarray, protos: PrototypeBank,
     safe = np.where(norms == 0.0, 1.0, norms)
     scores = np.clip(dots / safe, -1.0, 1.0).T
     zero_q = query_norms == 0.0
-    if zero_q.any() and diag is not None:
+    if zero_q.any():
         diag.record("zero_query", int(zero_q.sum()))
     return np.argmax(scores, axis=1), scores
 

@@ -20,7 +20,7 @@ from .diagnostics import Diagnostics, EpisodeAbort
 from .optim import row_norms
 
 
-def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarray:
+def build_similarity(v: np.ndarray, diag: Diagnostics) -> np.ndarray:
     """Dense pairwise cosine matrix clamped to [-1, 1], with zero diagonal,
     exactly symmetric.
 
@@ -36,8 +36,7 @@ def build_similarity(v: np.ndarray, diag: Diagnostics | None = None) -> np.ndarr
     v, norms = row_norms(v)
     zero = norms == 0.0
     if zero.any():
-        if diag is not None:
-            diag.record("zero_vector_cosine", int(zero.sum()))
+        diag.record("zero_vector_cosine", int(zero.sum()))
         norms = np.where(zero, 1.0, norms)
     unit = v / norms[:, None]
     s = np.clip(unit @ unit.T, -1.0, 1.0)
@@ -88,8 +87,7 @@ def sparsify_top_m(s: np.ndarray, m: int) -> np.ndarray:
     return np.where(keep, s, 0.0)
 
 
-def normalize_adjacency(s: np.ndarray,
-                        diag: Diagnostics | None = None) -> np.ndarray:
+def normalize_adjacency(s: np.ndarray, diag: Diagnostics) -> np.ndarray:
     """Symmetric degree normalization D^{-1/2} S D^{-1/2}.
 
     Degrees are the row sums of the sparsified similarity. Negative
@@ -100,7 +98,7 @@ def normalize_adjacency(s: np.ndarray,
     s = np.asarray(s, dtype=np.float64)
     degrees = s.sum(axis=1)
     usable = degrees > 0.0
-    if not usable.all() and diag is not None:
+    if not usable.all():
         diag.record("isolated_vertex", int((~usable).sum()))
     inv_sqrt = np.zeros_like(degrees)
     inv_sqrt[usable] = 1.0 / np.sqrt(degrees[usable])
@@ -128,8 +126,7 @@ def propagate(v: np.ndarray, adjacency: np.ndarray,
 
 
 def build_task_graph(support_x: np.ndarray, query_x: np.ndarray, m: int,
-                     self_weight: float, rounds: int,
-                     diag: Diagnostics | None = None
+                     self_weight: float, rounds: int, diag: Diagnostics
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Run the full graph stage for one episode's features.
 

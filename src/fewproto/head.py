@@ -108,8 +108,7 @@ def init_head(n_classes: int, dim: int, rng: np.random.Generator) -> LinearHead:
 
 
 def train_head(aug: AugmentedSupport, epochs: int, lr: float,
-               rng: np.random.Generator,
-               diag: Diagnostics | None = None) -> LinearHead:
+               rng: np.random.Generator, diag: Diagnostics) -> LinearHead:
     """Full-batch Adam (in-place `adam_step`) on the head's cross-entropy.
 
     Raises EpisodeAbort on a non-finite loss, and after training on an
@@ -138,7 +137,7 @@ def train_head(aug: AugmentedSupport, epochs: int, lr: float,
                                               aug.features, aug.labels)
             if not np.isfinite(loss):
                 raise EpisodeAbort("head_loss_diverged", f"loss={loss}")
-            if loss > prev + LOSS_INCREASE_SLACK and diag is not None:
+            if loss > prev + LOSS_INCREASE_SLACK:
                 diag.record("head_loss_increase")
             prev = loss
             adam_step(state_w, head.weights, gw, scratch_w)

@@ -54,10 +54,10 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    lr: float = 1e-3
+    lr: float
 
     @classmethod
-    def fresh(cls, shape, lr: float = 1e-3) -> "AdamState":
+    def fresh(cls, shape, lr: float) -> "AdamState":
         return cls(step=0, m=np.zeros(shape), v=np.zeros(shape), lr=lr)
 
 

@@ -45,8 +45,8 @@ class PrototypeBank:
 class LossWeights:
     """Non-negative weights for the entropy and classification terms."""
 
-    entropy_weight: float = 0.1
-    class_weight: float = 1.0
+    entropy_weight: float
+    class_weight: float
 
     def __post_init__(self):
         if not (np.isfinite(self.entropy_weight) and np.isfinite(self.class_weight)):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .harness import ProtoConfig
 from .head import LinearHead, head_loss_and_grad
 from .optim import grad_check
 from .prototypes import (LossWeights, _step_loss_and_grad, _Workspace,
@@ -76,11 +77,11 @@ def check_proto_gradient(protos, head, feats, labels,
     return grad_check(loss_fn, grad_fn, protos.ravel())
 
 
-def run_gradcheck_suite(trials: int = 100, tolerance: float = 1e-4,
-                        seed: int = 0) -> GradCheckReport:
+def run_gradcheck_suite(trials: int, tolerance: float,
+                        seed: int) -> GradCheckReport:
     """Run `trials` random instances of every gradient check.
 
-    The composite-loss weights cycle through the defaults (0.1, 1.0) and
+    The composite-loss weights cycle through `ProtoConfig`'s defaults and
     five random pairs drawn once per suite run. Raises ValueError naming
     `trials` below 1, a `tolerance` that is not finite and positive, or
     a negative `seed`. Either of the first two would let the gate pass
@@ -93,7 +94,8 @@ def run_gradcheck_suite(trials: int = 100, tolerance: float = 1e-4,
     if seed < 0:
         raise ValueError(f"seed={seed!r} must be >= 0")
     rng = np.random.default_rng(seed)
-    weight_pairs = [LossWeights(0.1, 1.0)]
+    proto = ProtoConfig()
+    weight_pairs = [LossWeights(proto.entropy_weight, proto.class_weight)]
     weight_pairs += [LossWeights(*rng.uniform(0.0, 2.0, size=2))
                      for _ in range(5)]
     report = GradCheckReport(trials=trials, tolerance=tolerance)

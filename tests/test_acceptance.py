@@ -18,6 +18,7 @@ import numpy as np
 
 from fewproto import harness
 from fewproto.classify import build_masks, classify_batch
+from fewproto.diagnostics import Diagnostics
 from fewproto.embeddings import generate_synthetic, sample_episode
 from fewproto.graph import (build_similarity, normalize_adjacency, propagate,
                             sparsify_top_m)
@@ -87,10 +88,10 @@ def test_graph_oracle_equivalence():
         rounds = int(rng.integers(0, 4))
         sw = float(rng.uniform(0.3, 1.2))
 
-        dense = build_similarity(v)
+        dense = build_similarity(v, Diagnostics())
         kept = sparsify_top_m(dense, m)
         worst = max(worst, np.abs(kept - dense_sparsify_oracle(dense, m)).max())
-        adjacency = normalize_adjacency(kept)
+        adjacency = normalize_adjacency(kept, Diagnostics())
         worst = max(worst, np.abs(
             adjacency - dense_normalize_oracle(kept)).max())
         out = propagate(v, adjacency, sw, rounds)
@@ -204,8 +205,10 @@ def test_mask_neutrality_at_zero_scale():
         ep = sample_episode(pool, 5, 3, 10, np.random.default_rng(seed))
         bank = mean_prototypes(ep.support_x, ep.support_y)
         masks = build_masks(bank, scale=0.0, boost=10000.0)
-        masked, _ = classify_batch(ep.query_x, bank, masks, use_mask=True)
-        plain, _ = classify_batch(ep.query_x, bank, None, use_mask=False)
+        masked, _ = classify_batch(ep.query_x, bank, masks, use_mask=True,
+                                   diag=Diagnostics())
+        plain, _ = classify_batch(ep.query_x, bank, None, use_mask=False,
+                                  diag=Diagnostics())
         mismatches += int(np.sum(masked != plain))
         queries_seen += ep.query_x.shape[0]
     announce(mismatches == 0, "mask neutrality at zero scale",

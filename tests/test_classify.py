@@ -18,18 +18,20 @@ def bank_from(rows):
 
 def test_masks_zero_prototype_row_uniform():
     masks = build_masks(bank_from([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]),
-                        scale=2.5)
+                        scale=2.5, boost=1e4)
     np.testing.assert_allclose(masks.masks[0], np.full(4, 0.25), atol=1e-15)
 
 
 def test_masks_zero_scale_uniform():
     rng = np.random.default_rng(0)
-    masks = build_masks(bank_from(rng.normal(size=(3, 8))), scale=0.0)
+    masks = build_masks(bank_from(rng.normal(size=(3, 8))), scale=0.0,
+                        boost=1e4)
     np.testing.assert_allclose(masks.masks, np.full((3, 8), 0.125), atol=1e-15)
 
 
 def test_masks_scalar_softmax_oracle():
-    masks = build_masks(bank_from([[10.0, 0.0, 0.0, 0.0]]), scale=1.0)
+    masks = build_masks(bank_from([[10.0, 0.0, 0.0, 0.0]]), scale=1.0,
+                        boost=1e4)
     e = [math.exp(10.0), 1.0, 1.0, 1.0]
     want = np.array(e) / sum(e)
     np.testing.assert_allclose(masks.masks[0], want, atol=1e-12)
@@ -42,13 +44,13 @@ def test_masks_rows_sum_to_one_and_negation_invariant():
     for _ in range(20):
         protos = rng.normal(size=(5, 12))
         scale = rng.uniform(0.0, 3.0)
-        masks = build_masks(bank_from(protos), scale=scale)
+        masks = build_masks(bank_from(protos), scale=scale, boost=1e4)
         np.testing.assert_allclose(masks.masks.sum(axis=1), np.ones(5),
                                    atol=1e-12)
         assert np.all(masks.masks > 0)
         flipped = protos.copy()
         flipped[2] *= -1.0
-        again = build_masks(bank_from(flipped), scale=scale)
+        again = build_masks(bank_from(flipped), scale=scale, boost=1e4)
         np.testing.assert_allclose(again.masks, masks.masks, atol=1e-15)
 
 
@@ -57,8 +59,10 @@ def test_correct_query_zero_boost():
     protos = bank_from(rng.normal(size=(3, 6)))
     queries = rng.normal(size=(10, 6))
     masks = AttentionMasks(masks=np.full((3, 6), 1 / 6), boost=0.0)
-    _, masked = classify_batch(queries, protos, masks, use_mask=True)
-    _, plain = classify_batch(queries, protos, None, use_mask=False)
+    _, masked = classify_batch(queries, protos, masks, use_mask=True,
+                               diag=Diagnostics())
+    _, plain = classify_batch(queries, protos, None, use_mask=False,
+                              diag=Diagnostics())
     np.testing.assert_array_equal(masked, plain)
 
 
@@ -68,8 +72,10 @@ def test_correct_query_uniform_mask_doubles():
     protos = bank_from(np.random.default_rng(3).normal(size=(2, 4)))
     q = np.array([[1.0, -2.0, 3.0, 0.5]])
     masks = AttentionMasks(masks=np.full((2, 4), 0.25), boost=4.0)
-    _, masked = classify_batch(q, protos, masks, use_mask=True)
-    _, doubled = classify_batch(2.0 * q, protos, None, use_mask=False)
+    _, masked = classify_batch(q, protos, masks, use_mask=True,
+                               diag=Diagnostics())
+    _, doubled = classify_batch(2.0 * q, protos, None, use_mask=False,
+                                diag=Diagnostics())
     np.testing.assert_array_equal(masked, doubled)
 
 
@@ -82,7 +88,7 @@ def test_correct_query_matches_elementwise_oracle():
         masks = AttentionMasks(masks=raw / raw.sum(axis=1, keepdims=True),
                                boost=rng.uniform(0.0, 1e4))
         _, scores = classify_batch(queries, bank_from(protos), masks,
-                                   use_mask=True)
+                                   use_mask=True, diag=Diagnostics())
         for i, q in enumerate(queries):
             for c, p in enumerate(protos):
                 corrected = np.array([masks.boost * q[d] * masks.masks[c, d]
@@ -117,10 +123,11 @@ def test_classify_matches_per_class_oracle(n_ways, dim, scale, use_mask):
     rng = np.random.default_rng([n_ways, dim, int(10 * scale)])
     for _ in range(5):
         protos = bank_from(rng.normal(0.0, 10.0, size=(n_ways, dim)))
-        masks = build_masks(protos, scale)
+        masks = build_masks(protos, scale, 1e4)
         queries = rng.normal(0.0, 10.0, size=(15 * n_ways, dim))
         queries[7] = 0.0
-        pred, scores = classify_batch(queries, protos, masks, use_mask)
+        pred, scores = classify_batch(queries, protos, masks, use_mask,
+                                      Diagnostics())
         want = per_class_scores(queries, protos, masks, use_mask)
         np.testing.assert_array_equal(scores, want)
         np.testing.assert_array_equal(pred, np.argmax(want, axis=1))
@@ -137,11 +144,12 @@ def test_classify_predictions_ignore_query_rescaling(seed, use_mask, scale,
     # scores are within rounding of each other may flip and are skipped.
     rng = np.random.default_rng(seed)
     protos = bank_from(rng.normal(0.0, 10.0, size=(5, 16)))
-    masks = build_masks(protos, scale)
+    masks = build_masks(protos, scale, 1e4)
     queries = rng.normal(0.0, 10.0, size=(30, 16))
-    base, scores = classify_batch(queries, protos, masks, use_mask)
+    base, scores = classify_batch(queries, protos, masks, use_mask,
+                                  Diagnostics())
     scaled, _ = classify_batch(queries * np.array(factors)[:, None], protos,
-                               masks, use_mask)
+                               masks, use_mask, Diagnostics())
     top_two = np.sort(scores, axis=1)[:, -2:]
     clear = top_two[:, 1] - top_two[:, 0] > 1e-9
     np.testing.assert_array_equal(scaled[clear], base[clear])
@@ -161,8 +169,9 @@ def test_classify_zero_scale_masks_keep_unmasked_predictions(seed, n_ways,
     protos = bank_from(rng.normal(0.0, 10.0, size=(n_ways, dim)))
     queries = rng.normal(0.0, 10.0, size=(30, dim))
     masked, _ = classify_batch(queries, protos,
-                               build_masks(protos, 0.0, boost), True)
-    plain, scores = classify_batch(queries, protos, None, False)
+                               build_masks(protos, 0.0, boost), True,
+                               Diagnostics())
+    plain, scores = classify_batch(queries, protos, None, False, Diagnostics())
     top_two = np.sort(scores, axis=1)[:, -2:]
     clear = top_two[:, 1] - top_two[:, 0] > 1e-9
     np.testing.assert_array_equal(masked[clear], plain[clear])
@@ -171,7 +180,7 @@ def test_classify_zero_scale_masks_keep_unmasked_predictions(seed, n_ways,
 def test_classify_query_equal_to_prototype():
     protos = bank_from(np.eye(4))
     pred, scores = classify_batch(np.eye(4)[2:3], protos, None,
-                                  use_mask=False)
+                                  use_mask=False, diag=Diagnostics())
     assert pred[0] == 2
     assert scores[0, 2] == pytest.approx(1.0, abs=1e-15)
 
@@ -180,8 +189,10 @@ def test_classify_masked_keeps_aligned_query():
     protos = bank_from(np.eye(4) * 3.0)
     masks = build_masks(protos, scale=1.0, boost=10000.0)
     query = np.eye(4)[2:3]
-    unmasked, _ = classify_batch(query, protos, None, use_mask=False)
-    masked, _ = classify_batch(query, protos, masks, use_mask=True)
+    unmasked, _ = classify_batch(query, protos, None, use_mask=False,
+                                 diag=Diagnostics())
+    masked, _ = classify_batch(query, protos, masks, use_mask=True,
+                               diag=Diagnostics())
     assert unmasked[0] == masked[0] == 2
 
 
@@ -190,20 +201,23 @@ def test_classify_uniform_masks_match_unmasked():
     protos = bank_from(rng.normal(size=(5, 16)))
     masks = build_masks(protos, scale=0.0, boost=10000.0)
     queries = rng.normal(size=(200, 16))
-    pred_masked, _ = classify_batch(queries, protos, masks, use_mask=True)
-    pred_plain, _ = classify_batch(queries, protos, None, use_mask=False)
+    pred_masked, _ = classify_batch(queries, protos, masks, use_mask=True,
+                                    diag=Diagnostics())
+    pred_plain, _ = classify_batch(queries, protos, None, use_mask=False,
+                                   diag=Diagnostics())
     np.testing.assert_array_equal(pred_masked, pred_plain)
 
 
 def test_classify_scale_invariance():
     rng = np.random.default_rng(5)
     protos = bank_from(rng.normal(size=(4, 10)))
-    masks = build_masks(protos, scale=0.7)
+    masks = build_masks(protos, scale=0.7, boost=1e4)
     q = rng.normal(size=(20, 10))
     for use_mask, m in ((False, None), (True, masks)):
-        base, _ = classify_batch(q, protos, m, use_mask)
+        base, _ = classify_batch(q, protos, m, use_mask, Diagnostics())
         for factor in (0.001, 7.0, 4096.0):
-            scaled, _ = classify_batch(factor * q, protos, m, use_mask)
+            scaled, _ = classify_batch(factor * q, protos, m, use_mask,
+                                       Diagnostics())
             np.testing.assert_array_equal(scaled, base)
 
 
@@ -220,7 +234,7 @@ def test_classify_zero_query():
 def test_classify_tie_lowest_index():
     protos = bank_from([[1.0, 0.0], [0.0, 1.0]])
     pred, scores = classify_batch(np.array([[1.0, 1.0]]), protos, None,
-                                  use_mask=False)
+                                  use_mask=False, diag=Diagnostics())
     assert scores[0, 0] == scores[0, 1]
     assert pred[0] == 0
 
@@ -228,29 +242,32 @@ def test_classify_tie_lowest_index():
 def test_classify_rejects_zero_prototype():
     protos = bank_from([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        classify_batch(np.ones((1, 2)), protos, None, use_mask=False)
+        classify_batch(np.ones((1, 2)), protos, None, use_mask=False,
+                       diag=Diagnostics())
 
 
 def test_classify_masked_without_masks_raises():
     with pytest.raises(ValueError, match="use_mask=True requires masks"):
         classify_batch(np.ones((1, 2)), bank_from([[1.0, 0.0]]), None,
-                       use_mask=True)
+                       use_mask=True, diag=Diagnostics())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_masks_reject_nonfinite_prototypes(bad):
     with pytest.raises(ValueError, match="prototypes must be finite"):
-        build_masks(bank_from([[1.0, 0.0], [0.5, bad]]), scale=0.1)
+        build_masks(bank_from([[1.0, 0.0], [0.5, bad]]), scale=0.1, boost=1e4)
 
 
 def test_classify_batch_matches_single():
     rng = np.random.default_rng(6)
     protos = bank_from(rng.normal(size=(5, 8)))
-    masks = build_masks(protos, scale=0.3)
+    masks = build_masks(protos, scale=0.3, boost=1e4)
     queries = rng.normal(size=(40, 8))
-    preds, scores = classify_batch(queries, protos, masks, use_mask=True)
+    preds, scores = classify_batch(queries, protos, masks, use_mask=True,
+                                   diag=Diagnostics())
     for i in range(40):
-        p, s = classify_batch(queries[i:i + 1], protos, masks, use_mask=True)
+        p, s = classify_batch(queries[i:i + 1], protos, masks, use_mask=True,
+                              diag=Diagnostics())
         assert p[0] == preds[i]
         np.testing.assert_allclose(s[0], scores[i], atol=1e-15)
 
@@ -300,13 +317,13 @@ def test_classify_huge_rows_keep_their_predictions(use_mask):
     rng = np.random.default_rng(30)
     protos = rng.normal(size=(5, 16))
     queries = rng.normal(size=(40, 16))
-    masks = build_masks(bank_from(protos), scale=0.1)
+    masks = build_masks(bank_from(protos), scale=0.1, boost=1e4)
     want, want_scores = classify_batch(queries, bank_from(protos), masks,
-                                       use_mask)
+                                       use_mask, Diagnostics())
     for q_scale, p_scale in ((1e170, 1.0), (1.0, 1e200), (1e170, 1e200)):
         got, scores = classify_batch(q_scale * queries,
                                      bank_from(p_scale * protos), masks,
-                                     use_mask)
+                                     use_mask, Diagnostics())
         np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(scores, want_scores, atol=1e-12)
 
@@ -315,9 +332,10 @@ def test_classify_corrected_rows_past_norm_range():
     # The query's own norm is finite, but its corrected rows (about
     # boost * 1e152) square past float64 range. Any RuntimeWarning fails.
     protos = bank_from([[0.0, 1.0], [1.0, 0.0]])
-    masks = build_masks(protos, 0.1)
+    masks = build_masks(protos, 0.1, 1e4)
     predictions, scores = classify_batch(np.array([[1e152, 5e151]]), protos,
-                                         masks, True)
+                                         masks, True, Diagnostics())
     assert predictions.tolist() == [1]
-    _, want = classify_batch(np.array([[1.0, 0.5]]), protos, masks, True)
+    _, want = classify_batch(np.array([[1.0, 0.5]]), protos, masks, True,
+                             Diagnostics())
     np.testing.assert_allclose(scores, want, rtol=1e-15)

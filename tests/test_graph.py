@@ -22,12 +22,12 @@ def dense_power_oracle(v, adjacency, self_weight, rounds):
 
 
 def test_similarity_identical_unit_rows():
-    s = build_similarity(np.array([[0.6, 0.8], [0.6, 0.8]]))
+    s = build_similarity(np.array([[0.6, 0.8], [0.6, 0.8]]), Diagnostics())
     np.testing.assert_allclose(s, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_similarity_orthogonal_rows():
-    s = build_similarity(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    s = build_similarity(np.array([[1.0, 0.0], [0.0, 1.0]]), Diagnostics())
     np.testing.assert_array_equal(s, np.zeros((2, 2)))
 
 
@@ -35,7 +35,7 @@ def test_similarity_matches_double_loop_oracle():
     rng = np.random.default_rng(0)
     for n in (3, 5, 9):
         v = rng.normal(size=(n, 7))
-        s = build_similarity(v)
+        s = build_similarity(v, Diagnostics())
         for i in range(n):
             for j in range(n):
                 norms = np.linalg.norm(v[i]) * np.linalg.norm(v[j])
@@ -46,7 +46,7 @@ def test_similarity_matches_double_loop_oracle():
 def test_similarity_exactly_symmetric_zero_diagonal():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        s = build_similarity(rng.normal(size=(12, 5)))
+        s = build_similarity(rng.normal(size=(12, 5)), Diagnostics())
         assert np.max(np.abs(s - s.T)) == 0.0
         assert np.all(np.diag(s) == 0.0)
         assert s.min() >= -1.0 and s.max() <= 1.0
@@ -63,7 +63,7 @@ def test_similarity_zero_row_diagnostic():
 def test_sparsify_m_max_keeps_everything():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(6, 4))
-    s = build_similarity(v)  # includes negative entries
+    s = build_similarity(v, Diagnostics())  # includes negative entries
     kept = sparsify_top_m(s, 5)
     np.testing.assert_array_equal(kept, s)
 
@@ -104,7 +104,7 @@ def test_sparsify_symmetric_on_random_inputs():
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(3, 12))
-        s = build_similarity(rng.normal(size=(n, 4)))
+        s = build_similarity(rng.normal(size=(n, 4)), Diagnostics())
         m = int(rng.integers(1, n))
         kept = sparsify_top_m(s, m)
         assert np.max(np.abs(kept - kept.T)) == 0.0
@@ -146,7 +146,8 @@ def test_sparsify_matches_tie_oracle(data, n, symmetric):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sparsify_rejects_non_finite(bad):
-    s = build_similarity(np.random.default_rng(10).normal(size=(6, 4)))
+    s = build_similarity(np.random.default_rng(10).normal(size=(6, 4)),
+                         Diagnostics())
     s[4, 2] = bad
     s[5, 1] = bad
     with pytest.raises(ValueError, match="row 4, column 2"):
@@ -163,13 +164,13 @@ def test_sparsify_m_out_of_range():
 
 def test_normalize_unit_degrees():
     s = np.array([[0.0, 1.0], [1.0, 0.0]])
-    e = normalize_adjacency(s)
+    e = normalize_adjacency(s, Diagnostics())
     np.testing.assert_allclose(e, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_normalize_scaling_cancels():
     s = np.array([[0.0, 2.0], [2.0, 0.0]])
-    e = normalize_adjacency(s)
+    e = normalize_adjacency(s, Diagnostics())
     np.testing.assert_allclose(e, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
@@ -179,7 +180,7 @@ def test_normalize_matches_dense_oracle():
         raw = rng.uniform(0.1, 1.0, size=(6, 6))
         s = (raw + raw.T) / 2
         np.fill_diagonal(s, 0.0)
-        e = normalize_adjacency(s)
+        e = normalize_adjacency(s, Diagnostics())
         np.testing.assert_allclose(e, dense_normalize_oracle(s), atol=1e-12)
 
 
@@ -214,8 +215,8 @@ def test_propagate_swap_example():
 def test_propagate_matches_dense_power_oracle():
     rng = np.random.default_rng(6)
     v = rng.normal(size=(8, 5))
-    s = build_similarity(rng.normal(size=(8, 5)) + 2.0)
-    adjacency = normalize_adjacency(sparsify_top_m(s, 3))
+    s = build_similarity(rng.normal(size=(8, 5)) + 2.0, Diagnostics())
+    adjacency = normalize_adjacency(sparsify_top_m(s, 3), Diagnostics())
     out = propagate(v, adjacency, 1.0, 3)
     want = dense_power_oracle(v, adjacency, 1.0, 3)
     np.testing.assert_allclose(out, want, atol=1e-10)
@@ -225,8 +226,9 @@ def test_propagate_linearity():
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(3, 10))
-        s = build_similarity(rng.normal(size=(n, 4)) + 1.5)
-        adjacency = normalize_adjacency(sparsify_top_m(s, min(3, n - 1)))
+        s = build_similarity(rng.normal(size=(n, 4)) + 1.5, Diagnostics())
+        adjacency = normalize_adjacency(sparsify_top_m(s, min(3, n - 1)),
+                                        Diagnostics())
         v1 = rng.normal(size=(n, 6))
         v2 = rng.normal(size=(n, 6))
         a, b = rng.normal(size=2)
@@ -240,9 +242,9 @@ def test_propagate_oracle_all_small_sizes():
     rng = np.random.default_rng(8)
     for n in range(3, 13):
         feats = rng.normal(size=(n, 6)) + rng.normal(size=6)
-        s = build_similarity(feats)
+        s = build_similarity(feats, Diagnostics())
         m = int(rng.integers(1, n))
-        adjacency = normalize_adjacency(sparsify_top_m(s, m))
+        adjacency = normalize_adjacency(sparsify_top_m(s, m), Diagnostics())
         rounds = int(rng.integers(0, 5))
         sw = float(rng.uniform(0.2, 1.5))
         out = propagate(feats, adjacency, sw, rounds)
@@ -254,12 +256,13 @@ def test_task_graph_shapes_and_invariants():
     rng = np.random.default_rng(9)
     support = rng.normal(size=(10, 6)) + 1.0
     query = rng.normal(size=(30, 6)) + 1.0
-    support_feats, query_feats = build_task_graph(support, query, 5, 1.0, 3)
+    support_feats, query_feats = build_task_graph(support, query, 5, 1.0, 3,
+                                                  Diagnostics())
     assert support_feats.shape == (10, 6)
     assert query_feats.shape == (30, 6)
     v = np.vstack([support, query])
-    s = sparsify_top_m(build_similarity(v), 5)
-    adjacency = normalize_adjacency(s)
+    s = sparsify_top_m(build_similarity(v, Diagnostics()), 5)
+    adjacency = normalize_adjacency(s, Diagnostics())
     assert np.max(np.abs(adjacency - adjacency.T)) <= 1e-12
     # adjacency reconstructs from the sparsified similarity
     np.testing.assert_allclose(adjacency, dense_normalize_oracle(s),
@@ -286,7 +289,7 @@ def test_task_graph_aborts_when_aggregation_overflows():
     rng = np.random.default_rng(8)
     support, query = rng.normal(size=(6, 4)), rng.normal(size=(9, 4))
     with pytest.raises(EpisodeAbort, match="self_weight=1e\\+110") as err:
-        build_task_graph(support, query, 3, 1e110, 3)
+        build_task_graph(support, query, 3, 1e110, 3, Diagnostics())
     assert err.value.reason == "graph_overflow"
-    s, q = build_task_graph(support, query, 3, 1e100, 3)
+    s, q = build_task_graph(support, query, 3, 1e100, 3, Diagnostics())
     assert np.isfinite(s).all() and np.isfinite(q).all()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fewproto.diagnostics import EpisodeAbort
+from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.head import (AugmentedSupport, LinearHead, head_loss_and_grad,
                            head_predict, manifold_augment, train_head)
 from fewproto.optim import AdamState, adam_update, softmax
@@ -128,7 +128,7 @@ def test_train_head_separable_two_classes():
                        -base + 0.1 * rng.normal(size=(5, 8))])
     labels = np.repeat([0, 1], 5)
     aug = manifold_augment(feats, labels, 5, rng)
-    head = train_head(aug, 11, 1e-2, rng)
+    head = train_head(aug, 11, 1e-2, rng, Diagnostics())
     preds = head_predict(head, feats).argmax(axis=1)
     np.testing.assert_array_equal(preds, labels)
 
@@ -138,7 +138,7 @@ def test_train_head_identical_features_floor():
     feats = np.tile(np.array([1.0, -2.0, 0.5]), (4, 1))
     labels = np.arange(4)
     aug = manifold_augment(feats, labels, 0, np.random.default_rng(13))
-    head = train_head(aug, 50, 1e-2, np.random.default_rng(14))
+    head = train_head(aug, 50, 1e-2, np.random.default_rng(14), Diagnostics())
     loss, _, _ = head_loss_and_grad(head.weights, head.bias, feats, labels)
     assert loss >= math.log(4.0) - 1e-3
 
@@ -161,7 +161,7 @@ def test_train_head_deterministic():
     for _ in range(2):
         r = np.random.default_rng(77)
         aug = manifold_augment(feats, labels, 5, r)
-        heads.append(train_head(aug, 11, 1e-2, r))
+        heads.append(train_head(aug, 11, 1e-2, r, Diagnostics()))
     np.testing.assert_array_equal(heads[0].weights, heads[1].weights)
     np.testing.assert_array_equal(heads[0].bias, heads[1].bias)
 
@@ -174,7 +174,7 @@ def test_train_head_orthogonal_singletons():
     labels = np.arange(n)
     rng = np.random.default_rng(17)
     aug = manifold_augment(feats, labels, 3, rng)
-    head = train_head(aug, 11, 1e-2, rng)
+    head = train_head(aug, 11, 1e-2, rng, Diagnostics())
     preds = head_predict(head, feats).argmax(axis=1)
     np.testing.assert_array_equal(preds, labels)
 
@@ -184,7 +184,7 @@ def test_train_head_rejects_bad_epochs():
     labels = np.array([0, 1])
     aug = manifold_augment(feats, labels, 0, np.random.default_rng(18))
     with pytest.raises(ValueError):
-        train_head(aug, 0, 1e-2, np.random.default_rng(19))
+        train_head(aug, 0, 1e-2, np.random.default_rng(19), Diagnostics())
 
 
 @pytest.mark.parametrize("epochs, reason", [
@@ -196,7 +196,8 @@ def test_train_head_names_a_step_past_float_range(epochs, reason):
     feats = np.random.default_rng(23).normal(size=(12, 8)) * 1e-300
     aug = AugmentedSupport(features=feats, labels=np.repeat(np.arange(3), 4))
     with pytest.raises(EpisodeAbort) as caught:
-        train_head(aug, epochs, 1.7e308, np.random.default_rng(24))
+        train_head(aug, epochs, 1.7e308, np.random.default_rng(24),
+                   Diagnostics())
     assert caught.value.reason == reason
 
 
@@ -208,7 +209,7 @@ def test_train_head_matches_allocating_adam(k_shots, dim):
     feats = rng.normal(size=(5 * k_shots, dim))
     labels = np.repeat(np.arange(5), k_shots)
     aug = manifold_augment(feats, labels, 5, rng)
-    head = train_head(aug, 11, 1e-2, np.random.default_rng(22))
+    head = train_head(aug, 11, 1e-2, np.random.default_rng(22), Diagnostics())
     weights = np.random.default_rng(22).normal(0.0, 0.01, (5, dim))
     bias = np.zeros(5)
     state_w = AdamState.fresh(weights.shape, lr=1e-2)

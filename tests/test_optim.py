@@ -133,7 +133,7 @@ def test_adam_step_in_place_matches_allocating_forms():
 
 
 def test_adam_shape_mismatch():
-    state = AdamState.fresh(3)
+    state = AdamState.fresh(3, lr=1e-3)
     with pytest.raises(ValueError):
         adam_update(state, np.zeros(3), np.zeros(4))
 

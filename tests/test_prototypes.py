@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewproto import prototypes
-from fewproto.diagnostics import EpisodeAbort
+from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.head import LinearHead
 from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
                                  _Workspace, init_prototypes, loss_class,
@@ -15,6 +15,9 @@ from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
                                  mean_prototypes, train_prototype_banks,
                                  train_prototypes, validate_prototypes)
 from fewproto.verification import check_proto_gradient
+
+# The composite loss's term weights at their run defaults.
+WEIGHTS = LossWeights(0.1, 1.0)
 
 
 def manual_softmax(z):
@@ -339,7 +342,7 @@ def test_batched_abort_leaves_other_banks():
     nan_bias = random_instance(rng)
     nan_bias[1].bias[0] = np.nan
     stack[24] = nan_bias
-    reasons = _batched_against_alone(stack, seeds, LossWeights(), 60, 0.1)
+    reasons = _batched_against_alone(stack, seeds, WEIGHTS, 60, 0.1)
     assert reasons[24] == "proto_loss_diverged: loss=nan at epoch 0"
     assert reasons[:24] + reasons[25:] == [None] * 47
 
@@ -381,7 +384,7 @@ def test_bank_independent_of_its_stack(n, dim, shots, neighbours, position,
 
 @pytest.mark.parametrize("weights, huge_head_reason", [
     (LossWeights(0.0, 0.0), "proto_loss_diverged"),  # all abort in the loop
-    (LossWeights(), "proto_grad_overflow"),  # the last one after it
+    (WEIGHTS, "proto_grad_overflow"),  # the last one after it
 ])
 def test_chunk_where_every_bank_aborts(weights, huge_head_reason):
     rng = np.random.default_rng(17)
@@ -396,7 +399,7 @@ def test_chunk_where_every_bank_aborts(weights, huge_head_reason):
 
 
 def test_empty_chunk():
-    assert train_prototype_banks([], [], [], LossWeights(), 10, 0.1, [],
+    assert train_prototype_banks([], [], [], WEIGHTS, 10, 0.1, [],
                                  []) == []
 
 
@@ -410,7 +413,7 @@ def test_train_leaves_inputs_unchanged():
         before = [(h.weights.copy(), h.bias.copy(), f.copy(), lab.copy())
                   for _, h, f, lab in instances]
         train_prototype_banks(
-            list(heads), list(feats), list(labels), LossWeights(), 30, 1e-2,
+            list(heads), list(feats), list(labels), WEIGHTS, 30, 1e-2,
             [np.random.default_rng(40 + j) for j in range(n_banks)])
         for (_, h, f, lab), old in zip(instances, before):
             for arr, want in zip((h.weights, h.bias, f, lab), old):
@@ -428,11 +431,11 @@ def test_grad_overflow_aborts_serial_and_batched():
     instances[1][1].weights *= 1e300
     _, heads, feats, labels = zip(*instances)
     batched = train_prototype_banks(
-        list(heads), list(feats), list(labels), LossWeights(), 200,
+        list(heads), list(feats), list(labels), WEIGHTS, 200,
         1e-2, [np.random.default_rng(30 + j) for j in range(3)])
     reasons = []
     for j, (_, head, f, lab) in enumerate(instances):
-        alone, traj = _train_alone(head, f, lab, LossWeights(), 200, 1e-2,
+        alone, traj = _train_alone(head, f, lab, WEIGHTS, 200, 1e-2,
                                    np.random.default_rng(30 + j))
         if isinstance(alone, EpisodeAbort):
             assert str(batched[j]) == str(alone)
@@ -463,7 +466,7 @@ def test_train_deterministic():
     rng = np.random.default_rng(11)
     protos, head, feats, labels = random_instance(rng)
     banks = [
-        train_prototypes(head, feats, labels, LossWeights(), 50, 1e-2,
+        train_prototypes(head, feats, labels, WEIGHTS, 50, 1e-2,
                          np.random.default_rng(123))
         for _ in range(2)
     ]
@@ -473,7 +476,7 @@ def test_train_deterministic():
 def test_train_records_trajectory():
     rng = np.random.default_rng(12)
     protos, head, feats, labels = random_instance(rng)
-    _, traj = _train_alone(head, feats, labels, LossWeights(), 40, 1e-2,
+    _, traj = _train_alone(head, feats, labels, WEIGHTS, 40, 1e-2,
                            np.random.default_rng(0))
     assert len(traj) == 40
     assert all(np.isfinite(traj))
@@ -489,9 +492,10 @@ def test_trajectory_non_increasing_after_warmup():
     pool = generate_synthetic(20, 50, 64, 10.0, 0.1, np.random.default_rng(100))
     rng = np.random.default_rng(101)
     ep = sample_episode(pool, 5, 5, 15, rng)
-    support, _ = build_task_graph(ep.support_x, ep.query_x, 10, 1.0, 3)
+    support, _ = build_task_graph(ep.support_x, ep.query_x, 10, 1.0, 3,
+                                  Diagnostics())
     aug = manifold_augment(support, ep.support_y, 5, rng)
-    head = train_head(aug, 11, 1e-2, rng)
+    head = train_head(aug, 11, 1e-2, rng, Diagnostics())
     _, traj = _train_alone(head, support, ep.support_y, LossWeights(0.1, 1.0),
                            1000, 1e-2, rng)
     arr = np.asarray(traj)
@@ -503,7 +507,7 @@ def test_train_zero_support_row_aborts():
     head = LinearHead(weights=np.zeros((2, 3)), bias=np.zeros(2))
     feats = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(EpisodeAbort, match="zero_support_row"):
-        train_prototypes(head, feats, np.array([0, 1]), LossWeights(), 10,
+        train_prototypes(head, feats, np.array([0, 1]), WEIGHTS, 10,
                          1e-2, np.random.default_rng(1))
 
 
@@ -538,7 +542,7 @@ def test_zero_init_row_aborts_only_its_bank(monkeypatch):
     # they get alone.
     rng = np.random.default_rng(31)
     _, heads, feats, labels = zip(*(random_instance(rng) for _ in range(3)))
-    seeds, weights = (40, 41, 42), LossWeights()
+    seeds, weights = (40, 41, 42), WEIGHTS
     real_init = prototypes.init_prototypes
     drawn = []
 
@@ -573,7 +577,7 @@ def test_workspace_keeps_support_directions_beyond_norm_range(scale):
     labels = np.repeat(np.arange(5), 5)
     head = LinearHead(rng.normal(size=(5, 64)), rng.normal(size=5))
     protos = rng.normal(size=(5, 64))
-    weights = LossWeights()
+    weights = WEIGHTS
     want = _Workspace([head], [feats], [labels], weights)
     got = _Workspace([head], [scale * feats], [labels], weights)
     assert not got.zero_support.any()
