@@ -10,6 +10,7 @@ predictions coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .prototypes import PrototypeBank
 class AttentionMasks:
     """Per-class probability vectors over feature dimensions.
 
-    masks[n] sums to 1 with positive entries; `boost` weights the
+    masks[n] sums to 1 with non-negative entries; `boost` weights the
     correction term at query time.
     """
 
@@ -37,13 +38,31 @@ def build_masks(protos: PrototypeBank, scale: float,
     """Mask row n = softmax over dimensions of scale * |proto_n|.
 
     The absolute value makes masks invariant to negating a prototype;
-    scale=0 (or an all-zero prototype row) yields the uniform mask.
+    scale=0 (or an all-zero prototype row) yields the uniform mask. A
+    row whose scale * |proto_n| leaves float64 range takes the softmax's
+    limit: equal weight on the entries where sign(scale) * |proto_n| is
+    largest, 0 elsewhere. Raises ValueError naming a non-finite `scale`
+    or `boost`, or on non-finite prototypes.
     """
-    p = np.asarray(protos.protos, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
+    for name, value in (("scale", scale), ("boost", boost)):
+        if not math.isfinite(value):
+            raise ValueError(f"mask {name}={value!r} must be finite")
+    magnitudes = np.abs(np.asarray(protos.protos, dtype=np.float64))
+    top = float(magnitudes.max())
+    if not math.isfinite(top):
         raise ValueError("prototypes must be finite")
-    return AttentionMasks(masks=softmax(scale * np.abs(p), axis=1),
-                          boost=boost)
+    if math.isfinite(scale * top):  # then no entry's product overflows
+        return AttentionMasks(masks=softmax(scale * magnitudes, axis=1),
+                              boost=boost)
+    with np.errstate(over="ignore"):  # an overflowed row is replaced below
+        z = scale * magnitudes
+    lost = ~np.isfinite(z).all(axis=1)
+    z[lost] = 0.0
+    masks = softmax(z, axis=1)
+    signed = np.sign(scale) * magnitudes[lost]
+    peak = signed == signed.max(axis=1, keepdims=True)
+    masks[lost] = peak / np.count_nonzero(peak, axis=1)[:, None]
+    return AttentionMasks(masks=masks, boost=boost)
 
 
 def classify_batch(queries: np.ndarray, protos: PrototypeBank,

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .embeddings import save_embedding_set
 from .harness import (SOURCES, RunConfig, RunError, _resolve_pool, emit_report,
                       flat_fields, load_config_file, run_eval)
 from .verification import run_gradcheck_suite
+
+# A value, not an option, though it starts with "-": what float() reads
+# as a negative number, exponent form included.
+NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf(inity)?|nan)$", re.I)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,6 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--trials", type=int, default=100)
     gc.add_argument("--tolerance", type=float, default=1e-4)
     gc.add_argument("--seed", type=int, default=0)
+    # argparse's own test of a negative number has no exponent form, so
+    # it took "-1e-3" for an option; a flag reads it as a config file does.
+    for subparser in (ev, sy, gc):
+        subparser._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

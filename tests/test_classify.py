@@ -9,6 +9,7 @@ from fewproto.classify import (AttentionMasks, build_masks, classify_batch,
                                score_episode)
 from fewproto.diagnostics import Diagnostics
 from fewproto.embeddings import generate_synthetic, sample_episode
+from fewproto.optim import softmax
 from fewproto.prototypes import PrototypeBank
 
 
@@ -256,6 +257,27 @@ def test_classify_masked_without_masks_raises():
 def test_masks_reject_nonfinite_prototypes(bad):
     with pytest.raises(ValueError, match="prototypes must be finite"):
         build_masks(bank_from([[1.0, 0.0], [0.5, bad]]), scale=0.1, boost=1e4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["scale", "boost"])
+def test_masks_reject_a_nonfinite_scale_or_boost(name, bad):
+    values = {"scale": 0.1, "boost": 1e4, name: bad}
+    with pytest.raises(ValueError, match=f"mask {name}={bad!r} must be "):
+        build_masks(bank_from([[1.0, 0.0], [0.5, 2.0]]), **values)
+
+
+@pytest.mark.parametrize("scale, want", [
+    (1.7e308, [0.5, 0.0, 0.5, 0.0]), (-1.7e308, [0.0, 0.0, 0.0, 1.0])])
+def test_masks_past_float_range_take_the_softmax_limit(scale, want):
+    # Row 0's scale * |p| overflows: its mask is the softmax's limit,
+    # equal weight on the largest (or, below 0, smallest) |p|. Row 1's
+    # stays finite and keeps the bits of its plain softmax.
+    protos = [[3.0, -1.0, -3.0, 0.0], [1e-300, 2e-300, 0.0, -1e-300]]
+    masks = build_masks(bank_from(protos), scale, 1e4).masks
+    np.testing.assert_array_equal(masks[0], want)
+    np.testing.assert_array_equal(
+        masks[1], softmax(scale * np.abs(protos[1]), axis=0))
 
 
 def test_classify_batch_matches_single():

@@ -70,6 +70,10 @@ SYNTH = ["synth", "--out", "{tmp}/pool.emb", "--synthetic"]
      "truncated header (byte offset 10)"),
     (["gradcheck", "--trials", "2", "--seed", "-1"], "seed=-1 must be >= 0"),
     (SYNTH + ["6,9,12,4.0,0.5", "--seed", "-1"], "seed=-1 must be >= 0"),
+    (["eval", "--synthetic", "6,9,12,4.0,0.5", "--top-m", "-1"],
+     "graph.top_m=-1 must be >= 1"),
+    (["eval", "--synthetic", "6,9,12,4.0,0.5", "--self-weight", "-1e999"],
+     "graph.self_weight=-inf must be a finite float"),
 ])
 def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
                                              message):
@@ -78,6 +82,18 @@ def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "pool.emb").exists()
+
+
+@pytest.mark.parametrize("given", [
+    ["--self-weight", "-1e-3"], ["--self-weight=-1e-3"],
+    ["--self-weight", "-0.001"], ["--self-weight", "-1E-3"],
+    ["--config", "{tmp}/run.cfg"]])
+def test_negative_flag_value_parses_as_in_a_config_file(tmp_path, given):
+    (tmp_path / "run.cfg").write_text("graph.self_weight = -1e-3\n")
+    args = build_parser().parse_args(
+        ["eval", "--synthetic", "6,9,12,4.0,0.5",
+         *(arg.format(tmp=tmp_path) for arg in given)])
+    assert eval_config(args).graph.self_weight == -0.001
 
 
 def test_synth_writes_loadable_file(tmp_path, capsys):

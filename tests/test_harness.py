@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import multiprocessing
@@ -304,6 +305,21 @@ def test_run_episode_same_accuracy_with_and_without_diagnostics(strategy):
         assert run_episode(emb, cfg, episode_rng(cfg.seed, i), diag) == \
             run_episode(emb, cfg, episode_rng(cfg.seed, i))
         assert diag.seconds
+
+
+@pytest.mark.parametrize("module", ["graph", "classify", "head", "prototypes",
+                                    "harness"])
+def test_diag_has_a_default_only_on_run_episode(module):
+    # Below the entry point a stage records what it sees into the
+    # Diagnostics its caller passes; it has no mode that drops events.
+    defaulted = [
+        name for name, fn in inspect.getmembers(getattr(fewproto, module),
+                                                inspect.isfunction)
+        if name != "run_episode" and any(
+            p.default is not p.empty
+            for p in inspect.signature(fn).parameters.values()
+            if p.name == "diag")]
+    assert defaulted == []
 
 
 def test_chunk_plan_covers_tasks_evenly():
@@ -866,7 +882,7 @@ EXTREME_SETTINGS = [
     *[(key, 1e300) for key in (
         "mask.boost", "mask.scale", "head.lr", "proto.lr",
         "proto.entropy_weight", "proto.class_weight")],
-    ("graph.rounds", 0), ("head.lr", 1.7e308),
+    ("graph.rounds", 0), ("head.lr", 1.7e308), ("mask.scale", 1.7e308),
 ]
 
 
@@ -893,3 +909,40 @@ def test_mask_boost_past_norm_range_keeps_predictions(strategy):
         **SWEEP_POOL, "proto.strategy": strategy, "mask.boost": boost}
     )).per_task_accuracy for boost in (1e150, 1e300)]
     assert accuracies[0] == accuracies[1]
+
+
+@pytest.mark.parametrize("strategy", ["trained", "mean"])
+def test_mask_scale_past_float_range_takes_the_softmax_limit(strategy):
+    # At 1e300 each mask already puts all its weight on its largest
+    # entries; at 1.7e308 scale * |prototype| overflows to inf.
+    accuracies = [run_eval(RunConfig.from_flat({
+        **SWEEP_POOL, "proto.strategy": strategy, "mask.scale": scale}
+    )).per_task_accuracy for scale in (1e300, 1.7e308)]
+    assert accuracies[0] == accuracies[1]
+
+
+def test_soft_events_reach_the_report(tmp_path, monkeypatch):
+    # Two zeroed records make zero graph vertices, isolated vertices and
+    # zero queries; a huge head lr makes the head's loss rise. Each
+    # stage's count reaches the report, the same at any worker count.
+    pool = harness._resolve_pool(RunConfig.from_flat(SWEEP_POOL))
+    vectors = np.array(pool.vectors)
+    vectors[[0, 1]] = 0.0
+    path = tmp_path / "zeroed.emb"
+    save_embedding_set(EmbeddingSet.from_arrays(vectors, pool.labels), path)
+    configs = [
+        RunConfig.from_flat({**SWEEP_POOL, "synthetic": None,
+                             "data": str(path), "n_tasks": 40,
+                             "proto.strategy": "mean"}),
+        RunConfig.from_flat({**SWEEP_POOL, "n_tasks": 8, "head.lr": 1e9})]
+    reported = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        reported[workers] = [run_eval(cfg).diagnostics for cfg in configs]
+    assert reported[1] == reported[2]
+    zeroed, head_lr = reported[1]
+    assert zeroed["zero_vector_cosine"] == 16
+    assert zeroed["zero_query"] == 11
+    assert zeroed["isolated_vertex"] >= zeroed["zero_vector_cosine"]
+    assert head_lr["head_loss_increase"] == 15
