@@ -18,10 +18,10 @@ from .harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                       emit_report, load_report, run_episode, run_eval)
 from .head import (AugmentedSupport, LinearHead, head_predict,
                    manifold_augment, train_head)
-from .optim import AdamState, adam_update, grad_check, softmax
+from .optim import AdamState, grad_check, softmax
 from .prototypes import (LossWeights, PrototypeBank, loss_class,
                          loss_entropy, loss_metric, loss_total,
-                         mean_prototypes, train_prototypes)
+                         mean_prototypes)
 from .verification import run_gradcheck_suite
 
 __all__ = [
@@ -33,10 +33,9 @@ __all__ = [
     "sparsify_top_m", "EvalReport", "RunConfig", "RunError",
     "SyntheticSpec", "emit_report", "load_report", "run_episode",
     "run_eval", "AugmentedSupport", "LinearHead", "head_predict",
-    "manifold_augment", "train_head", "AdamState", "adam_update",
-    "grad_check", "softmax", "LossWeights",
-    "PrototypeBank", "loss_class", "loss_entropy", "loss_metric",
-    "loss_total", "mean_prototypes", "train_prototypes",
+    "manifold_augment", "train_head", "AdamState", "grad_check",
+    "softmax", "LossWeights", "PrototypeBank", "loss_class",
+    "loss_entropy", "loss_metric", "loss_total", "mean_prototypes",
     "run_gradcheck_suite",
 ]
 

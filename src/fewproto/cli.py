@@ -7,10 +7,10 @@ import os
 import re
 import sys
 
+from . import verification
 from .embeddings import save_embedding_set
 from .harness import (SOURCES, RunConfig, RunError, _resolve_pool, emit_report,
                       flat_fields, load_config_file, run_eval)
-from .verification import run_gradcheck_suite
 
 # A value, not an option, though it starts with "-": what float() reads
 # as a negative number, exponent form included.
@@ -41,14 +41,11 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--synthetic", required=True, metavar="synthetic")
     sy.add_argument("--seed", default=0, metavar="seed")
 
-    gc = sub.add_parser("gradcheck",
-                        help="finite-difference check of analytic gradients")
-    gc.add_argument("--trials", type=int, default=100)
-    gc.add_argument("--tolerance", type=float, default=1e-4)
-    gc.add_argument("--seed", type=int, default=0)
+    sub.add_parser("gradcheck",
+                   help="finite-difference check of analytic gradients")
     # argparse's own test of a negative number has no exponent form, so
     # it took "-1e-3" for an option; a flag reads it as a config file does.
-    for subparser in (ev, sy, gc):
+    for subparser in (ev, sy):
         subparser._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
@@ -101,12 +98,11 @@ def _synth_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gradcheck_command(args: argparse.Namespace) -> int:
-    report = run_gradcheck_suite(trials=args.trials,
-                                 tolerance=args.tolerance, seed=args.seed)
+def _gradcheck_command() -> int:
+    report = verification.run_gradcheck_suite()
     print(f"gradcheck: {report.n_checks} checks, "
           f"max relative error {report.max_error:.3e} "
-          f"(tolerance {report.tolerance:g})")
+          f"(tolerance {verification.TOLERANCE:g})")
     if not report.passed:
         for name, trial, err in report.failures[:10]:
             print(f"  FAIL {name} trial {trial}: {err:.3e}", file=sys.stderr)
@@ -121,7 +117,7 @@ def main(argv=None) -> int:
             return _eval_command(args)
         if args.command == "synth":
             return _synth_command(args)
-        return _gradcheck_command(args)
+        return _gradcheck_command()
     except (RunError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -136,7 +136,9 @@ class MaskConfig:
     enabled: bool = _setting(True, "--mask", help="attention-mask "
                              "correction of query features: on or off")
     scale: float = _setting(0.1, "--mask-scale")
-    boost: float = _setting(10000.0, "--mask-boost")
+    # The correction boost * q * mask + q only adds weight where the
+    # mask is; a negative boost would take it away.
+    boost: float = _setting(10000.0, "--mask-boost", ge=0)
 
 
 # The keys that name a run's embedding pool; a run has exactly one.

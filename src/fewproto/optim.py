@@ -2,6 +2,7 @@
 
 Everything here runs in float64; the training loops in `head` and
 `prototypes` rely on that for gradient checks at 1e-4 tolerance.
+`grad_check` takes central differences with the fixed step FD_STEP.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 LOG_FLOOR = 1e-12
 # Adam's decay rates and denominator guard, as Kingma & Ba set them.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+FD_STEP = 1e-5
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -108,15 +110,13 @@ def adam_update(state: AdamState, param: np.ndarray,
     return new, param
 
 
-def grad_check(loss_fn, grad_fn, x: np.ndarray, h: float = 1e-5) -> float:
-    """Compare an analytic gradient to central finite differences.
+def grad_check(loss_fn, grad_fn, x: np.ndarray) -> float:
+    """Compare an analytic gradient to central differences of step FD_STEP.
 
     Returns the worst per-coordinate relative error
     |analytic - fd| / max(|fd|, 1e-8). Raises if the loss goes non-finite
     at any probe point.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
     x = np.asarray(x, dtype=np.float64)
     analytic = np.asarray(grad_fn(x), dtype=np.float64)
     if analytic.shape != x.shape:
@@ -124,13 +124,13 @@ def grad_check(loss_fn, grad_fn, x: np.ndarray, h: float = 1e-5) -> float:
     worst = 0.0
     for i in range(x.size):
         probe = x.copy()
-        probe.flat[i] = x.flat[i] + h
+        probe.flat[i] = x.flat[i] + FD_STEP
         up = loss_fn(probe)
-        probe.flat[i] = x.flat[i] - h
+        probe.flat[i] = x.flat[i] - FD_STEP
         down = loss_fn(probe)
         if not (np.isfinite(up) and np.isfinite(down)):
             raise FloatingPointError(f"non-finite loss near coordinate {i}")
-        fd = (up - down) / (2.0 * h)
+        fd = (up - down) / (2.0 * FD_STEP)
         rel = abs(analytic.flat[i] - fd) / max(abs(fd), 1e-8)
         worst = max(worst, rel)
     return worst

@@ -8,11 +8,12 @@ step for a single bank, against differences of `loss_total`. The
 composite loss is checked under the default term weights and a fixed set
 of random weight pairs. This suite is the primary correctness gate for
 the training code; the CLI exposes it as the `gradcheck` subcommand.
+It has no settings: TRIALS trials drawn from seed SEED, each error
+checked against TOLERANCE, with `grad_check`'s step `optim.FD_STEP`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,13 @@ from .prototypes import (LossWeights, _step_loss_and_grad, _Workspace,
 
 # Each suite trial: a SUITE_WAYS-way episode, SUITE_SHOTS rows per class.
 SUITE_WAYS, SUITE_SHOTS, SUITE_DIM = 5, 3, 16
+# The gate: trials per run, the seed of their draws, and the bound each
+# relative error must stay below.
+TRIALS, SEED, TOLERANCE = 100, 0, 1e-4
 
 
 @dataclass
 class GradCheckReport:
-    trials: int
-    tolerance: float
     max_error: float = 0.0
     n_checks: int = 0
     failures: list[tuple[str, int, float]] = field(default_factory=list)
@@ -77,36 +79,26 @@ def check_proto_gradient(protos, head, feats, labels,
     return grad_check(loss_fn, grad_fn, protos.ravel())
 
 
-def run_gradcheck_suite(trials: int, tolerance: float,
-                        seed: int) -> GradCheckReport:
-    """Run `trials` random instances of every gradient check.
+def run_gradcheck_suite() -> GradCheckReport:
+    """Run TRIALS random instances of every gradient check.
 
     The composite-loss weights cycle through `ProtoConfig`'s defaults and
-    five random pairs drawn once per suite run. Raises ValueError naming
-    `trials` below 1, a `tolerance` that is not finite and positive, or
-    a negative `seed`. Either of the first two would let the gate pass
-    or fail without checking anything.
+    five random pairs drawn once per suite run.
     """
-    if trials < 1:
-        raise ValueError(f"trials={trials!r} must be >= 1")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance={tolerance!r} must be finite and > 0")
-    if seed < 0:
-        raise ValueError(f"seed={seed!r} must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     proto = ProtoConfig()
     weight_pairs = [LossWeights(proto.entropy_weight, proto.class_weight)]
     weight_pairs += [LossWeights(*rng.uniform(0.0, 2.0, size=2))
                      for _ in range(5)]
-    report = GradCheckReport(trials=trials, tolerance=tolerance)
+    report = GradCheckReport()
 
     def record(name, trial, err):
         report.n_checks += 1
         report.max_error = max(report.max_error, err)
-        if err >= tolerance:
+        if err >= TOLERANCE:
             report.failures.append((name, trial, err))
 
-    for trial in range(trials):
+    for trial in range(TRIALS):
         feats = rng.normal(size=(SUITE_WAYS * SUITE_SHOTS, SUITE_DIM))
         labels = np.repeat(np.arange(SUITE_WAYS), SUITE_SHOTS)
         w = rng.normal(0.0, 0.3, (SUITE_WAYS, SUITE_DIM))

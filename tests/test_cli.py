@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import shlex
@@ -7,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from fewproto import cli
+from fewproto import cli, verification
 from fewproto.cli import build_parser, eval_config, main
 from fewproto.embeddings import load_embedding_set
 from fewproto.harness import RunConfig, load_config_file, load_report
+from fewproto.optim import grad_check
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -52,27 +54,26 @@ def test_synth_out_that_is_a_directory_fails_before_the_pool(
 
 
 SYNTH = ["synth", "--out", "{tmp}/pool.emb", "--synthetic"]
+EVAL = ["eval", "--synthetic", "6,9,12,4.0,0.5"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["gradcheck", "--trials", "0"], "trials=0 must be >= 1"),
-    (["gradcheck", "--trials", "-3"], "trials=-3 must be >= 1"),
-    (["gradcheck", "--trials", "2", "--tolerance", "nan"], "tolerance=nan"),
-    (["gradcheck", "--trials", "2", "--tolerance", "inf"], "tolerance=inf"),
-    (["gradcheck", "--trials", "2", "--tolerance", "0"], "tolerance=0.0"),
-    (["gradcheck", "--trials", "2", "--tolerance=-1e-4"],
-     "tolerance=-0.0001"),
+    (EVAL + ["--mask-boost=-10000"], "mask.boost=-10000.0 must be >= 0"),
+    (["eval", "--config", "{tmp}/missing.cfg"], "missing.cfg"),
+    (["eval", "--data", "{tmp}/missing.emb"], "missing.emb"),
+    (SYNTH + ["6,9,12"], "synthetic='6,9,12': synthetic spec must be"),
+    (SYNTH + ["6,9,12,4.0,0.5", "--seed", "1.5"], "seed='1.5'"),
+    (SYNTH + ["6,9,12,4.0,-0.5"], "synthetic.sigma=-0.5 must be >= 0"),
     (SYNTH + ["0,9,12,4.0,0.5"], "n_classes=0 must be >= 1"),
     (SYNTH + ["6,0,12,4.0,0.5"], "per_class=0 must be >= 1"),
     (SYNTH + ["6,9,0,4.0,0.5"], "dim=0 must be >= 1"),
     (["eval", "--config", "{tmp}/bad.cfg"], "bad.cfg:1: expected key = value"),
     (["eval", "--data", "{tmp}/short.emb"],
      "truncated header (byte offset 10)"),
-    (["gradcheck", "--trials", "2", "--seed", "-1"], "seed=-1 must be >= 0"),
+    (EVAL + ["--shots", "9"], "pool has 0 classes with >= 24 records"),
     (SYNTH + ["6,9,12,4.0,0.5", "--seed", "-1"], "seed=-1 must be >= 0"),
-    (["eval", "--synthetic", "6,9,12,4.0,0.5", "--top-m", "-1"],
-     "graph.top_m=-1 must be >= 1"),
-    (["eval", "--synthetic", "6,9,12,4.0,0.5", "--self-weight", "-1e999"],
+    (EVAL + ["--top-m", "-1"], "graph.top_m=-1 must be >= 1"),
+    (EVAL + ["--self-weight", "-1e999"],
      "graph.self_weight=-inf must be a finite float"),
 ])
 def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
@@ -285,26 +286,44 @@ def test_readme_commands_parse(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_gradcheck_passes(capsys):
-    rc = main(["gradcheck", "--trials", "5", "--seed", "2"])
+def test_gradcheck_passes(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "TRIALS", 5)
+    rc = main(["gradcheck"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "max relative error" in out
+    assert "gradcheck: 10 checks, max relative error" in out
 
 
 def test_gradcheck_nonzero_exit_on_failure(capsys, monkeypatch):
     # Force a failure by demanding an impossible tolerance.
-    rc = main(["gradcheck", "--trials", "2", "--tolerance", "1e-18"])
+    monkeypatch.setattr(verification, "TOLERANCE", 1e-18)
+    monkeypatch.setattr(verification, "TRIALS", 2)
+    rc = main(["gradcheck"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_gradient_gate_takes_no_settings(capsys):
+    # The gate's trials, seed, tolerance and step are constants, so no
+    # flag or argument can loosen it.
+    for flag, value in [("--trials", "5"), ("--tolerance", "1"),
+                        ("--seed", "1")]:
+        with pytest.raises(SystemExit) as exit_:
+            main(["gradcheck", flag, value])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not inspect.signature(
+        verification.run_gradcheck_suite).parameters
+    assert "h" not in inspect.signature(grad_check).parameters
+
+
 def test_console_entry_point_runs():
+    # The full gate, as a user runs it.
     proc = subprocess.run(
-        [sys.executable, "-m", "fewproto.cli", "gradcheck", "--trials", "2"],
+        [sys.executable, "-m", "fewproto.cli", "gradcheck"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "max relative error" in proc.stdout
+    assert "gradcheck: 200 checks, max relative error" in proc.stdout
 
 
 def test_determinism_across_processes(tmp_path):

@@ -162,6 +162,22 @@ def test_sparsify_m_out_of_range():
         sparsify_top_m(s, 4)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_similarity(np.ones((1, 3)), Diagnostics()),
+     "at least two rows"),
+    (lambda: build_similarity(np.array([[1.0, np.inf], [0.0, 1.0]]),
+                              Diagnostics()), "non-finite feature rows"),
+    (lambda: sparsify_top_m(np.zeros((3, 4)), 1), "must be square"),
+    (lambda: propagate(np.ones((3, 2)), np.zeros((3, 3)), 1.0, -1),
+     "rounds must be non-negative"),
+    (lambda: propagate(np.ones((3, 2)), np.zeros((2, 2)), 1.0, 1),
+     r"adjacency \(2, 2\) incompatible with features \(3, 2\)"),
+])
+def test_stage_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_normalize_unit_degrees():
     s = np.array([[0.0, 1.0], [1.0, 0.0]])
     e = normalize_adjacency(s, Diagnostics())

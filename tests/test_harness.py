@@ -113,6 +113,7 @@ def test_config_rejects_top_m_beyond_episode():
     ("synthetic", "0,25,16,8.0,0.3"), ("synthetic", "8,0,16,8.0,0.3"),
     ("synthetic", "8,25,0,8.0,0.3"), ("synthetic", "8,25,16,nan,0.3"),
     ("synthetic", "8,25,16,8.0,-0.1"), ("seed", str(2 ** 64)),
+    ("mask.boost", "-1"),
 ])
 def test_config_error_names_the_field(key, value):
     cfg = small_config(**{key: value})

@@ -187,6 +187,20 @@ def test_train_head_rejects_bad_epochs():
         train_head(aug, 0, 1e-2, np.random.default_rng(19), Diagnostics())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: manifold_augment(np.ones((2, 2)), np.array([0, 1]), -1,
+                              np.random.default_rng(0)),
+     "n_aug must be non-negative"),
+    (lambda: train_head(AugmentedSupport(np.empty((0, 2)),
+                                         np.empty(0, dtype=np.int64)),
+                        5, 1e-2, np.random.default_rng(0), Diagnostics()),
+     "empty augmented support"),
+])
+def test_stage_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("epochs, reason", [
     (3, "head_params_nonfinite"), (11, "head_loss_diverged")])
 def test_train_head_names_a_step_past_float_range(epochs, reason):

@@ -140,13 +140,13 @@ def test_adam_shape_mismatch():
 
 def test_grad_check_exact_gradient():
     err = grad_check(lambda x: float(np.sum(x ** 2)), lambda x: 2.0 * x,
-                     np.array([0.3, -1.2, 2.0]), h=1e-5)
+                     np.array([0.3, -1.2, 2.0]))
     assert err < 1e-6
 
 
 def test_grad_check_flags_scaled_gradient():
     err = grad_check(lambda x: float(np.sum(x ** 2)), lambda x: 4.0 * x,
-                     np.array([0.3, -1.2, 2.0]), h=1e-5)
+                     np.array([0.3, -1.2, 2.0]))
     assert err == pytest.approx(1.0, abs=1e-4)
 
 
@@ -156,6 +156,12 @@ def test_grad_check_nonfinite_loss():
 
     with pytest.raises(FloatingPointError):
         grad_check(bad_loss, lambda x: x, np.ones(2))
+
+
+def test_grad_check_rejects_a_gradient_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="does not match x"):
+        grad_check(lambda x: float(np.sum(x ** 2)), lambda x: 2.0 * x[:2],
+                   np.ones(3))
 
 
 def test_row_norms_returns_its_input_when_every_norm_is_usable():

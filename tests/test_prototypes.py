@@ -13,7 +13,7 @@ from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
                                  _Workspace, init_prototypes, loss_class,
                                  loss_entropy, loss_metric, loss_total,
                                  mean_prototypes, train_prototype_banks,
-                                 train_prototypes, validate_prototypes)
+                                 validate_prototypes)
 from fewproto.verification import check_proto_gradient
 
 # The composite loss's term weights at their run defaults.
@@ -276,8 +276,8 @@ def test_fused_step_matches_public_functions():
 
 
 def _train_alone(head, feats, labels, weights, epochs, lr, rng):
-    """One bank trained in a stack of one, as `train_prototypes` trains
-    it: its bank or abort, and its per-epoch losses."""
+    """One bank trained alone, in a stack of one: its bank or abort, and
+    its per-epoch losses."""
     trajectory = []
     result, = train_prototype_banks([head], [feats], [labels], weights,
                                     epochs, lr, [rng], [trajectory])
@@ -456,8 +456,8 @@ def test_train_reaches_support_equal_bound():
     labels = np.arange(n)
     head = LinearHead(weights=np.zeros((n, dim)), bias=np.zeros(n))
     bound = loss_metric(feats.copy(), feats, labels)
-    bank = train_prototypes(head, feats, labels, LossWeights(0.0, 0.0),
-                            1000, 1e-2, np.random.default_rng(10))
+    bank, _ = _train_alone(head, feats, labels, LossWeights(0.0, 0.0),
+                           1000, 1e-2, np.random.default_rng(10))
     final = loss_metric(bank.protos, feats, labels)
     assert final <= bound + 1e-3
 
@@ -466,8 +466,8 @@ def test_train_deterministic():
     rng = np.random.default_rng(11)
     protos, head, feats, labels = random_instance(rng)
     banks = [
-        train_prototypes(head, feats, labels, WEIGHTS, 50, 1e-2,
-                         np.random.default_rng(123))
+        _train_alone(head, feats, labels, WEIGHTS, 50, 1e-2,
+                     np.random.default_rng(123))[0]
         for _ in range(2)
     ]
     np.testing.assert_array_equal(banks[0].protos, banks[1].protos)
@@ -506,9 +506,23 @@ def test_trajectory_non_increasing_after_warmup():
 def test_train_zero_support_row_aborts():
     head = LinearHead(weights=np.zeros((2, 3)), bias=np.zeros(2))
     feats = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    result, _ = _train_alone(head, feats, np.array([0, 1]), WEIGHTS, 10,
+                             1e-2, np.random.default_rng(1))
+    assert isinstance(result, EpisodeAbort)
+    assert result.reason == "zero_support_row"
+
+
+def test_train_banks_need_an_epoch():
+    _, head, feats, labels = random_instance(np.random.default_rng(13))
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        train_prototype_banks([head], [feats], [labels], WEIGHTS, 0, 1e-2,
+                              [np.random.default_rng(0)])
+
+
+def test_loss_metric_zero_support_row_aborts():
+    feats = np.array([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(EpisodeAbort, match="zero_support_row"):
-        train_prototypes(head, feats, np.array([0, 1]), WEIGHTS, 10,
-                         1e-2, np.random.default_rng(1))
+        loss_metric(np.eye(2), feats, np.array([0, 1]))
 
 
 def test_loss_metric_zero_prototype_aborts():
@@ -562,8 +576,8 @@ def test_zero_init_row_aborts_only_its_bank(monkeypatch):
     assert banks[1].reason == "zero_prototype_row"
     assert str(banks[1]).endswith("at epoch 0")
     for j in (0, 2):
-        alone = train_prototypes(heads[j], feats[j], labels[j], weights, 30,
-                                 1e-2, np.random.default_rng(seeds[j]))
+        alone, _ = _train_alone(heads[j], feats[j], labels[j], weights, 30,
+                                1e-2, np.random.default_rng(seeds[j]))
         np.testing.assert_array_equal(banks[j].protos, alone.protos)
 
 
