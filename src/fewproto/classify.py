@@ -42,11 +42,13 @@ def build_masks(protos: PrototypeBank, scale: float,
     row whose scale * |proto_n| leaves float64 range takes the softmax's
     limit: equal weight on the entries where sign(scale) * |proto_n| is
     largest, 0 elsewhere. Raises ValueError naming a non-finite `scale`
-    or `boost`, or on non-finite prototypes.
+    or `boost` or a negative `boost`, or on non-finite prototypes.
     """
     for name, value in (("scale", scale), ("boost", boost)):
         if not math.isfinite(value):
             raise ValueError(f"mask {name}={value!r} must be finite")
+    if boost < 0:
+        raise ValueError(f"mask boost={boost!r} must be >= 0")
     magnitudes = np.abs(np.asarray(protos.protos, dtype=np.float64))
     top = float(magnitudes.max())
     if not math.isfinite(top):

@@ -10,20 +10,23 @@ size, one per CPU the process may run on. This process runs the first
 range while forked workers run the others. Within its range, each runs
 episodes in chunks of consecutive task indices (`chunk_plan`), as many
 as `stack_width` allows and split evenly over the range: each is
-prepared on its own generator, one batched Adam loop trains the chunk's
-prototype banks, then each is classified and scored. A bank's bits do
-not depend on the chunk it trains in, so reports are identical for any
-chunk plan and any worker count. Episodes that hit a fatal numerical
-condition are aborted, counted, and excluded. The results
-reach `run_eval` as one stream in task order, each with its episode's
-`Diagnostics`: its event counts and its phase seconds, where a chunk's
-prototype loop is split evenly over its banks. A worker sends the
-results it finished along with its exception, which is raised after
-them. The abort cap is checked once, on that stream, so a failed run
-ends at whichever comes first in task order, at any worker count: the
-abort that takes the count past 1% of the requested tasks, or an
-exception. Only an exception from the batched prototype loop itself
-stands at its chunk's first task.
+prepared on its own generator (sampled, aggregated, its support
+augmented and its head's init drawn), then, for trained prototypes, one
+stacked Adam loop trains the chunk's heads and one batched Adam loop its
+prototype banks, then each is classified and scored. A head's or a
+bank's bits do not depend on the chunk it trains in, so reports are
+identical for any chunk plan and any worker count. Episodes that hit a
+fatal numerical condition are aborted, counted, and excluded. The
+results reach `run_eval` as one stream in task order, each with its
+episode's `Diagnostics`: its event counts and its phase seconds. An
+episode's "head" phase is its augmentation and head init plus an even
+share of its chunk's head loop, and its "proto" phase an even share of
+the prototype loop. A worker sends the results it finished along with
+its exception, which is raised after them. The abort cap is checked
+once, on that stream, so a failed run ends at whichever comes first in
+task order, at any worker count: the abort that takes the count past 1%
+of the requested tasks, or an exception. Only an exception from one of
+the two batched loops itself stands at its chunk's first task.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .embeddings import (EmbeddingSet, Episode, eligible_classes,
                          generate_synthetic, load_embedding_set,
                          sample_episode)
 from .graph import build_task_graph
-from .head import LinearHead, manifold_augment, train_head
+from .head import (AugmentedSupport, LinearHead, init_head,
+                   manifold_augment, train_heads)
 from .prototypes import (LossWeights, PrototypeBank, bank_or_abort,
                          mean_prototypes, train_prototype_banks)
 
@@ -380,19 +384,24 @@ def worker_count(n_tasks: int) -> int:
 
 @dataclass
 class PreparedEpisode:
-    """An episode up to its prototypes: sampled, aggregated, and, for
-    trained prototypes, its head trained (`head` is None otherwise).
+    """An episode up to its prototypes: sampled, aggregated and, for
+    trained prototypes, its head set up (`head` and `aug` are None
+    otherwise).
 
     `episode` keeps its labels, but its raw `support_x` and `query_x`
     are dropped (None) once aggregated: only the aggregated features are
-    read later. `rng` is the episode's generator, positioned where
-    prototype initialization draws from it.
+    read later. `head` is the head's initial draw until the chunk's
+    stacked head loop trains it on the augmented support `aug` and puts
+    the trained head in its place; `aug` is then dropped (None). `rng`
+    is the episode's generator, positioned where prototype
+    initialization draws from it.
     """
 
     episode: Episode
     support_feats: np.ndarray
     query_feats: np.ndarray
     head: LinearHead | None
+    aug: AugmentedSupport | None
     rng: np.random.Generator
 
 
@@ -407,9 +416,10 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
                     rng: np.random.Generator,
                     diag: Diagnostics) -> PreparedEpisode:
     """Sample an episode, aggregate it through the task graph and, for
-    trained prototypes, train its head: only the prototype loss reads
-    the head. Adds the "sample", "graph" and, with a head, "head"
-    phases to `diag.seconds`."""
+    trained prototypes, augment its support rows and draw its head's
+    init: only the prototype loss reads the head, which the chunk's
+    stacked loop trains. Adds the "sample", "graph" and, with a head,
+    "head" phases to `diag.seconds`."""
     t = time.perf_counter()
     episode = sample_episode(emb, config.n_ways, config.k_shots,
                              config.n_queries, rng)
@@ -419,14 +429,14 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
         config.graph.self_weight, config.graph.rounds, diag)
     episode = replace(episode, support_x=None, query_x=None)
     t = _lap(diag, "graph", t)
-    head = None
+    head = aug = None
     if config.proto.strategy == "trained":
         aug = manifold_augment(support_feats, episode.support_y,
                                config.head.n_aug, rng)
-        head = train_head(aug, config.head.epochs, config.head.lr, rng,
-                          diag)
+        head = init_head(config.n_ways, support_feats.shape[1], rng)
         _lap(diag, "head", t)
-    return PreparedEpisode(episode, support_feats, query_feats, head, rng)
+    return PreparedEpisode(episode, support_feats, query_feats, head, aug,
+                           rng)
 
 
 def finish_episode(prepared: PreparedEpisode, bank: PrototypeBank,
@@ -475,15 +485,39 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
     return outcome
 
 
+def _train_heads(started: list[PreparedEpisode | EpisodeAbort],
+                 diags: list[Diagnostics], config: RunConfig) -> None:
+    """Train the heads of the prepared entries of `started` in one
+    stacked loop, recording into the matching entries of `diags`. Each
+    entry gets its trained head, or is replaced by the abort that ended
+    it, and drops its augmented rows. The loop's time is split evenly
+    over their "head" phases."""
+    slots = [k for k, p in enumerate(started)
+             if isinstance(p, PreparedEpisode)]
+    t = time.perf_counter()
+    heads = train_heads([started[k].head for k in slots],
+                        [started[k].aug for k in slots], config.head.epochs,
+                        config.head.lr, [diags[k] for k in slots])
+    share = (time.perf_counter() - t) / max(len(slots), 1)
+    for k, head in zip(slots, heads):
+        diags[k].seconds["head"] += share
+        started[k].aug = None
+        if isinstance(head, EpisodeAbort):
+            started[k] = head
+        else:
+            started[k].head = head
+
+
 def _run_chunk(emb: EmbeddingSet, config: RunConfig,
                rngs: list[np.random.Generator],
                diags: list[Diagnostics]) -> Iterator[float | EpisodeAbort]:
     """One episode on each generator of `rngs`, recording into the
-    matching entry of `diags`, with one batched loop for their trained
-    prototypes; yields each one's accuracy or the abort that ended it,
-    in order. The loop's time is split evenly over the prepared
-    episodes' "proto" phases. An exception from preparing an episode
-    stops the preparing, and is raised after the outcomes before it."""
+    matching entry of `diags`, with one stacked loop for their trained
+    heads and one for their trained prototypes; yields each one's
+    accuracy or the abort that ended it, in order. Each loop's time is
+    split evenly over the episodes it trains, into their "head" and
+    "proto" phases. An exception from preparing an episode stops the
+    preparing, and is raised after the outcomes before it."""
     started: list[PreparedEpisode | EpisodeAbort] = []
     failure = None
     for rng, diag in zip(rngs, diags):
@@ -496,6 +530,8 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
             failure = exc
             break
 
+    if config.proto.strategy == "trained":
+        _train_heads(started, diags, config)
     prepared = [p for p in started if isinstance(p, PreparedEpisode)]
     t = time.perf_counter()
     banks = iter(_prototype_banks(prepared, config))

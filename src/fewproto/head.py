@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics, EpisodeAbort
-from .optim import LOG_FLOOR, AdamState, adam_step, softmax
+from .optim import (LOG_FLOOR, AdamState, _max_of_columns, adam_step,
+                    softmax)
 
 # Epoch-to-epoch loss increases beyond this slack are counted as a
 # diagnostic; full-batch training is expected to be monotone.
@@ -83,22 +84,89 @@ def head_predict(head: LinearHead, feats: np.ndarray) -> np.ndarray:
     return softmax(feats @ head.weights.T + head.bias, axis=1)
 
 
+class _Workspace:
+    """Constants and preallocated buffers of one stacked head loop.
+
+    Built from B heads' augmented rows (r, e) and labels (r,), all of one
+    shape, and their class count n. Holds the stacked rows (B, r, e), the
+    labels one-hot (B, r, n) and the flat index of each row's own-class
+    entry in a (B, r, n) array. Every `_step_loss_and_grad` call writes
+    the same buffers, through views made here, so a step allocates no
+    array.
+    """
+
+    def __init__(self, feats: list[np.ndarray], labels: list[np.ndarray],
+                 n_classes: int):
+        self.feats = np.stack(feats, dtype=np.float64)
+        labels = np.asarray(np.stack(labels), dtype=np.int64)
+        n_heads, r, e = self.feats.shape
+        n = n_classes
+        self.one_hot = (labels[:, :, None] == np.arange(n)).astype(np.float64)
+        self.picked_index = (np.arange(n_heads)[:, None] * r
+                             + np.arange(r)) * n + labels
+        self.probs = np.empty((n_heads, r, n))
+        self.per_row = np.empty((n_heads, r, 1))
+        self.picked = np.empty((n_heads, r))
+        self.loss = np.empty(n_heads)
+        self.grad_w = np.empty((n_heads, n, e))
+        self.grad_b = np.empty((n_heads, n))
+        self.probs_t = self.probs.transpose(0, 2, 1)
+        self.probs_cols = [self.probs[:, :, k] for k in range(n)]
+        self.per_row_2d = self.per_row[:, :, 0]
+
+
+def _step_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
+                        work: _Workspace
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of a stack of B heads, with its gradients.
+
+    `weights` is (B, n, e) and `bias` (B, n); the rows and labels come
+    from `work`. Returns the (B,) losses and the (B, n, e) and (B, n)
+    gradients, buffers of `work` that the next call overwrites. With p
+    the softmax of a row's logits, d/dz = (p - onehot) / r. Every
+    operation runs within one head, and is the one an allocating
+    evaluation runs, in the same order, so each head gets the bits it
+    gets alone: the softmax shift takes its maximum column by column,
+    the row sums are `np.add.reduce`, and subtracting the one-hot over
+    the whole array changes only the picked entries, because
+    x - 0.0 == x.
+    """
+    w = work
+    n_rows = w.feats.shape[1]
+    probs, per_row = w.probs, w.per_row
+    np.matmul(w.feats, weights.transpose(0, 2, 1), out=probs)
+    probs += bias[:, None, :]
+    _max_of_columns(w.probs_cols, w.per_row_2d)
+    probs -= per_row
+    np.exp(probs, out=probs)
+    np.add.reduce(probs, axis=2, keepdims=True, out=per_row)
+    probs /= per_row
+    picked, loss = w.picked, w.loss
+    np.take(probs, w.picked_index, out=picked, mode="clip")
+    np.maximum(picked, LOG_FLOOR, out=picked)
+    np.log(picked, out=picked)
+    np.add.reduce(picked, axis=1, out=loss)
+    np.negative(loss, out=loss)
+    loss /= n_rows
+    probs -= w.one_hot
+    probs /= n_rows
+    np.matmul(w.probs_t, w.feats, out=w.grad_w)
+    np.add.reduce(probs, axis=1, out=w.grad_b)
+    return loss, w.grad_w, w.grad_b
+
+
 def head_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
                        feats: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of the head on `feats`, with analytic gradients.
 
-    Returns (loss, grad_weights, grad_bias). The gradient is the exact
-    derivative of the returned loss (softmax + cross-entropy), verified
-    against finite differences by the gradcheck suite.
+    Returns (loss, grad_weights, grad_bias): the stacked training step
+    for this one head, whose gradient the gradcheck suite verifies
+    against finite differences.
     """
-    n = feats.shape[0]
-    probs = softmax(feats @ weights.T + bias, axis=1)
-    picked = probs[np.arange(n), labels]
-    loss = float(np.mean(-np.log(np.maximum(picked, LOG_FLOOR))))
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    return loss, delta.T @ feats, delta.sum(axis=0)
+    work = _Workspace([feats], [labels], weights.shape[0])
+    loss, grad_w, grad_b = _step_loss_and_grad(weights[None], bias[None],
+                                               work)
+    return float(loss[0]), grad_w[0], grad_b[0]
 
 
 def init_head(n_classes: int, dim: int, rng: np.random.Generator) -> LinearHead:
@@ -107,46 +175,89 @@ def init_head(n_classes: int, dim: int, rng: np.random.Generator) -> LinearHead:
                       bias=np.zeros(n_classes))
 
 
-def train_head(aug: AugmentedSupport, epochs: int, lr: float,
-               rng: np.random.Generator, diag: Diagnostics) -> LinearHead:
-    """Full-batch Adam (in-place `adam_step`) on the head's cross-entropy.
+def train_heads(inits: list[LinearHead], augs: list[AugmentedSupport],
+                epochs: int, lr: float, diags: list[Diagnostics]
+                ) -> list[LinearHead | EpisodeAbort]:
+    """Train one head per episode in a single stacked full-batch Adam loop
+    (in-place `adam_step`) on the head's cross-entropy.
 
-    Raises EpisodeAbort on a non-finite loss, and after training on an
-    overflowed Adam second moment (`head_grad_overflow`), which freezes
-    its coordinate while the loss stays finite; an inf moment stays inf,
-    so one check after the loop catches it. An epoch-to-epoch loss
-    increase beyond LOSS_INCREASE_SLACK records a `head_loss_increase`
-    diagnostic but training continues.
+    Entry j holds episode j's initial head, augmented support and
+    `Diagnostics`; all share one (rows, dim) and class count. Each head
+    gets the bits `train_head` gives it alone. Returns per episode
+    either the trained head or the EpisodeAbort that ended it: a
+    non-finite loss (`head_loss_diverged`) at the epoch it happens,
+    after which the head stays in the stack, marked done; after
+    training, an overflowed Adam second moment (`head_grad_overflow`),
+    which freezes its coordinate while the loss stays finite (an inf
+    moment stays inf, so one check after the loop catches it), or a
+    non-finite parameter. An epoch-to-epoch loss increase beyond
+    LOSS_INCREASE_SLACK records a `head_loss_increase` in that episode's
+    diagnostics, and training goes on.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if aug.features.shape[0] == 0:
-        raise ValueError("empty augmented support")
-    n_classes = int(aug.labels.max()) + 1
-    head = init_head(n_classes, aug.features.shape[1], rng)
-    state_w = AdamState.fresh(head.weights.shape, lr=lr)
-    state_b = AdamState.fresh(head.bias.shape, lr=lr)
-    scratch_w, scratch_b = np.empty_like(head.weights), np.empty_like(head.bias)
-    prev = np.inf
+    if not inits:
+        return []
+    work = _Workspace([aug.features for aug in augs],
+                      [aug.labels for aug in augs], inits[0].weights.shape[0])
+    weights = np.stack([head.weights for head in inits])
+    bias = np.stack([head.bias for head in inits])
+    state_w = AdamState.fresh(weights.shape, lr=lr)
+    state_b = AdamState.fresh(bias.shape, lr=lr)
+    scratch_w, scratch_b = np.empty_like(weights), np.empty_like(bias)
+    results: list[LinearHead | EpisodeAbort | None] = [None] * len(inits)
+    done = np.zeros(len(inits), dtype=bool)
+    # prev holds each head's last loss plus the slack.
+    prev = np.full(len(inits), np.inf)
+    rose = np.empty(len(inits), dtype=bool)
     # An overflow, and the inf - inf or 0 * inf it leads to, ends in a
     # non-finite loss, moment or parameter, and each aborts with the
     # event named, so their warnings are off.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            loss, gw, gb = head_loss_and_grad(head.weights, head.bias,
-                                              aug.features, aug.labels)
-            if not np.isfinite(loss):
-                raise EpisodeAbort("head_loss_diverged", f"loss={loss}")
-            if loss > prev + LOSS_INCREASE_SLACK:
-                diag.record("head_loss_increase")
-            prev = loss
-            adam_step(state_w, head.weights, gw, scratch_w)
-            adam_step(state_b, head.bias, gb, scratch_b)
+            loss, grad_w, grad_b = _step_loss_and_grad(weights, bias, work)
+            # A clean epoch has nothing to mark; a stack holding a done
+            # head, whose loss stays NaN, marks every epoch.
+            if not np.isfinite(loss).all():
+                failed = ~(done | np.isfinite(loss))
+                for j in np.flatnonzero(failed):
+                    results[j] = EpisodeAbort("head_loss_diverged",
+                                              f"loss={loss[j]}")
+                done |= failed
+                if done.all():
+                    break
+            np.greater(loss, prev, out=rose)
+            if rose.any():
+                for j in np.flatnonzero(rose & ~done):
+                    diags[j].record("head_loss_increase")
+            np.add(loss, LOSS_INCREASE_SLACK, out=prev)
+            adam_step(state_w, weights, grad_w, scratch_w)
+            adam_step(state_b, bias, grad_b, scratch_b)
     # The bias gradient is bounded by 1; only the weights' moment can
     # overflow.
-    if not np.all(np.isfinite(state_w.v)):
-        raise EpisodeAbort("head_grad_overflow",
-                           "Adam second moment overflowed; training stalled")
-    if not (np.all(np.isfinite(head.weights)) and np.all(np.isfinite(head.bias))):
-        raise EpisodeAbort("head_params_nonfinite")
-    return head
+    overflowed = ~np.isfinite(state_w.v).all(axis=(1, 2))
+    finite = (np.isfinite(weights).all(axis=(1, 2))
+              & np.isfinite(bias).all(axis=1))
+    for j in np.flatnonzero(~done):
+        if overflowed[j]:
+            results[j] = EpisodeAbort(
+                "head_grad_overflow",
+                "Adam second moment overflowed; training stalled")
+        elif not finite[j]:
+            results[j] = EpisodeAbort("head_params_nonfinite")
+        else:
+            results[j] = LinearHead(weights=weights[j], bias=bias[j])
+    return results
+
+
+def train_head(aug: AugmentedSupport, epochs: int, lr: float,
+               rng: np.random.Generator, diag: Diagnostics) -> LinearHead:
+    """`train_heads` for one episode, from a head `init_head` draws from
+    `rng`. Raises the EpisodeAbort that ends it."""
+    if aug.features.shape[0] == 0:
+        raise ValueError("empty augmented support")
+    init = init_head(int(aug.labels.max()) + 1, aug.features.shape[1], rng)
+    result, = train_heads([init], [aug], epochs, lr, [diag])
+    if isinstance(result, EpisodeAbort):
+        raise result
+    return result

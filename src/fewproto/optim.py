@@ -45,6 +45,20 @@ def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, norms
 
 
+def _max_of_columns(columns: list[np.ndarray], out: np.ndarray) -> None:
+    """Elementwise maximum of `columns`, the slices of an array along its
+    last axis, into `out`.
+
+    The value is that of `maximum.reduce` over that axis up to the sign
+    of a zero result, which the exp after the softmax shift erases. On a
+    short axis (n_ways entries) a chain of elementwise calls is several
+    times faster than a reduce, which pays a fixed cost per row.
+    """
+    np.copyto(out, columns[0])
+    for column in columns[1:]:
+        np.maximum(out, column, out=out)
+
+
 @dataclass
 class AdamState:
     """Adam moments and learning rate for one parameter array.
@@ -85,8 +99,12 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
     scratch *= grad
     v *= ADAM_BETA2
     v += scratch
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=grad)
-    grad *= state.lr
+    correction = 1.0 - ADAM_BETA1 ** t
+    if correction == 1.0:  # from t = 356 on; m / 1.0 is m bit for bit
+        np.multiply(m, state.lr, out=grad)
+    else:
+        np.divide(m, correction, out=grad)
+        grad *= state.lr
     np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS

@@ -31,7 +31,8 @@ import numpy as np
 
 from .diagnostics import EpisodeAbort
 from .head import LinearHead, head_predict
-from .optim import LOG_FLOOR, AdamState, adam_step, row_norms, softmax
+from .optim import (LOG_FLOOR, AdamState, _max_of_columns, adam_step,
+                    row_norms, softmax)
 
 
 @dataclass
@@ -191,20 +192,6 @@ class _Workspace:
                               + np.arange(r)) * n + labels)
 
 
-def _max_of_columns(columns: list[np.ndarray], out: np.ndarray) -> None:
-    """Elementwise maximum of `columns`, the slices of an array along its
-    last axis, into `out`.
-
-    The value is that of `maximum.reduce` over that axis up to the sign
-    of a zero result, which the exp after the softmax shift erases. On a
-    short axis (n_ways entries) a chain of elementwise calls is several
-    times faster than a reduce, which pays a fixed cost per row.
-    """
-    np.copyto(out, columns[0])
-    for column in columns[1:]:
-        np.maximum(out, column, out=out)
-
-
 def _step_loss_and_grad(protos: np.ndarray, work: _Workspace
                         ) -> tuple[np.ndarray, np.ndarray]:
     """loss_total and its gradient for a stack of B prototype banks.
@@ -358,15 +345,18 @@ def train_prototype_banks(heads: list[LinearHead],
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for epoch in range(epochs):
             loss, grad = _step_loss_and_grad(protos, work)
-            failed = ~(done | np.isfinite(loss))
-            for j in np.flatnonzero(failed):
-                results[j] = EpisodeAbort(
-                    "zero_prototype_row" if not work.norms[j].all()
-                    else "proto_loss_diverged",
-                    f"loss={loss[j]} at epoch {epoch}")
-            done |= failed
-            if done.all():
-                break
+            # A clean epoch has nothing to mark; a stack holding a done
+            # bank, whose loss stays NaN, marks every epoch.
+            if not np.isfinite(loss).all():
+                failed = ~(done | np.isfinite(loss))
+                for j in np.flatnonzero(failed):
+                    results[j] = EpisodeAbort(
+                        "zero_prototype_row" if not work.norms[j].all()
+                        else "proto_loss_diverged",
+                        f"loss={loss[j]} at epoch {epoch}")
+                done |= failed
+                if done.all():
+                    break
             if trajectories is not None:
                 for j in np.flatnonzero(~done):
                     trajectories[j].append(float(loss[j]))

@@ -2,12 +2,13 @@
 
 Each trial draws a random head, random support features, and random
 prototypes, then compares the closed-form gradients of the head loss and
-of the composite prototype loss against central differences. The
-prototype gradient checked is the one training runs: the batched fused
-step for a single bank, against differences of `loss_total`. The
-composite loss is checked under the default term weights and a fixed set
-of random weight pairs. This suite is the primary correctness gate for
-the training code; the CLI exposes it as the `gradcheck` subcommand.
+of the composite prototype loss against central differences. Each
+gradient checked is the one training runs, for a single head or bank:
+the stacked head step, and the batched fused prototype step against
+differences of `loss_total`. The composite loss is checked under the
+default term weights and a fixed set of random weight pairs. This suite
+is the primary correctness gate for the training code; the CLI exposes
+it as the `gradcheck` subcommand.
 It has no settings: TRIALS trials drawn from seed SEED, each error
 checked against TOLERANCE, with `grad_check`'s step `optim.FD_STEP`.
 """
@@ -43,7 +44,9 @@ class GradCheckReport:
 
 
 def check_head_gradient(weights, bias, feats, labels) -> float:
-    """Worst relative error of the head's analytic gradient at (W, b)."""
+    """Worst relative error of the head's analytic gradient at (W, b):
+    the stacked training step for one head, through
+    `head_loss_and_grad`."""
     w_size = weights.size
 
     def unpack(x):

@@ -259,8 +259,11 @@ def test_masks_reject_nonfinite_prototypes(bad):
         build_masks(bank_from([[1.0, 0.0], [0.5, bad]]), scale=0.1, boost=1e4)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["scale", "boost"])
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in ("boost", "scale")
+    for bad in (-np.inf, np.inf, np.nan)] + [
+    # RunConfig rejects mask.boost < 0; the library path does too.
+    ("boost", -1e4)])
 def test_masks_reject_a_nonfinite_scale_or_boost(name, bad):
     values = {"scale": 0.1, "boost": 1e4, name: bad}
     with pytest.raises(ValueError, match=f"mask {name}={bad!r} must be "):

@@ -655,29 +655,38 @@ def test_run_eval_inside_a_daemonic_worker():
 
 
 def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
-    # Two episodes of the second chunk are broken after preparation: one
-    # head goes NaN (the loss diverges inside the batched loop), one
-    # support row goes to zero (aborted before stacking). Every episode
-    # must end as it does alone in run_episode.
-    real_prepare = harness.prepare_episode
-    cfg = small_config(**{"n_tasks": "200"})
+    # Three episodes of the second chunk are broken: one head init goes
+    # NaN (the loss diverges inside the stacked head loop), one trained
+    # head goes NaN after the head loop (the loss diverges inside the
+    # batched prototype loop), one support row goes to zero (aborted
+    # before stacking). Every episode must end as it does alone in
+    # run_episode.
+    real_prepare, real_banks = (harness.prepare_episode,
+                                harness._prototype_banks)
+    cfg = small_config(**{"n_tasks": "300"})
     second = harness.chunk_plan(
         cfg.n_tasks, harness.stack_width(cfg, cfg.synthetic.dim))[1]
-    broken = {second.start + 2: "nan_head", second.start + 5: "zero_row"}
+    broken = {second.start + 2: "nan_head", second.start + 4: "nan_init",
+              second.start + 5: "zero_row"}
 
     def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
-        how = broken.get(prepare.calls % config.n_tasks)
-        prepare.calls += 1
-        if how == "nan_head":
+        how = broken.get(task_index(prepared, config))
+        if how == "nan_init":
             prepared.head.weights[0, 0] = np.nan
         elif how == "zero_row":
             prepared.support_feats[1] = 0.0
         return prepared
 
-    prepare.calls = 0
+    def banks(prepared, config):
+        for p in prepared:
+            if broken.get(task_index(p, config)) == "nan_head":
+                p.head.weights[0, 0] = np.nan
+        return real_banks(prepared, config)
+
     monkeypatch.setattr(harness, "prepare_episode", prepare)
-    # The call counter lives in this process, so no worker may fork.
+    monkeypatch.setattr(harness, "_prototype_banks", banks)
+    # One worker, so the chunks are the plan above.
     monkeypatch.setattr(harness, "worker_count", lambda n_tasks: 1)
     rep = run_eval(cfg)
     emb = harness._resolve_pool(cfg)
@@ -687,9 +696,10 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
             alone.append(run_episode(emb, cfg, episode_rng(cfg.seed, i)))
         except EpisodeAbort as abort:
             reasons.append(abort.reason)
-    assert sorted(reasons) == ["proto_loss_diverged", "zero_support_row"]
+    assert sorted(reasons) == ["head_loss_diverged", "proto_loss_diverged",
+                               "zero_support_row"]
     assert rep.per_task_accuracy == alone
-    assert rep.diagnostics["aborted_episodes"] == 2
+    assert rep.diagnostics["aborted_episodes"] == 3
     for reason in reasons:
         assert rep.diagnostics[f"abort:{reason}"] == 1
 

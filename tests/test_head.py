@@ -1,11 +1,14 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.head import (AugmentedSupport, LinearHead, head_loss_and_grad,
-                           head_predict, manifold_augment, train_head)
+                           head_predict, init_head, manifold_augment,
+                           train_head, train_heads)
 from fewproto.optim import AdamState, adam_update, softmax
 from fewproto.verification import check_head_gradient
 
@@ -235,3 +238,86 @@ def test_train_head_matches_allocating_adam(k_shots, dim):
         state_b, bias = adam_update(state_b, bias, gb)
     np.testing.assert_array_equal(head.weights, weights)
     np.testing.assert_array_equal(head.bias, bias)
+
+
+def stacked_case(ways, shots, dim, n_heads, n_aug, seed):
+    """`n_heads` episodes' augmented supports, with row scales that vary
+    by episode, and each episode's generator, positioned after its
+    augmentation, where `train_head` draws the head's init."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(ways), shots)
+    augs, rngs = [], []
+    for j in range(n_heads):
+        feats = rng.normal(size=(ways * shots, dim)) * rng.uniform(0.1, 20.0)
+        episode_rng = np.random.default_rng([seed, j])
+        augs.append(manifold_augment(feats, labels, n_aug, episode_rng))
+        rngs.append(episode_rng)
+    return augs, rngs
+
+
+def stacked_inits(augs, rngs):
+    """The heads `train_head` would draw, from copies of the generators."""
+    return [init_head(int(aug.labels.max()) + 1, aug.features.shape[1],
+                      copy.deepcopy(rng)) for aug, rng in zip(augs, rngs)]
+
+
+@pytest.mark.parametrize("ways, shots, dim, n_heads, n_aug, lr", [
+    (5, 5, 64, 20, 5, 1e-2), (5, 1, 640, 14, 5, 1e-2),
+    (3, 2, 16, 6, 0, 1e-2), (5, 5, 64, 20, 5, 3.0)])
+def test_stacked_heads_match_train_head(ways, shots, dim, n_heads, n_aug,
+                                        lr):
+    # Each head of one stacked loop has the bits and the diagnostics it
+    # gets alone. At lr=3.0 the loss rises, and each rise is counted for
+    # its own episode.
+    augs, rngs = stacked_case(ways, shots, dim, n_heads, n_aug, 31)
+    diags = [Diagnostics() for _ in augs]
+    stacked = train_heads(stacked_inits(augs, rngs), augs, 11, lr, diags)
+    for aug, rng, got, diag in zip(augs, rngs, stacked, diags):
+        alone = Diagnostics()
+        head = train_head(aug, 11, lr, rng, alone)
+        np.testing.assert_array_equal(got.weights, head.weights)
+        np.testing.assert_array_equal(got.bias, head.bias)
+        assert diag.counts == alone.counts
+    if lr == 3.0:  # episodes count different numbers of rises
+        assert len({diag.counts["head_loss_increase"] for diag in diags}) > 1
+
+
+def test_stacked_head_aborts_leave_the_other_heads():
+    # Head 1 starts NaN, so its loss diverges at the first epoch; head 3's
+    # rows are scaled by 1e180, so its gradient overflows Adam's second
+    # moment while its loss stays finite. Each ends as it does alone, and
+    # every other head keeps its bits.
+    augs, rngs = stacked_case(5, 5, 64, 5, 5, 32)
+    augs[3] = AugmentedSupport(augs[3].features * 1e180, augs[3].labels)
+    inits = stacked_inits(augs, rngs)
+    inits[1].weights[0, 0] = np.nan
+    diags = [Diagnostics() for _ in augs]
+    stacked = train_heads(inits, augs, 11, 1e-2, diags)
+    assert [getattr(got, "reason", None) for got in stacked] == [
+        None, "head_loss_diverged", None, "head_grad_overflow", None]
+    with pytest.raises(EpisodeAbort, match="head_grad_overflow"):
+        train_head(augs[3], 11, 1e-2, rngs[3], Diagnostics())
+    for j in (0, 2, 4):
+        alone = Diagnostics()
+        head = train_head(augs[j], 11, 1e-2, rngs[j], alone)
+        np.testing.assert_array_equal(stacked[j].weights, head.weights)
+        np.testing.assert_array_equal(stacked[j].bias, head.bias)
+        assert diags[j].counts == alone.counts
+
+
+def test_stacked_head_loop_allocates_nothing_per_epoch():
+    # The loop writes buffers allocated before it: ten times the epochs
+    # leave the peak of traced memory where it was.
+    augs, rngs = stacked_case(5, 5, 64, 8, 5, 33)
+    inits = stacked_inits(augs, rngs)
+    peaks = []
+    for epochs in (5, 50):
+        tracemalloc.start()
+        try:
+            train_heads(inits, augs, epochs, 1e-2,
+                        [Diagnostics() for _ in augs])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0]

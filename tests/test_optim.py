@@ -95,15 +95,18 @@ def test_adam_deterministic():
 
 
 def test_adam_step_in_place_matches_allocating_forms():
-    # 200 steps on a (B, n, e) stack: the in-place kernel must give the
+    # 400 steps on a (B, n, e) stack: the in-place kernel must give the
     # bits of adam_update and of the allocating expression, in this
     # operation order; adam_update must leave its arguments unchanged.
+    # From step 356 on, 1 - b1^t rounds to 1.0 and the kernel skips the
+    # divide by it.
     rng = np.random.default_rng(4)
     shape = (6, 5, 16)
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    assert 1.0 - b1 ** 355 < 1.0 == 1.0 - b1 ** 356
     start = rng.normal(size=shape)
-    grads = rng.normal(scale=rng.uniform(1e-3, 1e3, size=(200, 1, 1, 1)),
-                       size=(200,) + shape)
+    grads = rng.normal(scale=rng.uniform(1e-3, 1e3, size=(400, 1, 1, 1)),
+                       size=(400,) + shape)
     ref_state = AdamState.fresh(shape, lr=lr)
     ref = start.copy()
     state = AdamState.fresh(shape, lr=lr)
