@@ -5,38 +5,26 @@ query features, aggregate features through it, train a small linear
 head on augmented support rows, obtain class prototypes (class means or
 trained against a composite loss), then classify queries by attention-
 masked cosine similarity to the prototypes.
+
+The package exports the run surface: configs and runs, reports, pools,
+the gradient gate and the per-episode events. The stage functions
+import from their modules (`fewproto.graph`, `fewproto.head`, ...).
 """
 
-from .classify import AttentionMasks, build_masks, classify_batch, score_episode
 from .diagnostics import Diagnostics, EpisodeAbort
-from .embeddings import (EmbeddingFormatError, EmbeddingSet, Episode,
+from .embeddings import (EmbeddingFormatError, EmbeddingSet,
                          generate_synthetic, load_embedding_set,
-                         sample_episode, save_embedding_set)
-from .graph import (build_similarity, build_task_graph, normalize_adjacency,
-                    propagate, sparsify_top_m)
+                         save_embedding_set)
 from .harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                       emit_report, load_report, run_episode, run_eval)
-from .head import (AugmentedSupport, LinearHead, head_predict,
-                   manifold_augment, train_head)
-from .optim import AdamState, grad_check, softmax
-from .prototypes import (LossWeights, PrototypeBank, loss_class,
-                         loss_entropy, loss_metric, loss_total,
-                         mean_prototypes)
 from .verification import run_gradcheck_suite
 
 __all__ = [
-    "AttentionMasks", "build_masks", "classify_batch", "score_episode",
-    "Diagnostics", "EpisodeAbort", "EmbeddingFormatError", "EmbeddingSet",
-    "Episode", "generate_synthetic", "load_embedding_set",
-    "sample_episode", "save_embedding_set", "build_similarity",
-    "build_task_graph", "normalize_adjacency", "propagate",
-    "sparsify_top_m", "EvalReport", "RunConfig", "RunError",
-    "SyntheticSpec", "emit_report", "load_report", "run_episode",
-    "run_eval", "AugmentedSupport", "LinearHead", "head_predict",
-    "manifold_augment", "train_head", "AdamState", "grad_check",
-    "softmax", "LossWeights", "PrototypeBank", "loss_class",
-    "loss_entropy", "loss_metric", "loss_total", "mean_prototypes",
-    "run_gradcheck_suite",
+    "RunConfig", "SyntheticSpec", "RunError", "run_eval", "run_episode",
+    "EvalReport", "emit_report", "load_report",
+    "EmbeddingSet", "EmbeddingFormatError", "load_embedding_set",
+    "save_embedding_set", "generate_synthetic",
+    "run_gradcheck_suite", "Diagnostics", "EpisodeAbort",
 ]
 
 __version__ = "0.1.0"

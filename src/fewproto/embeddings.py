@@ -28,6 +28,8 @@ import numpy as np
 
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
+# Records are float32, so a synthetic pool's scales and records must fit.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Bytes of rows the finiteness scan checks at a time, so its temporaries
 # stay this small however large the pool.
 SCAN_BYTES = 1 << 20
@@ -289,7 +291,7 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
         if count < 1:
             raise ValueError(f"{name}={count!r} must be >= 1")
     for name, value in ("mean_scale", mean_scale), ("noise_sigma", noise_sigma):
-        if not abs(value) <= float(np.finfo(np.float32).max):  # and NaN
+        if not abs(value) <= FLOAT32_MAX:  # and NaN
             raise ValueError(f"{name}={value!r} is not a finite float32")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
@@ -300,7 +302,7 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
     for c in range(n_classes):
         block = slice(c * per_class, (c + 1) * per_class)
         vectors[block] = means[c] + noise_sigma * rng.normal(size=(per_class, dim))
-    if not (np.abs(vectors) <= float(np.finfo(np.float32).max)).all():
+    if not (np.abs(vectors) <= FLOAT32_MAX).all():
         raise ValueError(f"records of mean_scale={mean_scale!r} plus noise "
                          f"of noise_sigma={noise_sigma!r} exceed float32 range")
     return EmbeddingSet.from_arrays(vectors, labels)

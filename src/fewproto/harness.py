@@ -47,9 +47,9 @@ import numpy as np
 
 from .classify import build_masks, classify_batch, score_episode
 from .diagnostics import Diagnostics, EpisodeAbort
-from .embeddings import (EmbeddingSet, Episode, eligible_classes,
-                         generate_synthetic, load_embedding_set,
-                         sample_episode)
+from .embeddings import (FLOAT32_MAX, EmbeddingSet, Episode,
+                         eligible_classes, generate_synthetic,
+                         load_embedding_set, sample_episode)
 from .graph import build_task_graph
 from .head import (AugmentedSupport, LinearHead, init_head,
                    manifold_augment, train_heads)
@@ -75,12 +75,13 @@ class RunError(RuntimeError):
 
 
 def _setting(default, flag: str | None = None, *, ge=None, gt=None,
-             choices: tuple | None = None, help: str | None = None):
+             le=None, choices: tuple | None = None, help: str | None = None):
     """A config field: its default, its `eval` flag with `help`, and its
-    domain: at least `ge`, above `gt`, one of `choices`. A float value
-    must also be finite."""
+    domain: at least `ge`, above `gt`, at most `le`, one of `choices`. A
+    float value must also be finite."""
     return field(default=default, metadata={
-        "flag": flag, "ge": ge, "gt": gt, "choices": choices, "help": help})
+        "flag": flag, "ge": ge, "gt": gt, "le": le, "choices": choices,
+        "help": help})
 
 
 @dataclass
@@ -90,8 +91,8 @@ class SyntheticSpec:
     n_classes: int = _setting(20, ge=1)
     per_class: int = _setting(50, ge=1)
     dim: int = _setting(64, ge=1)
-    mean_scale: float = _setting(10.0)
-    sigma: float = _setting(0.1, ge=0)
+    mean_scale: float = _setting(10.0, ge=-FLOAT32_MAX, le=FLOAT32_MAX)
+    sigma: float = _setting(0.1, ge=0, le=FLOAT32_MAX)
 
     def __str__(self):
         return ",".join(repr(getattr(self, f.name)) for f in fields(self))
@@ -246,6 +247,8 @@ def _check_field(key: str, owner, f, hint) -> None:
         raise RunError(f"{name} must be >= {meta['ge']}")
     if meta["gt"] is not None and typed <= meta["gt"]:
         raise RunError(f"{name} must be > {meta['gt']}")
+    if meta["le"] is not None and typed > meta["le"]:
+        raise RunError(f"{name} must be <= {meta['le']}")
     if meta["choices"] and typed not in meta["choices"]:
         raise RunError(f"{name} must be one of {', '.join(meta['choices'])}")
 
@@ -392,9 +395,9 @@ class PreparedEpisode:
     are dropped (None) once aggregated: only the aggregated features are
     read later. `head` is the head's initial draw until the chunk's
     stacked head loop trains it on the augmented support `aug` and puts
-    the trained head in its place; `aug` is then dropped (None). `rng`
-    is the episode's generator, positioned where prototype
-    initialization draws from it.
+    the trained head in its place; the loop takes `aug` over as it
+    starts (`take_aug`). `rng` is the episode's generator, positioned
+    where prototype initialization draws from it.
     """
 
     episode: Episode
@@ -403,6 +406,11 @@ class PreparedEpisode:
     head: LinearHead | None
     aug: AugmentedSupport | None
     rng: np.random.Generator
+
+    def take_aug(self) -> AugmentedSupport:
+        """`aug`, which this episode then drops (None)."""
+        aug, self.aug = self.aug, None
+        return aug
 
 
 def _lap(diag: Diagnostics, phase: str, since: float) -> float:
@@ -489,19 +497,20 @@ def _train_heads(started: list[PreparedEpisode | EpisodeAbort],
                  diags: list[Diagnostics], config: RunConfig) -> None:
     """Train the heads of the prepared entries of `started` in one
     stacked loop, recording into the matching entries of `diags`. Each
-    entry gets its trained head, or is replaced by the abort that ended
-    it, and drops its augmented rows. The loop's time is split evenly
-    over their "head" phases."""
+    entry hands the loop its augmented rows, which the loop's stack then
+    holds alone, and gets its trained head or is replaced by the abort
+    that ended it. The loop's time is split evenly over their "head"
+    phases."""
     slots = [k for k, p in enumerate(started)
              if isinstance(p, PreparedEpisode)]
     t = time.perf_counter()
     heads = train_heads([started[k].head for k in slots],
-                        [started[k].aug for k in slots], config.head.epochs,
-                        config.head.lr, [diags[k] for k in slots])
+                        (started[k].take_aug() for k in slots),
+                        config.head.epochs, config.head.lr,
+                        [diags[k] for k in slots])
     share = (time.perf_counter() - t) / max(len(slots), 1)
     for k, head in zip(slots, heads):
         diags[k].seconds["head"] += share
-        started[k].aug = None
         if isinstance(head, EpisodeAbort):
             started[k] = head
         else:

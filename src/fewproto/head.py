@@ -9,13 +9,14 @@ class's convex hull.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import Diagnostics, EpisodeAbort
-from .optim import (LOG_FLOOR, AdamState, _max_of_columns, adam_step,
-                    softmax)
+from .optim import (AdamState, adam_step, label_targets, softmax,
+                    stacked_nll, stacked_softmax)
 
 # Epoch-to-epoch loss increases beyond this slack are counted as a
 # diagnostic; full-batch training is expected to be monotone.
@@ -98,12 +99,9 @@ class _Workspace:
     def __init__(self, feats: list[np.ndarray], labels: list[np.ndarray],
                  n_classes: int):
         self.feats = np.stack(feats, dtype=np.float64)
-        labels = np.asarray(np.stack(labels), dtype=np.int64)
         n_heads, r, e = self.feats.shape
         n = n_classes
-        self.one_hot = (labels[:, :, None] == np.arange(n)).astype(np.float64)
-        self.picked_index = (np.arange(n_heads)[:, None] * r
-                             + np.arange(r)) * n + labels
+        self.one_hot, self.picked_index = label_targets(labels, n)
         self.probs = np.empty((n_heads, r, n))
         self.per_row = np.empty((n_heads, r, 1))
         self.picked = np.empty((n_heads, r))
@@ -112,7 +110,6 @@ class _Workspace:
         self.grad_b = np.empty((n_heads, n))
         self.probs_t = self.probs.transpose(0, 2, 1)
         self.probs_cols = [self.probs[:, :, k] for k in range(n)]
-        self.per_row_2d = self.per_row[:, :, 0]
 
 
 def _step_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
@@ -126,27 +123,17 @@ def _step_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
     the softmax of a row's logits, d/dz = (p - onehot) / r. Every
     operation runs within one head, and is the one an allocating
     evaluation runs, in the same order, so each head gets the bits it
-    gets alone: the softmax shift takes its maximum column by column,
-    the row sums are `np.add.reduce`, and subtracting the one-hot over
-    the whole array changes only the picked entries, because
-    x - 0.0 == x.
+    gets alone: the softmax and its loss are `stacked_softmax` and
+    `stacked_nll`, and subtracting the one-hot over the whole array
+    changes only the picked entries, because x - 0.0 == x.
     """
     w = work
     n_rows = w.feats.shape[1]
-    probs, per_row = w.probs, w.per_row
+    probs, loss = w.probs, w.loss
     np.matmul(w.feats, weights.transpose(0, 2, 1), out=probs)
     probs += bias[:, None, :]
-    _max_of_columns(w.probs_cols, w.per_row_2d)
-    probs -= per_row
-    np.exp(probs, out=probs)
-    np.add.reduce(probs, axis=2, keepdims=True, out=per_row)
-    probs /= per_row
-    picked, loss = w.picked, w.loss
-    np.take(probs, w.picked_index, out=picked, mode="clip")
-    np.maximum(picked, LOG_FLOOR, out=picked)
-    np.log(picked, out=picked)
-    np.add.reduce(picked, axis=1, out=loss)
-    np.negative(loss, out=loss)
+    stacked_softmax(probs, w.probs_cols, w.per_row, probs)
+    stacked_nll(probs, w.picked_index, w.picked, loss)
     loss /= n_rows
     probs -= w.one_hot
     probs /= n_rows
@@ -155,27 +142,13 @@ def _step_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
     return loss, w.grad_w, w.grad_b
 
 
-def head_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
-                       feats: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of the head on `feats`, with analytic gradients.
-
-    Returns (loss, grad_weights, grad_bias): the stacked training step
-    for this one head, whose gradient the gradcheck suite verifies
-    against finite differences.
-    """
-    work = _Workspace([feats], [labels], weights.shape[0])
-    loss, grad_w, grad_b = _step_loss_and_grad(weights[None], bias[None],
-                                               work)
-    return float(loss[0]), grad_w[0], grad_b[0]
-
-
 def init_head(n_classes: int, dim: int, rng: np.random.Generator) -> LinearHead:
     """Gaussian weights of std HEAD_INIT_STD and zero bias."""
     return LinearHead(weights=rng.normal(0.0, HEAD_INIT_STD, (n_classes, dim)),
                       bias=np.zeros(n_classes))
 
 
-def train_heads(inits: list[LinearHead], augs: list[AugmentedSupport],
+def train_heads(inits: list[LinearHead], augs: Iterable[AugmentedSupport],
                 epochs: int, lr: float, diags: list[Diagnostics]
                 ) -> list[LinearHead | EpisodeAbort]:
     """Train one head per episode in a single stacked full-batch Adam loop
@@ -192,14 +165,17 @@ def train_heads(inits: list[LinearHead], augs: list[AugmentedSupport],
     moment stays inf, so one check after the loop catches it), or a
     non-finite parameter. An epoch-to-epoch loss increase beyond
     LOSS_INCREASE_SLACK records a `head_loss_increase` in that episode's
-    diagnostics, and training goes on.
+    diagnostics, and training goes on. `augs` is read once, before the
+    loop, which keeps only its stacked copy of the rows: rows handed
+    over by an iterator are freed before the first step.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not inits:
         return []
-    work = _Workspace([aug.features for aug in augs],
-                      [aug.labels for aug in augs], inits[0].weights.shape[0])
+    feats, labels = zip(*((aug.features, aug.labels) for aug in augs))
+    work = _Workspace(feats, labels, inits[0].weights.shape[0])
+    del feats, labels
     weights = np.stack([head.weights for head in inits])
     bias = np.stack([head.bias for head in inits])
     state_w = AdamState.fresh(weights.shape, lr=lr)

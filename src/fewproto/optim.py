@@ -1,7 +1,9 @@
 """Shared numerical core: softmax, Adam, finite-difference checks.
 
 Everything here runs in float64; the training loops in `head` and
-`prototypes` rely on that for gradient checks at 1e-4 tolerance.
+`prototypes` rely on that for gradient checks at 1e-4 tolerance. Both
+loops take their softmax cross-entropies from `stacked_softmax` and
+`stacked_nll`, which write preallocated buffers.
 `grad_check` takes central differences with the fixed step FD_STEP.
 """
 
@@ -45,18 +47,48 @@ def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, norms
 
 
-def _max_of_columns(columns: list[np.ndarray], out: np.ndarray) -> None:
-    """Elementwise maximum of `columns`, the slices of an array along its
-    last axis, into `out`.
+def label_targets(labels: list[np.ndarray], n_classes: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """B equal-length label arrays as their (B, r, n) one-hot stack and
+    the flat index of each label's entry in a (B, r, n) array, the
+    `index` of `stacked_nll`."""
+    labels = np.asarray(np.stack(labels), dtype=np.int64)
+    n_stack, r = labels.shape
+    one_hot = (labels[:, :, None] == np.arange(n_classes)).astype(np.float64)
+    return one_hot, ((np.arange(n_stack)[:, None] * r + np.arange(r))
+                     * n_classes + labels)
 
-    The value is that of `maximum.reduce` over that axis up to the sign
-    of a zero result, which the exp after the softmax shift erases. On a
-    short axis (n_ways entries) a chain of elementwise calls is several
-    times faster than a reduce, which pays a fixed cost per row.
-    """
-    np.copyto(out, columns[0])
+
+def stacked_softmax(logits: np.ndarray, columns: list[np.ndarray],
+                    sums: np.ndarray, out: np.ndarray) -> None:
+    """Softmax along the last axis of the (B, r, n) stack `logits` into
+    `out`, which may be `logits`; `columns` are the n slices of `logits`
+    along that axis and `sums` a (B, r, 1) buffer. Each row gets the
+    bits of `softmax`. The shift's maximum is a chain of elementwise
+    calls over the columns, several times faster on a short axis than
+    `maximum.reduce`, which pays a fixed cost per row; they differ only
+    in the sign of a zero, which the exp erases."""
+    top = sums[:, :, 0]
+    np.copyto(top, columns[0])
     for column in columns[1:]:
-        np.maximum(out, column, out=out)
+        np.maximum(top, column, out=top)
+    np.subtract(logits, sums, out=out)
+    np.exp(out, out=out)
+    np.add.reduce(out, axis=2, keepdims=True, out=sums)
+    out /= sums
+
+
+def stacked_nll(probs: np.ndarray, index: np.ndarray, picked: np.ndarray,
+                out: np.ndarray) -> None:
+    """Sum over the rows of each entry of the (B, r, n) stack `probs` of
+    -log(max(p, LOG_FLOOR)), p the row's own-label probability, into
+    `out` (B,). `index` (B, r) holds the flat index of each such entry
+    in `probs`, and `picked` is a (B, r) buffer."""
+    np.take(probs, index, out=picked, mode="clip")
+    np.maximum(picked, LOG_FLOOR, out=picked)
+    np.log(picked, out=picked)
+    np.add.reduce(picked, axis=1, out=out)
+    np.negative(out, out=out)
 
 
 @dataclass

@@ -31,8 +31,8 @@ import numpy as np
 
 from .diagnostics import EpisodeAbort
 from .head import LinearHead, head_predict
-from .optim import (LOG_FLOOR, AdamState, _max_of_columns, adam_step,
-                    row_norms, softmax)
+from .optim import (LOG_FLOOR, AdamState, adam_step, label_targets,
+                    row_norms, softmax, stacked_nll, stacked_softmax)
 
 
 @dataclass
@@ -161,7 +161,6 @@ class _Workspace:
         self.head_weights = head_weights = np.stack(
             [head.weights for head in heads])
         feats, norms = row_norms(np.stack(support_feats, dtype=np.float64))
-        labels = np.asarray(np.stack(labels), dtype=np.int64)
         n_banks, n, e = head_weights.shape
         r = feats.shape[1]
         self.zero_support = (norms == 0.0).any(axis=1)
@@ -187,9 +186,7 @@ class _Workspace:
         self.q_t = self.q.transpose(0, 2, 1)
         self.probs_cols = [self.probs[:, :, k] for k in range(n)]
         self.scores_cols = [self.scores[:, :, k] for k in range(n)]
-        self.one_hot = (labels[:, :, None] == np.arange(n)).astype(np.float64)
-        self.picked_index = ((np.arange(n_banks)[:, None] * r
-                              + np.arange(r)) * n + labels)
+        self.one_hot, self.picked_index = label_targets(labels, n)
 
 
 def _step_loss_and_grad(protos: np.ndarray, work: _Workspace
@@ -210,10 +207,10 @@ def _step_loss_and_grad(protos: np.ndarray, work: _Workspace
     depend on the others in the stack. Each operation is the one an
     allocating evaluation of these formulas runs, in the same order, so
     the bits match it: `np.add.reduce` is `sum`, clipping is max then
-    min, the softmax shifts take their maxima column by column, and
-    subtracting the one-hot and the scaled identity over whole arrays
-    changes only the picked entries, because x - 0.0 == x. A bank with a
-    zero-norm prototype row gets a NaN loss.
+    min, both softmaxes are `stacked_softmax` and the metric term is
+    `stacked_nll`, and subtracting the one-hot and the scaled identity
+    over whole arrays changes only the picked entries, because
+    x - 0.0 == x. A bank with a zero-norm prototype row gets a NaN loss.
     """
     w = work
     weights = w.weights
@@ -221,14 +218,10 @@ def _step_loss_and_grad(protos: np.ndarray, work: _Workspace
     n_rows = w.unit_rows.shape[1]
     loss, term = w.loss, w.term
 
-    probs, per_proto = w.probs, w.per_proto
+    probs = w.probs
     np.matmul(protos, w.head_weights_t, out=probs)
     probs += w.bias_3d
-    _max_of_columns(w.probs_cols, per_proto[:, :, 0])
-    probs -= per_proto
-    np.exp(probs, out=probs)
-    np.add.reduce(probs, axis=2, keepdims=True, out=per_proto)
-    probs /= per_proto
+    stacked_softmax(probs, w.probs_cols, w.per_proto, probs)
     logp, prod, ent = w.logp, w.prod, w.ent
     np.maximum(probs, LOG_FLOOR, out=logp)
     np.log(logp, out=logp)
@@ -257,21 +250,12 @@ def _step_loss_and_grad(protos: np.ndarray, work: _Workspace
     np.einsum("bij,bij->bi", protos, protos, out=w.norms_2d)
     np.sqrt(norms, out=norms)
     np.divide(protos, norms, out=unit_protos)
-    scores, q, per_row = w.scores, w.q, w.per_row
+    scores, q = w.scores, w.q
     np.matmul(w.unit_rows, w.unit_protos_t, out=scores)
     np.maximum(scores, -1.0, out=scores)
     np.minimum(scores, 1.0, out=scores)
-    _max_of_columns(w.scores_cols, per_row[:, :, 0])
-    np.subtract(scores, per_row, out=q)
-    np.exp(q, out=q)
-    np.add.reduce(q, axis=2, keepdims=True, out=per_row)
-    q /= per_row
-    picked = w.picked
-    np.take(q, w.picked_index, out=picked, mode="clip")
-    np.maximum(picked, LOG_FLOOR, out=picked)
-    np.log(picked, out=picked)
-    np.add.reduce(picked, axis=1, out=term)
-    np.negative(term, out=term)
+    stacked_softmax(scores, w.scores_cols, w.per_row, q)
+    stacked_nll(q, w.picked_index, w.picked, term)
     term /= n_rows * n
     loss += term
     # t = (q - onehot) / (r n), in `q`; then the metric gradient

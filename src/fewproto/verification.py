@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harness import ProtoConfig
-from .head import LinearHead, head_loss_and_grad
+from .head import (LinearHead, _step_loss_and_grad as _head_step,
+                   _Workspace as _HeadWorkspace)
 from .optim import grad_check
-from .prototypes import (LossWeights, _step_loss_and_grad, _Workspace,
-                         loss_total)
+from .prototypes import (LossWeights, _step_loss_and_grad as _proto_step,
+                         _Workspace as _ProtoWorkspace, loss_total)
 
 # Each suite trial: a SUITE_WAYS-way episode, SUITE_SHOTS rows per class.
 SUITE_WAYS, SUITE_SHOTS, SUITE_DIM = 5, 3, 16
@@ -45,21 +46,21 @@ class GradCheckReport:
 
 def check_head_gradient(weights, bias, feats, labels) -> float:
     """Worst relative error of the head's analytic gradient at (W, b):
-    the stacked training step for one head, through
-    `head_loss_and_grad`."""
+    the training step on one head, set up as training sets it up,
+    against central differences of its own loss."""
     w_size = weights.size
+    work = _HeadWorkspace([feats], [labels], weights.shape[0])
 
-    def unpack(x):
-        return x[:w_size].reshape(weights.shape), x[w_size:]
+    def step(x):
+        return _head_step(x[:w_size].reshape((1,) + weights.shape),
+                          x[None, w_size:], work)
 
     def loss_fn(x):
-        w, b = unpack(x)
-        return head_loss_and_grad(w, b, feats, labels)[0]
+        return float(step(x)[0][0])
 
     def grad_fn(x):
-        w, b = unpack(x)
-        _, gw, gb = head_loss_and_grad(w, b, feats, labels)
-        return np.concatenate([gw.ravel(), gb])
+        _, gw, gb = step(x)
+        return np.concatenate([gw.ravel(), gb.ravel()])
 
     return grad_check(loss_fn, grad_fn,
                       np.concatenate([weights.ravel(), bias]))
@@ -70,13 +71,13 @@ def check_proto_gradient(protos, head, feats, labels,
     """Worst relative error of the training step's prototype gradient
     (`_step_loss_and_grad` on one bank, set up as training sets it up)
     against central differences of loss_total at the given prototypes."""
-    work = _Workspace([head], [feats], [labels], weights)
+    work = _ProtoWorkspace([head], [feats], [labels], weights)
 
     def loss_fn(x):
         return loss_total(x.reshape(protos.shape), head, feats, labels, weights)
 
     def grad_fn(x):
-        _, grad = _step_loss_and_grad(x.reshape((1,) + protos.shape), work)
+        _, grad = _proto_step(x.reshape((1,) + protos.shape), work)
         return grad.ravel()
 
     return grad_check(loss_fn, grad_fn, protos.ravel())

@@ -8,6 +8,7 @@ import pickle
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import fewproto
-from fewproto import harness
+from fewproto import harness, head
 from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.embeddings import EmbeddingSet, save_embedding_set
 from fewproto.harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
@@ -112,7 +113,8 @@ def test_config_rejects_top_m_beyond_episode():
     ("proto.entropy_weight", "-0.1"), ("proto.class_weight", "-1"),
     ("synthetic", "0,25,16,8.0,0.3"), ("synthetic", "8,0,16,8.0,0.3"),
     ("synthetic", "8,25,0,8.0,0.3"), ("synthetic", "8,25,16,nan,0.3"),
-    ("synthetic", "8,25,16,8.0,-0.1"), ("seed", str(2 ** 64)),
+    ("synthetic", "8,25,16,8.0,-0.1"), ("synthetic", "8,25,16,1e150,0.3"),
+    ("synthetic", "8,25,16,8.0,1e150"), ("seed", str(2 ** 64)),
     ("mask.boost", "-1"),
 ])
 def test_config_error_names_the_field(key, value):
@@ -321,6 +323,47 @@ def test_diag_has_a_default_only_on_run_episode(module):
             for p in inspect.signature(fn).parameters.values()
             if p.name == "diag")]
     assert defaulted == []
+
+
+def test_package_exports_the_run_surface():
+    # Stage functions import from their modules; the package itself
+    # exports what a run needs.
+    assert sorted(fewproto.__all__) == sorted([
+        "RunConfig", "SyntheticSpec", "RunError", "run_eval", "run_episode",
+        "EvalReport", "emit_report", "load_report", "EmbeddingSet",
+        "EmbeddingFormatError", "load_embedding_set", "save_embedding_set",
+        "generate_synthetic", "run_gradcheck_suite", "Diagnostics",
+        "EpisodeAbort"])
+    for name in fewproto.__all__:
+        assert getattr(fewproto, name).__name__ == name
+
+
+def test_chunk_holds_its_augmented_rows_once(monkeypatch):
+    # The head loop's stacked copy of a chunk's augmented rows is the
+    # only one: each episode's own rows are freed before the first step.
+    rows = []
+    alive_at_first_step = []
+    augment, step = harness.manifold_augment, head._step_loss_and_grad
+
+    def recording_augment(*args):
+        aug = augment(*args)
+        rows.append(weakref.ref(aug.features))
+        return aug
+
+    def first_step_looks(*args):
+        if not alive_at_first_step:
+            alive_at_first_step.extend(ref() is not None for ref in rows)
+        return step(*args)
+
+    monkeypatch.setattr(harness, "manifold_augment", recording_augment)
+    monkeypatch.setattr(head, "_step_loss_and_grad", first_step_looks)
+    cfg = small_config(**{"proto.epochs": 2})
+    emb = harness._resolve_pool(cfg)
+    outcomes = list(harness._run_chunk(
+        emb, cfg, [episode_rng(cfg.seed, i) for i in range(4)],
+        [Diagnostics() for _ in range(4)]))
+    assert len(outcomes) == 4 and len(rows) == 4
+    assert alive_at_first_step == [False] * 4
 
 
 def test_chunk_plan_covers_tasks_evenly():

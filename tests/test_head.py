@@ -6,11 +6,22 @@ import numpy as np
 import pytest
 
 from fewproto.diagnostics import Diagnostics, EpisodeAbort
-from fewproto.head import (AugmentedSupport, LinearHead, head_loss_and_grad,
+from fewproto.head import (AugmentedSupport, LinearHead, _Workspace,
                            head_predict, init_head, manifold_augment,
                            train_head, train_heads)
 from fewproto.optim import AdamState, adam_update, softmax
 from fewproto.verification import check_head_gradient
+
+
+def allocating_loss_and_grad(weights, bias, feats, labels):
+    """The head's mean cross-entropy and its gradient, from allocating
+    formulas: with p = softmax(F W^T + b) and g = (p - onehot) / r,
+    dW = g^T F and db = the column sums of g."""
+    p = softmax(feats @ weights.T + bias)
+    rows = np.arange(len(labels))
+    loss = -np.sum(np.log(p[rows, labels])) / len(labels)
+    g = (p - np.eye(weights.shape[0])[labels]) / len(labels)
+    return loss, g.T @ feats, g.sum(axis=0)
 
 
 def distance_to_segment(p, a, b):
@@ -142,7 +153,8 @@ def test_train_head_identical_features_floor():
     labels = np.arange(4)
     aug = manifold_augment(feats, labels, 0, np.random.default_rng(13))
     head = train_head(aug, 50, 1e-2, np.random.default_rng(14), Diagnostics())
-    loss, _, _ = head_loss_and_grad(head.weights, head.bias, feats, labels)
+    loss, _, _ = allocating_loss_and_grad(head.weights, head.bias, feats,
+                                          labels)
     assert loss >= math.log(4.0) - 1e-3
 
 
@@ -154,6 +166,24 @@ def test_head_gradient_fifty_random_points():
         w = rng.normal(0.0, 0.4, (4, 6))
         b = rng.normal(0.0, 0.2, 4)
         assert check_head_gradient(w, b, feats, labels) < 1e-4
+
+
+def test_head_gradient_check_sets_up_one_workspace(monkeypatch):
+    # The check differentiates the training step on one workspace, as
+    # training steps on one workspace per loop.
+    built = []
+    init = _Workspace.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Workspace, "__init__", counting_init)
+    rng = np.random.default_rng(15)
+    check_head_gradient(rng.normal(0.0, 0.4, (4, 6)),
+                        rng.normal(0.0, 0.2, 4), rng.normal(size=(12, 6)),
+                        rng.integers(0, 4, size=12))
+    assert len(built) == 1
 
 
 def test_train_head_deterministic():
@@ -218,22 +248,25 @@ def test_train_head_names_a_step_past_float_range(epochs, reason):
     assert caught.value.reason == reason
 
 
-@pytest.mark.parametrize("k_shots, dim", [(5, 64), (1, 640)])
-def test_train_head_matches_allocating_adam(k_shots, dim):
-    # train_head steps in place; an allocating adam_update loop from the
-    # same init must give the same bits.
+@pytest.mark.parametrize("ways, k_shots, dim", [
+    (5, 5, 64), (5, 1, 640), (3, 2, 16), (10, 5, 64)],
+    ids=["5-64", "1-640", "3way-2-16", "10way-5-64"])
+def test_train_head_matches_allocating_adam(ways, k_shots, dim):
+    # train_head steps in place on a stacked workspace; allocating
+    # formulas and an allocating adam_update loop from the same init
+    # must give the same bits.
     rng = np.random.default_rng(21)
-    feats = rng.normal(size=(5 * k_shots, dim))
-    labels = np.repeat(np.arange(5), k_shots)
+    feats = rng.normal(size=(ways * k_shots, dim))
+    labels = np.repeat(np.arange(ways), k_shots)
     aug = manifold_augment(feats, labels, 5, rng)
     head = train_head(aug, 11, 1e-2, np.random.default_rng(22), Diagnostics())
-    weights = np.random.default_rng(22).normal(0.0, 0.01, (5, dim))
-    bias = np.zeros(5)
+    weights = np.random.default_rng(22).normal(0.0, 0.01, (ways, dim))
+    bias = np.zeros(ways)
     state_w = AdamState.fresh(weights.shape, lr=1e-2)
     state_b = AdamState.fresh(bias.shape, lr=1e-2)
     for _ in range(11):
-        _, gw, gb = head_loss_and_grad(weights, bias, aug.features,
-                                       aug.labels)
+        _, gw, gb = allocating_loss_and_grad(weights, bias, aug.features,
+                                             aug.labels)
         state_w, weights = adam_update(state_w, weights, gw)
         state_b, bias = adam_update(state_b, bias, gb)
     np.testing.assert_array_equal(head.weights, weights)
