@@ -190,7 +190,7 @@ class RunConfig:
                 f"{n_vertices - 1} neighbours each of an episode's "
                 f"{n_vertices} graph vertices has")
         if self.seed >= 2 ** 64:
-            raise RunError("seed must fit in an unsigned 64-bit integer")
+            raise RunError(f"seed={self.seed} must be < 2**64")
 
     def to_flat(self) -> dict:
         """Flat key/value view; nested groups become dotted keys."""

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics, EpisodeAbort
-from .optim import (AdamState, adam_step, label_targets, softmax,
-                    stacked_nll, stacked_softmax)
+from .optim import (label_targets, softmax, stacked_nll, stacked_softmax,
+                    train_stack)
 
 # Epoch-to-epoch loss increases beyond this slack are counted as a
 # diagnostic; full-batch training is expected to be monotone.
@@ -106,32 +106,33 @@ class _Workspace:
         self.per_row = np.empty((n_heads, r, 1))
         self.picked = np.empty((n_heads, r))
         self.loss = np.empty(n_heads)
-        self.grad_w = np.empty((n_heads, n, e))
-        self.grad_b = np.empty((n_heads, n))
+        self.grad = np.empty((n_heads, n, e + 1))
+        self.grad_w = self.grad[:, :, :e]
+        self.grad_b = self.grad[:, :, e]
         self.probs_t = self.probs.transpose(0, 2, 1)
         self.probs_cols = [self.probs[:, :, k] for k in range(n)]
 
 
-def _step_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
-                        work: _Workspace
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of a stack of B heads, with its gradients.
+def _step_loss_and_grad(params: np.ndarray, work: _Workspace
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy of a stack of B heads, with its gradient.
 
-    `weights` is (B, n, e) and `bias` (B, n); the rows and labels come
-    from `work`. Returns the (B,) losses and the (B, n, e) and (B, n)
-    gradients, buffers of `work` that the next call overwrites. With p
-    the softmax of a row's logits, d/dz = (p - onehot) / r. Every
-    operation runs within one head, and is the one an allocating
-    evaluation runs, in the same order, so each head gets the bits it
-    gets alone: the softmax and its loss are `stacked_softmax` and
-    `stacked_nll`, and subtracting the one-hot over the whole array
-    changes only the picked entries, because x - 0.0 == x.
+    `params` is (B, n, e+1): each head's weights, with its bias as the
+    last column. The rows and labels come from `work`. Returns the (B,)
+    losses and the (B, n, e+1) gradient in the same layout, buffers of
+    `work` that the next call overwrites. With p the softmax of a row's
+    logits, d/dz = (p - onehot) / r. Every operation runs within one
+    head, and is the one an allocating evaluation runs, in the same
+    order, so each head gets the bits it gets alone: the softmax and its
+    loss are `stacked_softmax` and `stacked_nll`, and subtracting the
+    one-hot over the whole array changes only the picked entries,
+    because x - 0.0 == x.
     """
     w = work
     n_rows = w.feats.shape[1]
     probs, loss = w.probs, w.loss
-    np.matmul(w.feats, weights.transpose(0, 2, 1), out=probs)
-    probs += bias[:, None, :]
+    np.matmul(w.feats, params[:, :, :-1].transpose(0, 2, 1), out=probs)
+    probs += params[:, None, :, -1]
     stacked_softmax(probs, w.probs_cols, w.per_row, probs)
     stacked_nll(probs, w.picked_index, w.picked, loss)
     loss /= n_rows
@@ -139,7 +140,7 @@ def _step_loss_and_grad(weights: np.ndarray, bias: np.ndarray,
     probs /= n_rows
     np.matmul(w.probs_t, w.feats, out=w.grad_w)
     np.add.reduce(probs, axis=1, out=w.grad_b)
-    return loss, w.grad_w, w.grad_b
+    return loss, w.grad
 
 
 def init_head(n_classes: int, dim: int, rng: np.random.Generator) -> LinearHead:
@@ -151,23 +152,21 @@ def init_head(n_classes: int, dim: int, rng: np.random.Generator) -> LinearHead:
 def train_heads(inits: list[LinearHead], augs: Iterable[AugmentedSupport],
                 epochs: int, lr: float, diags: list[Diagnostics]
                 ) -> list[LinearHead | EpisodeAbort]:
-    """Train one head per episode in a single stacked full-batch Adam loop
-    (in-place `adam_step`) on the head's cross-entropy.
+    """Train one head per episode, all in one `train_stack` loop on the
+    head's cross-entropy, each head one (n, e+1) member of the stack.
 
     Entry j holds episode j's initial head, augmented support and
     `Diagnostics`; all share one (rows, dim) and class count. Each head
     gets the bits `train_head` gives it alone. Returns per episode
     either the trained head or the EpisodeAbort that ended it: a
-    non-finite loss (`head_loss_diverged`) at the epoch it happens,
-    after which the head stays in the stack, marked done; after
-    training, an overflowed Adam second moment (`head_grad_overflow`),
-    which freezes its coordinate while the loss stays finite (an inf
-    moment stays inf, so one check after the loop catches it), or a
-    non-finite parameter. An epoch-to-epoch loss increase beyond
-    LOSS_INCREASE_SLACK records a `head_loss_increase` in that episode's
-    diagnostics, and training goes on. `augs` is read once, before the
-    loop, which keeps only its stacked copy of the rows: rows handed
-    over by an iterator are freed before the first step.
+    non-finite loss (`head_loss_diverged`) at the epoch it happens;
+    after training, an overflowed Adam second moment
+    (`head_grad_overflow`) or a non-finite parameter. An epoch-to-epoch
+    loss increase beyond LOSS_INCREASE_SLACK records a
+    `head_loss_increase` in that episode's diagnostics, and training
+    goes on. `augs` is read once, before the loop, which keeps only its
+    stacked copy of the rows: rows handed over by an iterator are freed
+    before the first step.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -176,44 +175,30 @@ def train_heads(inits: list[LinearHead], augs: Iterable[AugmentedSupport],
     feats, labels = zip(*((aug.features, aug.labels) for aug in augs))
     work = _Workspace(feats, labels, inits[0].weights.shape[0])
     del feats, labels
-    weights = np.stack([head.weights for head in inits])
-    bias = np.stack([head.bias for head in inits])
-    state_w = AdamState.fresh(weights.shape, lr=lr)
-    state_b = AdamState.fresh(bias.shape, lr=lr)
-    scratch_w, scratch_b = np.empty_like(weights), np.empty_like(bias)
+    params = np.stack([np.column_stack([head.weights, head.bias])
+                       for head in inits])
     results: list[LinearHead | EpisodeAbort | None] = [None] * len(inits)
-    done = np.zeros(len(inits), dtype=bool)
-    # prev holds each head's last loss plus the slack.
+    # prev holds each head's last loss plus the slack. A NaN loss never
+    # compares greater, so a diverged head records no increase.
     prev = np.full(len(inits), np.inf)
     rose = np.empty(len(inits), dtype=bool)
-    # An overflow, and the inf - inf or 0 * inf it leads to, ends in a
-    # non-finite loss, moment or parameter, and each aborts with the
-    # event named, so their warnings are off.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            loss, grad_w, grad_b = _step_loss_and_grad(weights, bias, work)
-            # A clean epoch has nothing to mark; a stack holding a done
-            # head, whose loss stays NaN, marks every epoch.
-            if not np.isfinite(loss).all():
-                failed = ~(done | np.isfinite(loss))
-                for j in np.flatnonzero(failed):
-                    results[j] = EpisodeAbort("head_loss_diverged",
-                                              f"loss={loss[j]}")
-                done |= failed
-                if done.all():
-                    break
-            np.greater(loss, prev, out=rose)
-            if rose.any():
-                for j in np.flatnonzero(rose & ~done):
-                    diags[j].record("head_loss_increase")
-            np.add(loss, LOSS_INCREASE_SLACK, out=prev)
-            adam_step(state_w, weights, grad_w, scratch_w)
-            adam_step(state_b, bias, grad_b, scratch_b)
-    # The bias gradient is bounded by 1; only the weights' moment can
-    # overflow.
-    overflowed = ~np.isfinite(state_w.v).all(axis=(1, 2))
-    finite = (np.isfinite(weights).all(axis=(1, 2))
-              & np.isfinite(bias).all(axis=1))
+
+    def step(params):
+        loss, grad = _step_loss_and_grad(params, work)
+        np.greater(loss, prev, out=rose)
+        if rose.any():
+            for j in np.flatnonzero(rose):
+                diags[j].record("head_loss_increase")
+        np.add(loss, LOSS_INCREASE_SLACK, out=prev)
+        return loss, grad
+
+    def abort(j, loss, epoch):
+        results[j] = EpisodeAbort("head_loss_diverged", f"loss={loss}")
+
+    done = np.zeros(len(inits), dtype=bool)
+    overflowed = train_stack(params, step, epochs, lr, done, abort,
+                             np.empty_like(params))
+    finite = np.isfinite(params).all(axis=(1, 2))
     for j in np.flatnonzero(~done):
         if overflowed[j]:
             results[j] = EpisodeAbort(
@@ -222,7 +207,8 @@ def train_heads(inits: list[LinearHead], augs: Iterable[AugmentedSupport],
         elif not finite[j]:
             results[j] = EpisodeAbort("head_params_nonfinite")
         else:
-            results[j] = LinearHead(weights=weights[j], bias=bias[j])
+            results[j] = LinearHead(weights=params[j, :, :-1],
+                                    bias=params[j, :, -1])
     return results
 
 

@@ -1,9 +1,10 @@
 """Shared numerical core: softmax, Adam, finite-difference checks.
 
-Everything here runs in float64; the training loops in `head` and
+Everything here runs in float64; the training steps in `head` and
 `prototypes` rely on that for gradient checks at 1e-4 tolerance. Both
-loops take their softmax cross-entropies from `stacked_softmax` and
-`stacked_nll`, which write preallocated buffers.
+take their softmax cross-entropies from `stacked_softmax` and
+`stacked_nll`, which write preallocated buffers, and both train through
+the one Adam loop `train_stack`.
 `grad_check` takes central differences with the fixed step FD_STEP.
 """
 
@@ -143,6 +144,42 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
     grad /= scratch
     param -= grad
     state.step = t
+
+
+def train_stack(param: np.ndarray, step, epochs: int, lr: float,
+                done: np.ndarray, abort, scratch: np.ndarray) -> np.ndarray:
+    """Full-batch Adam (`adam_step`) on the stack `param`, in place, for
+    `epochs` epochs; axis 0 holds one member per episode.
+
+    `step(param)` returns the (B,) losses and the gradient, of `param`'s
+    shape, at `param`; `scratch` is a buffer of that shape. A member
+    whose loss is not finite is retired at that epoch: `abort(j,
+    loss_j, epoch)` records why, once, and `done[j]` is set. A member
+    `done` at the start is never reported. A retired member stays in
+    the stack, so each step must keep its members apart; the loop ends
+    early once every member is done. Returns the (B,) flags of members
+    whose Adam second moment overflowed: a gradient entry past ~1e154
+    leaves the loss finite but freezes its coordinate, and an inf
+    moment stays inf, so one check after the loop catches it.
+    """
+    state = AdamState.fresh(param.shape, lr=lr)
+    # A zero norm (0/0), an overflow and the inf - inf or 0 * inf it
+    # leads to each end in a non-finite loss or moment, which the
+    # caller names, so the floating-point warnings are off.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for epoch in range(epochs):
+            loss, grad = step(param)
+            # A clean epoch marks nothing; a stack holding a retired
+            # member, whose loss stays NaN, marks every epoch.
+            if not np.isfinite(loss).all():
+                failed = ~(done | np.isfinite(loss))
+                for j in np.flatnonzero(failed):
+                    abort(j, loss[j], epoch)
+                done |= failed
+                if done.all():
+                    break
+            adam_step(state, param, grad, scratch)
+    return ~np.isfinite(state.v).all(axis=tuple(range(1, param.ndim)))
 
 
 def adam_update(state: AdamState, param: np.ndarray,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .diagnostics import EpisodeAbort
 from .head import LinearHead, head_predict
-from .optim import (LOG_FLOOR, AdamState, adam_step, label_targets,
-                    row_norms, softmax, stacked_nll, stacked_softmax)
+from .optim import (LOG_FLOOR, label_targets, row_norms, softmax,
+                    stacked_nll, stacked_softmax, train_stack)
 
 
 @dataclass
@@ -290,7 +290,8 @@ def train_prototype_banks(heads: list[LinearHead],
                           rngs: list[np.random.Generator],
                           trajectories: list[list[float]] | None = None
                           ) -> list[PrototypeBank | EpisodeAbort]:
-    """Train one prototype bank per episode in a single batched Adam loop.
+    """Train one prototype bank per episode, all in one `train_stack`
+    loop.
 
     Entry j holds episode j's frozen head, aggregated support rows,
     labels and generator; all episodes share one (rows, dim) and class
@@ -299,9 +300,9 @@ def train_prototype_banks(heads: list[LinearHead],
     EpisodeAbort that ended it: a zero-norm support row before training;
     a zero-norm prototype row or a non-finite loss at the epoch it
     happens; an overflowed Adam moment (`proto_grad_overflow`); or a
-    degenerate final bank. An aborted bank stays in the stack, marked
-    done, until every bank is done or the loop ends: each operation of
-    the step runs within one bank, so its NaNs reach no other bank.
+    degenerate final bank. An aborted bank stays in the stack: each
+    operation of the step runs within one bank, so its NaNs reach no
+    other bank.
     Appends each bank's per-epoch loss (evaluated before each update)
     to `trajectories[j]` until it aborts, when given.
     """
@@ -319,34 +320,24 @@ def train_prototype_banks(heads: list[LinearHead],
         if zero else None for zero in done]
     n_classes, dim = heads[0].weights.shape
     protos = np.stack([init_prototypes(n_classes, dim, rng) for rng in rngs])
-    state = AdamState.fresh(protos.shape, lr=lr)
-    # A zero-norm row (0/0) or an overflowed logit (inf - inf) shows as a
-    # NaN loss, which aborts that bank with a reason. A gradient entry
-    # past ~1e154 overflows the second moment instead: the loss stays
-    # finite but that coordinate never moves again. An inf moment stays
-    # inf, so one check after the loop catches it. Each of these events
-    # ends in a named abort, so the floating-point warnings are off.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for epoch in range(epochs):
-            loss, grad = _step_loss_and_grad(protos, work)
-            # A clean epoch has nothing to mark; a stack holding a done
-            # bank, whose loss stays NaN, marks every epoch.
-            if not np.isfinite(loss).all():
-                failed = ~(done | np.isfinite(loss))
-                for j in np.flatnonzero(failed):
-                    results[j] = EpisodeAbort(
-                        "zero_prototype_row" if not work.norms[j].all()
-                        else "proto_loss_diverged",
-                        f"loss={loss[j]} at epoch {epoch}")
-                done |= failed
-                if done.all():
-                    break
-            if trajectories is not None:
-                for j in np.flatnonzero(~done):
-                    trajectories[j].append(float(loss[j]))
-            # The step's cross-term buffer is free until the next step.
-            adam_step(state, protos, grad, work.cross)
-    overflowed = ~np.isfinite(state.v).all(axis=(1, 2))
+
+    def step(protos):
+        loss, grad = _step_loss_and_grad(protos, work)
+        if trajectories is not None:
+            for j in np.flatnonzero(~done & np.isfinite(loss)):
+                trajectories[j].append(float(loss[j]))
+        return loss, grad
+
+    def abort(j, loss, epoch):
+        # A zero-norm row (0/0) or an overflowed logit (inf - inf) shows
+        # as a NaN loss.
+        results[j] = EpisodeAbort(
+            "zero_prototype_row" if not work.norms[j].all()
+            else "proto_loss_diverged", f"loss={loss} at epoch {epoch}")
+
+    # The step's cross-term buffer is free until the next step.
+    overflowed = train_stack(protos, step, epochs, lr, done, abort,
+                             work.cross)
     for j in np.flatnonzero(~done):
         results[j] = (EpisodeAbort(
             "proto_grad_overflow",

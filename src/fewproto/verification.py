@@ -3,9 +3,12 @@
 Each trial draws a random head, random support features, and random
 prototypes, then compares the closed-form gradients of the head loss and
 of the composite prototype loss against central differences. Each
-gradient checked is the one training runs, for a single head or bank:
-the stacked head step, and the batched fused prototype step against
-differences of `loss_total`. The composite loss is checked under the
+gradient checked is the one training runs, for a single head or bank,
+over one flat vector: the head step, whose parameters are the weights
+with the bias as last column, against differences of its own loss, and
+the prototype step against differences of `loss_total`. Each check's
+gradient is a copy, as the next probe's step overwrites the step's
+buffer. The composite loss is checked under the
 default term weights and a fixed set of random weight pairs. This suite
 is the primary correctness gate for the training code; the CLI exposes
 it as the `gradcheck` subcommand.
@@ -48,22 +51,16 @@ def check_head_gradient(weights, bias, feats, labels) -> float:
     """Worst relative error of the head's analytic gradient at (W, b):
     the training step on one head, set up as training sets it up,
     against central differences of its own loss."""
-    w_size = weights.size
     work = _HeadWorkspace([feats], [labels], weights.shape[0])
-
-    def step(x):
-        return _head_step(x[:w_size].reshape((1,) + weights.shape),
-                          x[None, w_size:], work)
+    params = np.column_stack([weights, bias])
 
     def loss_fn(x):
-        return float(step(x)[0][0])
+        return float(_head_step(x.reshape((1,) + params.shape), work)[0][0])
 
     def grad_fn(x):
-        _, gw, gb = step(x)
-        return np.concatenate([gw.ravel(), gb.ravel()])
+        return _head_step(x.reshape((1,) + params.shape), work)[1].flatten()
 
-    return grad_check(loss_fn, grad_fn,
-                      np.concatenate([weights.ravel(), bias]))
+    return grad_check(loss_fn, grad_fn, params.ravel())
 
 
 def check_proto_gradient(protos, head, feats, labels,
@@ -77,8 +74,7 @@ def check_proto_gradient(protos, head, feats, labels,
         return loss_total(x.reshape(protos.shape), head, feats, labels, weights)
 
     def grad_fn(x):
-        _, grad = _proto_step(x.reshape((1,) + protos.shape), work)
-        return grad.ravel()
+        return _proto_step(x.reshape((1,) + protos.shape), work)[1].flatten()
 
     return grad_check(loss_fn, grad_fn, protos.ravel())
 

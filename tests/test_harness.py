@@ -103,7 +103,8 @@ def test_config_rejects_top_m_beyond_episode():
             cfg.validate()
 
 
-@pytest.mark.parametrize("key, value", [
+# Config key, its bad value, and the field the error must name.
+FIELD_ERRORS = [(key, value, key) for key, value in [
     ("graph.top_m", "0"), ("graph.rounds", "-1"), ("head.epochs", "0"),
     ("head.n_aug", "-1"), ("proto.epochs", "0"),
     ("graph.self_weight", "inf"), ("mask.scale", "nan"),
@@ -111,15 +112,21 @@ def test_config_rejects_top_m_beyond_episode():
     ("head.lr", "0"), ("head.lr", "-1e-2"),
     ("proto.lr", "0"), ("proto.lr", "-0.01"),
     ("proto.entropy_weight", "-0.1"), ("proto.class_weight", "-1"),
-    ("synthetic", "0,25,16,8.0,0.3"), ("synthetic", "8,0,16,8.0,0.3"),
-    ("synthetic", "8,25,0,8.0,0.3"), ("synthetic", "8,25,16,nan,0.3"),
-    ("synthetic", "8,25,16,8.0,-0.1"), ("synthetic", "8,25,16,1e150,0.3"),
-    ("synthetic", "8,25,16,8.0,1e150"), ("seed", str(2 ** 64)),
-    ("mask.boost", "-1"),
-])
-def test_config_error_names_the_field(key, value):
+    ("seed", str(2 ** 64)), ("mask.boost", "-1"),
+]] + [("synthetic", value, f"synthetic.{field}") for value, field in [
+    ("0,25,16,8.0,0.3", "n_classes"), ("8,0,16,8.0,0.3", "per_class"),
+    ("8,25,0,8.0,0.3", "dim"), ("8,25,16,nan,0.3", "mean_scale"),
+    ("8,25,16,8.0,-0.1", "sigma"), ("8,25,16,1e150,0.3", "mean_scale"),
+    ("8,25,16,8.0,1e150", "sigma"),
+]]
+
+
+@pytest.mark.parametrize("key, value, field", FIELD_ERRORS,
+                         ids=[f"{key}-{value}" for key, value, _
+                              in FIELD_ERRORS])
+def test_config_error_names_the_field(key, value, field):
     cfg = small_config(**{key: value})
-    with pytest.raises(RunError, match=re.escape(key)):
+    with pytest.raises(RunError, match=re.escape(f"{field}=")):
         cfg.validate()
 
 

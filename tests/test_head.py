@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fewproto.diagnostics import Diagnostics, EpisodeAbort
-from fewproto.head import (AugmentedSupport, LinearHead, _Workspace,
-                           head_predict, init_head, manifold_augment,
-                           train_head, train_heads)
-from fewproto.optim import AdamState, adam_update, softmax
+from fewproto.head import (LOSS_INCREASE_SLACK, AugmentedSupport,
+                           LinearHead, _Workspace, head_predict, init_head,
+                           manifold_augment, train_head, train_heads)
+from fewproto.optim import LOG_FLOOR, AdamState, adam_update, softmax
 from fewproto.verification import check_head_gradient
 
 
@@ -19,9 +19,29 @@ def allocating_loss_and_grad(weights, bias, feats, labels):
     dW = g^T F and db = the column sums of g."""
     p = softmax(feats @ weights.T + bias)
     rows = np.arange(len(labels))
-    loss = -np.sum(np.log(p[rows, labels])) / len(labels)
+    loss = -np.sum(np.log(np.maximum(p[rows, labels], LOG_FLOOR))) / len(
+        labels)
     g = (p - np.eye(weights.shape[0])[labels]) / len(labels)
     return loss, g.T @ feats, g.sum(axis=0)
+
+
+def allocating_train(init, aug, epochs, lr):
+    """`init` trained by `allocating_loss_and_grad` and a plain
+    `adam_update` loop on the weights and on the bias, with the
+    `head_loss_increase` events it records."""
+    weights, bias = init.weights, init.bias
+    state_w = AdamState.fresh(weights.shape, lr=lr)
+    state_b = AdamState.fresh(bias.shape, lr=lr)
+    diag, prev = Diagnostics(), np.inf
+    for _ in range(epochs):
+        loss, gw, gb = allocating_loss_and_grad(weights, bias, aug.features,
+                                                aug.labels)
+        if loss > prev:
+            diag.record("head_loss_increase")
+        prev = loss + LOSS_INCREASE_SLACK
+        state_w, weights = adam_update(state_w, weights, gw)
+        state_b, bias = adam_update(state_b, bias, gb)
+    return LinearHead(weights=weights, bias=bias), diag
 
 
 def distance_to_segment(p, a, b):
@@ -260,17 +280,10 @@ def test_train_head_matches_allocating_adam(ways, k_shots, dim):
     labels = np.repeat(np.arange(ways), k_shots)
     aug = manifold_augment(feats, labels, 5, rng)
     head = train_head(aug, 11, 1e-2, np.random.default_rng(22), Diagnostics())
-    weights = np.random.default_rng(22).normal(0.0, 0.01, (ways, dim))
-    bias = np.zeros(ways)
-    state_w = AdamState.fresh(weights.shape, lr=1e-2)
-    state_b = AdamState.fresh(bias.shape, lr=1e-2)
-    for _ in range(11):
-        _, gw, gb = allocating_loss_and_grad(weights, bias, aug.features,
-                                             aug.labels)
-        state_w, weights = adam_update(state_w, weights, gw)
-        state_b, bias = adam_update(state_b, bias, gb)
-    np.testing.assert_array_equal(head.weights, weights)
-    np.testing.assert_array_equal(head.bias, bias)
+    want, _ = allocating_train(
+        init_head(ways, dim, np.random.default_rng(22)), aug, 11, 1e-2)
+    np.testing.assert_array_equal(head.weights, want.weights)
+    np.testing.assert_array_equal(head.bias, want.bias)
 
 
 def stacked_case(ways, shots, dim, n_heads, n_aug, seed):
@@ -299,17 +312,17 @@ def stacked_inits(augs, rngs):
     (3, 2, 16, 6, 0, 1e-2), (5, 5, 64, 20, 5, 3.0)])
 def test_stacked_heads_match_train_head(ways, shots, dim, n_heads, n_aug,
                                         lr):
-    # Each head of one stacked loop has the bits and the diagnostics it
-    # gets alone. At lr=3.0 the loss rises, and each rise is counted for
-    # its own episode.
+    # Each head of one stacked loop has the bits and the diagnostics of
+    # the allocating reference. At lr=3.0 the loss rises, and each rise
+    # is counted for its own episode.
     augs, rngs = stacked_case(ways, shots, dim, n_heads, n_aug, 31)
+    inits = stacked_inits(augs, rngs)
     diags = [Diagnostics() for _ in augs]
-    stacked = train_heads(stacked_inits(augs, rngs), augs, 11, lr, diags)
-    for aug, rng, got, diag in zip(augs, rngs, stacked, diags):
-        alone = Diagnostics()
-        head = train_head(aug, 11, lr, rng, alone)
-        np.testing.assert_array_equal(got.weights, head.weights)
-        np.testing.assert_array_equal(got.bias, head.bias)
+    stacked = train_heads(inits, augs, 11, lr, diags)
+    for init, aug, got, diag in zip(inits, augs, stacked, diags):
+        want, alone = allocating_train(init, aug, 11, lr)
+        np.testing.assert_array_equal(got.weights, want.weights)
+        np.testing.assert_array_equal(got.bias, want.bias)
         assert diag.counts == alone.counts
     if lr == 3.0:  # episodes count different numbers of rises
         assert len({diag.counts["head_loss_increase"] for diag in diags}) > 1

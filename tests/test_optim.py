@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fewproto.optim import (AdamState, adam_step, adam_update, grad_check,
-                            row_norms, softmax)
+                            row_norms, softmax, train_stack)
 
 
 def test_softmax_uniform_pair():
@@ -139,6 +139,84 @@ def test_adam_shape_mismatch():
     state = AdamState.fresh(3, lr=1e-3)
     with pytest.raises(ValueError):
         adam_update(state, np.zeros(3), np.zeros(4))
+
+
+def quadratic_step(targets, nan_from=None, spike=None):
+    """A `train_stack` step on the members' losses 0.5 |x_j - c_j|^2.
+    `nan_from=(j, k)` turns member j's loss and gradient NaN from epoch k
+    on; `spike=j` sets one of member j's gradient entries to 1e160 at
+    epoch 0, with its loss left finite."""
+    epochs = []
+
+    def step(param):
+        grad = param - targets
+        loss = 0.5 * np.sum(grad * grad, axis=(1, 2))
+        if nan_from is not None and len(epochs) >= nan_from[1]:
+            loss[nan_from[0]] = grad[nan_from[0]] = np.nan
+        if spike is not None and not epochs:
+            grad[spike, 0, 0] = 1e160
+        epochs.append(len(epochs))
+        return loss, grad
+
+    return step
+
+
+def run_stack(targets, epochs=10, done=None, **faults):
+    """`targets` trained by `train_stack` from zeros at lr 0.1: the
+    parameters, the overflow flags, `done` and each abort call."""
+    param = np.zeros_like(targets)
+    done = np.zeros(len(targets), dtype=bool) if done is None else done
+    calls = []
+    flags = train_stack(param, quadratic_step(targets, **faults), epochs,
+                        0.1, done, lambda *call: calls.append(call),
+                        np.empty_like(param))
+    return param, flags, done, calls
+
+
+STACK_TARGETS = np.random.default_rng(5).normal(size=(3, 2, 4))
+
+
+def test_train_stack_is_adam_on_each_member():
+    # A clean stack never calls abort, and each member gets the bits of
+    # an allocating adam_update loop.
+    param, flags, done, calls = run_stack(STACK_TARGETS)
+    assert calls == [] and not done.any() and not flags.any()
+    want = np.zeros_like(STACK_TARGETS)
+    state = AdamState.fresh(want.shape, lr=0.1)
+    for _ in range(10):
+        state, want = adam_update(state, want, want - STACK_TARGETS)
+    np.testing.assert_array_equal(param, want)
+
+
+def test_train_stack_reports_a_nan_member_once():
+    # Member 1's loss turns NaN at epoch 4: one abort call, at that
+    # epoch, and the other members keep the bits of a clean stack.
+    clean, *_ = run_stack(STACK_TARGETS)
+    param, flags, done, calls = run_stack(STACK_TARGETS, nan_from=(1, 4))
+    assert [(j, epoch) for j, _, epoch in calls] == [(1, 4)]
+    assert math.isnan(calls[0][1])
+    np.testing.assert_array_equal(done, [False, True, False])
+    np.testing.assert_array_equal(param[[0, 2]], clean[[0, 2]])
+    assert not flags[[0, 2]].any()
+
+
+def test_train_stack_never_reports_a_member_done_at_the_start():
+    done = np.array([False, True, False])
+    clean, *_ = run_stack(STACK_TARGETS)
+    param, _, done, calls = run_stack(STACK_TARGETS, done=done,
+                                      nan_from=(1, 0))
+    assert calls == []
+    np.testing.assert_array_equal(done, [False, True, False])
+    np.testing.assert_array_equal(param[[0, 2]], clean[[0, 2]])
+
+
+def test_train_stack_flags_an_overflowed_second_moment():
+    # A gradient entry past 1e154 squares past float64 range: the loss
+    # stays finite, no abort is called, and only that member is flagged.
+    # Any RuntimeWarning fails the test.
+    _, flags, done, calls = run_stack(STACK_TARGETS, spike=1)
+    assert calls == [] and not done.any()
+    np.testing.assert_array_equal(flags, [False, True, False])
 
 
 def test_grad_check_exact_gradient():

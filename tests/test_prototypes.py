@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from fewproto import prototypes
 from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.head import LinearHead
+from fewproto.optim import (LOG_FLOOR, AdamState, adam_update, row_norms,
+                            softmax)
 from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
                                  _Workspace, init_prototypes, loss_class,
                                  loss_entropy, loss_metric, loss_total,
@@ -275,6 +277,65 @@ def test_fused_step_matches_public_functions():
             np.testing.assert_array_equal(fused_grad[j], alone[0])
 
 
+def allocating_loss_and_grad(protos, head, feats, labels, weights):
+    """loss_total of one bank and its gradient from allocating formulas,
+    each in the order the stacked step runs it. With p the head's
+    softmax on a prototype, H its entropy and q the softmax over a
+    support row's cosines:
+    delta = (cw p - (ew p)(log p + H) - cw I) / n^2, t = (q - onehot)
+    / (r n), grad = delta W + (t^T f_hat - colsum(t cos) p_hat) / |p|."""
+    n, r = len(protos), len(feats)
+    feats, norms = row_norms(feats)
+    unit_rows = feats / norms[:, None]
+    p = softmax(protos @ head.weights.T + head.bias)
+    logp = np.log(np.maximum(p, LOG_FLOOR))
+    ent = -np.sum(p * logp, axis=1, keepdims=True)
+    loss = (np.sum(np.diagonal(logp)) * -weights.class_weight
+            + np.sum(ent) * weights.entropy_weight) / (n * n)
+    delta = ((p * weights.class_weight
+              - (p * weights.entropy_weight) * (logp + ent)
+              - weights.class_weight * np.eye(n)) / (n * n))
+    proto_norms = np.sqrt(np.einsum("ij,ij->i", protos, protos))[:, None]
+    unit_protos = protos / proto_norms
+    cos = np.minimum(np.maximum(unit_rows @ unit_protos.T, -1.0), 1.0)
+    q = softmax(cos)
+    picked = q[np.arange(r), labels]
+    loss += -np.sum(np.log(np.maximum(picked, LOG_FLOOR))) / (r * n)
+    t = (q - np.eye(n)[labels]) / (r * n)
+    metric = (t.T @ unit_rows
+              - unit_protos * np.sum(cos * t, axis=0)[:, None]) / proto_norms
+    return loss, delta @ head.weights + metric
+
+
+@pytest.mark.parametrize("ways, shots, dim", [
+    (5, 5, 64), (5, 1, 640), (3, 2, 16), (10, 5, 64)],
+    ids=["5-64", "1-640", "3way-2-16", "10way-5-64"])
+def test_banks_match_allocating_adam(ways, shots, dim):
+    # Each bank of one stacked loop, steps and Adam in place, has the
+    # losses and bits of the allocating formulas and an allocating
+    # adam_update loop from the same init.
+    rng = np.random.default_rng(23)
+    instances = [random_instance(rng, ways, dim, shots) for _ in range(4)]
+    _, heads, feats, labels = zip(*instances)
+    feats = [f * scale for f, scale in zip(feats, (1.0, 0.1, 7.0, 30.0))]
+    weights = LossWeights(*rng.uniform(0.0, 2.0, size=2))
+    trajectories = [[] for _ in heads]
+    banks = train_prototype_banks(
+        list(heads), feats, list(labels), weights, 25, 3e-2,
+        [np.random.default_rng(60 + j) for j in range(4)], trajectories)
+    for j, (head, f, lab) in enumerate(zip(heads, feats, labels)):
+        protos = init_prototypes(ways, dim, np.random.default_rng(60 + j))
+        state = AdamState.fresh(protos.shape, lr=3e-2)
+        losses = []
+        for _ in range(25):
+            loss, grad = allocating_loss_and_grad(protos, head, f, lab,
+                                                  weights)
+            losses.append(loss)
+            state, protos = adam_update(state, protos, grad)
+        assert trajectories[j] == losses
+        np.testing.assert_array_equal(banks[j].protos, protos)
+
+
 def _train_alone(head, feats, labels, weights, epochs, lr, rng):
     """One bank trained alone, in a stack of one: its bank or abort, and
     its per-epoch losses."""
@@ -345,6 +406,24 @@ def test_batched_abort_leaves_other_banks():
     reasons = _batched_against_alone(stack, seeds, WEIGHTS, 60, 0.1)
     assert reasons[24] == "proto_loss_diverged: loss=nan at epoch 0"
     assert reasons[:24] + reasons[25:] == [None] * 47
+
+
+def test_aborted_bank_keeps_its_finite_losses():
+    # A bank whose loss diverges at epoch k keeps the k finite losses
+    # before it; the banks beside it keep one per epoch.
+    rng = np.random.default_rng(14)
+    instances = [random_instance(rng) for _ in range(3)]
+    _broken(instances[1], "huge_head")
+    _, heads, feats, labels = zip(*instances)
+    trajectories = [[] for _ in instances]
+    banks = train_prototype_banks(
+        list(heads), list(feats), list(labels), LossWeights(0.0, 0.0), 60,
+        0.1, [np.random.default_rng(20 + j) for j in range(3)], trajectories)
+    assert banks[1].reason == "proto_loss_diverged"
+    diverged_at = int(str(banks[1]).rsplit(" ", 1)[1])
+    assert 0 < diverged_at < 60
+    assert [len(traj) for traj in trajectories] == [60, diverged_at, 60]
+    assert all(np.isfinite(traj).all() for traj in trajectories)
 
 
 def _broken(instance, kind):
