@@ -35,103 +35,147 @@ class AttentionMasks:
 
 def build_masks(protos: PrototypeBank, scale: float,
                 boost: float) -> AttentionMasks:
-    """Mask row n = softmax over dimensions of scale * |proto_n|.
+    """Mask row n = softmax over dimensions of scale * |proto_n|: the
+    one-bank case of `mask_stack`."""
+    return AttentionMasks(masks=mask_stack(protos.protos[None], scale,
+                                           boost)[0], boost=boost)
+
+
+def mask_stack(protos: np.ndarray, scale: float,
+               boost: float) -> np.ndarray:
+    """The (B, n, e) masks of a (B, n, e) stack of prototype banks: row
+    n of bank b is the softmax over dimensions of scale * |protos[b, n]|.
 
     The absolute value makes masks invariant to negating a prototype;
     scale=0 (or an all-zero prototype row) yields the uniform mask. A
     row whose scale * |proto_n| leaves float64 range takes the softmax's
     limit: equal weight on the entries where sign(scale) * |proto_n| is
-    largest, 0 elsewhere. Raises ValueError naming a non-finite `scale`
-    or `boost` or a negative `boost`, or on non-finite prototypes.
+    largest, 0 elsewhere. Every other row has the bits of its own
+    `softmax`. Raises ValueError naming a non-finite `scale` or `boost`
+    or a negative `boost`, or on non-finite prototypes.
     """
     for name, value in (("scale", scale), ("boost", boost)):
         if not math.isfinite(value):
             raise ValueError(f"mask {name}={value!r} must be finite")
     if boost < 0:
         raise ValueError(f"mask boost={boost!r} must be >= 0")
-    magnitudes = np.abs(np.asarray(protos.protos, dtype=np.float64))
+    magnitudes = np.abs(np.asarray(protos, dtype=np.float64))
     top = float(magnitudes.max())
     if not math.isfinite(top):
         raise ValueError("prototypes must be finite")
     if math.isfinite(scale * top):  # then no entry's product overflows
-        return AttentionMasks(masks=softmax(scale * magnitudes, axis=1),
-                              boost=boost)
+        return softmax(scale * magnitudes)
     with np.errstate(over="ignore"):  # an overflowed row is replaced below
         z = scale * magnitudes
-    lost = ~np.isfinite(z).all(axis=1)
+    lost = ~np.isfinite(z).all(axis=-1)
     z[lost] = 0.0
-    masks = softmax(z, axis=1)
+    masks = softmax(z)
     signed = np.sign(scale) * magnitudes[lost]
-    peak = signed == signed.max(axis=1, keepdims=True)
-    masks[lost] = peak / np.count_nonzero(peak, axis=1)[:, None]
-    return AttentionMasks(masks=masks, boost=boost)
+    peak = signed == signed.max(axis=-1, keepdims=True)
+    masks[lost] = peak / np.count_nonzero(peak, axis=-1)[:, None]
+    return masks
 
 
 def classify_batch(queries: np.ndarray, protos: PrototypeBank,
                    masks: AttentionMasks | None, use_mask: bool,
                    diag: Diagnostics):
     """Predict each row of a (n_queries, e) matrix; returns the argmax
-    indices and the (n_queries, n_classes) cosine scores.
+    indices and the (n_queries, n_classes) cosine scores: the one-bank
+    case of `classify_stack`, which records a `zero_query` diagnostic
+    for each zero query."""
+    if use_mask and masks is None:
+        raise ValueError("use_mask=True requires masks")
+    predictions, scores, zero_queries = classify_stack(
+        np.asarray(queries)[None], protos.protos[None],
+        masks.masks[None] if use_mask else None,
+        masks.boost if use_mask else 0.0)
+    if zero_queries[0]:
+        diag.record("zero_query", int(zero_queries[0]))
+    return predictions[0], scores[0]
 
-    score_n = cos(boost * query * mask_n + query, proto_n) when masking,
-    cos(query, proto_n) otherwise. Ties break toward the lowest class
-    index. A zero query has no direction: all its scores are 0, class 0
-    is predicted, and a `zero_query` diagnostic is recorded.
 
-    All classes are scored in one (n_classes, n_queries, e) stack of
-    corrected queries (unmasked, the queries broadcast over classes):
-    dot products with the unit prototypes by one batched matrix-vector
-    `np.matmul`, row norms along the last axis. Each score has the bits
-    of scoring its class alone with `rows @ unit_proto`, which
-    `np.einsum` and `(a * b).sum` do not give. Query and prototype norms
-    come from `row_norms`. A corrected row whose norm overflows is
-    rebuilt from its query divided by the query's largest |entry|, which
-    changes none of its cosines, and scored through `row_norms`.
+def classify_stack(queries: np.ndarray, protos: np.ndarray,
+                   masks: np.ndarray | None, boost: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify the (B, Q, e) queries of B episodes against their (B, n,
+    e) prototype banks; returns the (B, Q) predictions, the (B, Q, n)
+    cosine scores and each episode's (B,) count of zero queries.
+
+    score_n = cos(boost * query * masks[b, n] + query, proto_n) with
+    masks, cos(query, proto_n) without (masks=None). Ties break toward
+    the lowest class index. A zero query has no direction: all its
+    scores are 0 and class 0 is predicted.
+
+    The corrected queries of every class fill one (B, n, Q, e) buffer,
+    (boost * query) * mask then + query, written in place (unmasked, the
+    queries broadcast over classes): dot products with the unit
+    prototypes by one batched matrix-vector `np.matmul`, norms as
+    sqrt(sum(x * x)) along the feature axis. Every operation runs within
+    one episode's rows, so each score has the bits of scoring its class
+    alone with `rows @ unit_proto`, which `np.einsum` and `(a * b).sum`
+    do not give, in any stack. Query and prototype norms come from
+    `row_norms`. A corrected row whose norm overflows is rebuilt from
+    its query divided by the query's largest |entry|, which changes none
+    of its cosines, and scored through `row_norms`. Raises ValueError on
+    a zero-norm prototype row.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    p, proto_norms = row_norms(protos.protos)
+    p, proto_norms = row_norms(np.asarray(protos, dtype=np.float64))
     queries, query_norms = row_norms(queries)
     if np.any(proto_norms == 0.0):
         raise ValueError("zero-norm prototype row; bank is unusable")
-    unit_protos = (p / proto_norms[:, None])[:, :, None]
-    if use_mask:
-        if masks is None:
-            raise ValueError("use_mask=True requires masks")
+    unit_protos = (p / proto_norms[:, :, None])[:, :, :, None]
+    if masks is not None:
+        n_stack, n_queries, dim = queries.shape
+        corrected = np.empty((n_stack, p.shape[1], n_queries, dim))
         with np.errstate(over="ignore", invalid="ignore"):  # rebuilt below
-            corrected = masks.boost * queries * masks.masks[:, None, :]
-            corrected += queries
-            dots = np.matmul(corrected, unit_protos)[:, :, 0]
+            # The masks copied over the queries axis, then multiplied in
+            # place by boost * query (a product commutes bit for bit): a
+            # multiply that broadcasts both operands iterates rows of e,
+            # several times slower.
+            np.copyto(corrected, masks[:, :, None])
+            corrected *= (boost * queries)[:, None]
+            corrected += queries[:, None]
+            dots = np.matmul(corrected, unit_protos)[:, :, :, 0]
             # np.linalg.norm's own sqrt(sum(x * x)), squared in place:
             # one stack-sized temporary fewer.
             np.multiply(corrected, corrected, out=corrected)
-            norms = np.sqrt(corrected.sum(axis=2))
+            norms = np.sqrt(corrected.sum(axis=3))
         lost = ~np.isfinite(norms)
         if lost.any():
-            classes, rows = np.nonzero(lost)
-            q = queries[rows]
+            stack, classes, rows = np.nonzero(lost)
+            q = queries[stack, rows]
             q = q / np.abs(q).max(axis=1, keepdims=True)
             fixed, norms[lost] = row_norms(
-                masks.boost * q * masks.masks[classes] + q)
-            dots[lost] = (fixed * unit_protos[classes, :, 0]).sum(axis=1)
+                boost * q * masks[stack, classes] + q)
+            dots[lost] = (fixed * unit_protos[stack, classes, :, 0]).sum(
+                axis=1)
     else:
-        dots = np.matmul(queries, unit_protos)[:, :, 0]
-        norms = query_norms
+        dots = np.matmul(queries[:, None], unit_protos)[:, :, :, 0]
+        norms = query_norms[:, None, :]
     # A zero query stays zero under correction, so its scores are all 0
     # and argmax falls through to class 0.
     safe = np.where(norms == 0.0, 1.0, norms)
-    scores = np.clip(dots / safe, -1.0, 1.0).T
-    zero_q = query_norms == 0.0
-    if zero_q.any():
-        diag.record("zero_query", int(zero_q.sum()))
-    return np.argmax(scores, axis=1), scores
+    scores = np.clip(dots / safe, -1.0, 1.0).transpose(0, 2, 1)
+    return (np.argmax(scores, axis=2), scores,
+            np.count_nonzero(query_norms == 0.0, axis=1))
 
 
 def score_episode(episode: Episode, predictions: np.ndarray) -> float:
-    """Fraction of queries whose prediction matches the hidden label."""
+    """Fraction of queries whose prediction matches the hidden label:
+    the one-episode case of `score_episodes`."""
+    return float(score_episodes(
+        [episode], np.asarray(predictions, dtype=np.int64)[None])[0])
+
+
+def score_episodes(episodes: list[Episode],
+                   predictions: np.ndarray) -> np.ndarray:
+    """Each episode's fraction of queries whose prediction, a row of the
+    (B, Q) `predictions`, matches its hidden label."""
     predictions = np.asarray(predictions, dtype=np.int64)
-    truth = episode.hidden_labels
+    truth = np.stack([episode.hidden_labels for episode in episodes])
     if predictions.shape != truth.shape:
         raise ValueError(
-            f"{predictions.shape[0] if predictions.ndim else 0} predictions "
-            f"for {truth.shape[0]} queries")
-    return float(np.mean(predictions == truth))
+            f"{predictions.shape[1] if predictions.ndim > 1 else 0} "
+            f"predictions for {truth.shape[1]} queries")
+    return np.mean(predictions == truth, axis=1)

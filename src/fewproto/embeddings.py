@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .optim import sorted_unique
+
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
 # Records are float32, so a synthetic pool's scales and records must fit.
@@ -103,7 +105,7 @@ class EmbeddingSet:
                 i, j = np.argwhere(~np.isfinite(block))[0]
                 raise NonFiniteValue(start + int(i), int(j))
         index = {
-            int(c): np.flatnonzero(labels == c) for c in np.unique(labels)
+            int(c): np.flatnonzero(labels == c) for c in sorted_unique(labels)
         }
         vectors.flags.writeable = False
         labels.flags.writeable = False

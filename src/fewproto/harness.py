@@ -13,19 +13,25 @@ as `stack_width` allows and split evenly over the range: each is
 prepared on its own generator (sampled, aggregated, its support
 augmented and its head's init drawn), then, for trained prototypes, one
 stacked Adam loop trains the chunk's heads and one batched Adam loop its
-prototype banks, then each is classified and scored. A head's or a
-bank's bits do not depend on the chunk it trains in, so reports are
-identical for any chunk plan and any worker count. Episodes that hit a
-fatal numerical condition are aborted, counted, and excluded. The
-results reach `run_eval` as one stream in task order, each with its
-episode's `Diagnostics`: its event counts and its phase seconds. An
-episode's "head" phase is its augmentation and head init plus an even
-share of its chunk's head loop, and its "proto" phase an even share of
-the prototype loop. A worker sends the results it finished along with
-its exception, which is raised after them. The abort cap is checked
-once, on that stream, so a failed run ends at whichever comes first in
-task order, at any worker count: the abort that takes the count past 1%
-of the requested tasks, or an exception. Only an exception from one of
+prototype banks; mean banks are one stacked mean. Then the chunk's
+episodes are scored in stacks of `score_width`, each one pass that
+builds their masks, classifies their queries and takes their
+accuracies. A head's, a bank's or a score's bits do not depend on the
+stack it is computed in, so reports are identical for any chunk plan
+and any worker count. Episodes that hit a fatal numerical condition are
+aborted, counted, and excluded. The results reach `run_eval` as one
+stream in task order, each with its episode's `Diagnostics`: its event
+counts and its phase seconds. An episode's "head" phase is its
+augmentation and head init plus an even share of its chunk's head loop,
+its "proto" phase an even share of the prototype loop or mean, and its
+"classify" phase an even share of its scoring pass. A worker sends the
+results it finished along with its exception, which is raised after
+them. The abort cap is checked once, on that stream, so a failed run
+ends at whichever comes first in task order, at any worker count: the
+abort that takes the count past 1% of the requested tasks, or an
+exception. Scoring draws no random numbers, so a stack whose pass
+raises is scored again one episode at a time, and the exception stands
+at its own task. Only an exception from the stacked mean or from one of
 the two batched loops itself stands at its chunk's first task.
 """
 
@@ -45,7 +51,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .classify import build_masks, classify_batch, score_episode
+from .classify import classify_stack, mask_stack, score_episodes
 from .diagnostics import Diagnostics, EpisodeAbort
 from .embeddings import (FLOAT32_MAX, EmbeddingSet, Episode,
                          eligible_classes, generate_synthetic,
@@ -53,8 +59,8 @@ from .embeddings import (FLOAT32_MAX, EmbeddingSet, Episode,
 from .graph import build_task_graph
 from .head import (AugmentedSupport, LinearHead, init_head,
                    manifold_augment, train_heads)
-from .prototypes import (LossWeights, PrototypeBank, bank_or_abort,
-                         mean_prototypes, train_prototype_banks)
+from .prototypes import (LossWeights, PrototypeBank, banks_or_aborts,
+                         mean_prototype_stack, train_prototype_banks)
 
 ABORT_CAP_FRACTION = 0.01
 # Seed stream for building a synthetic pool, distinct from episode streams.
@@ -68,6 +74,12 @@ POOL_STREAM = 0x706F6F6C
 # MAX_STACK also bounds how many prepared episodes are held at once.
 STACK_BYTES = 409600
 MAX_STACK = 48
+# Episodes per scoring pass, as many as keep its (B, n_ways, queries,
+# dim) float64 buffer of corrected queries within SCORE_BYTES (and
+# MAX_STACK): 5 at 5-way 15-query 64-d, 1 at 640-d. On `mean_5w5s`, a
+# 2 MiB buffer raised peak RSS by a further 1.8 MB for a speed
+# difference that interleaved runs did not resolve.
+SCORE_BYTES = 1 << 20
 
 
 class RunError(RuntimeError):
@@ -350,10 +362,19 @@ def stack_width(config: RunConfig, dim: int) -> int:
     """Most episodes one chunk of a `config` run holds. Trained banks of
     `config.n_ways` rows of `dim` float64 entries share one batched loop,
     within MAX_STACK and STACK_BYTES. Mean banks train nothing, so a
-    mean run holds one episode at a time."""
+    mean chunk is one scoring pass, `score_width` episodes."""
     if config.proto.strategy != "trained":
-        return 1
+        return score_width(config, dim)
     return max(1, min(MAX_STACK, STACK_BYTES // (8 * config.n_ways * dim)))
+
+
+def score_width(config: RunConfig, dim: int) -> int:
+    """Most episodes of a `config` run one scoring pass holds: each
+    corrects its n_ways * n_queries queries of `dim` float64 entries once
+    per class, and the pass keeps them within MAX_STACK and
+    SCORE_BYTES."""
+    per_episode = 8 * config.n_ways * config.n_ways * config.n_queries * dim
+    return max(1, min(MAX_STACK, SCORE_BYTES // per_episode))
 
 
 def _split_tasks(n_tasks: int, parts: int) -> list[range]:
@@ -447,24 +468,54 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
                            rng)
 
 
-def finish_episode(prepared: PreparedEpisode, bank: PrototypeBank,
-                   config: RunConfig, diag: Diagnostics) -> float:
-    """Build masks, classify the queries against `bank`, return the
-    accuracy. Adds the "classify" phase to `diag.seconds`."""
+def _score_stack(prepared: list[PreparedEpisode], banks: list[PrototypeBank],
+                 config: RunConfig, diags: list[Diagnostics]) -> list[float]:
+    """Build the masks of `banks`, classify each episode's queries
+    against its bank and return the accuracies, in one pass over the
+    stack. Records each episode's `zero_query` count into the matching
+    entry of `diags`, and adds an even share of the pass to its
+    "classify" phase."""
     t = time.perf_counter()
-    masks = (build_masks(bank, config.mask.scale, config.mask.boost)
+    protos = np.stack([bank.protos for bank in banks])
+    masks = (mask_stack(protos, config.mask.scale, config.mask.boost)
              if config.mask.enabled else None)
-    predictions, _ = classify_batch(prepared.query_feats, bank, masks,
-                                    config.mask.enabled, diag)
-    accuracy = score_episode(prepared.episode, predictions)
-    _lap(diag, "classify", t)
-    return accuracy
+    predictions, _, zero_queries = classify_stack(
+        np.stack([p.query_feats for p in prepared]), protos, masks,
+        config.mask.boost)
+    accuracies = score_episodes([p.episode for p in prepared],
+                                predictions).tolist()
+    share = (time.perf_counter() - t) / len(prepared)
+    for diag, zeros in zip(diags, zero_queries):
+        if zeros:
+            diag.record("zero_query", int(zeros))
+        diag.seconds["classify"] += share
+    return accuracies
+
+
+def _accuracies(ready: list[tuple[PreparedEpisode, PrototypeBank,
+                                  Diagnostics]],
+                config: RunConfig, width: int) -> Iterator[float]:
+    """The accuracy of each (episode, bank, diagnostics) entry of
+    `ready`, scored `width` at a time by `_score_stack` when the first of
+    them is asked for. Scoring draws no random numbers, so a stack whose
+    pass raises is scored again one episode at a time: the accuracies
+    before the episode that raises come first, then its exception."""
+    for start in range(0, len(ready), width):
+        stack = ready[start:start + width]
+        prepared, banks, diags = zip(*stack)
+        try:
+            accuracies = _score_stack(list(prepared), list(banks), config,
+                                      list(diags))
+        except Exception:
+            accuracies = (_score_stack([p], [bank], config, [diag])[0]
+                          for p, bank, diag in stack)
+        yield from accuracies
 
 
 def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
                      ) -> list[PrototypeBank | EpisodeAbort]:
     """Each episode's prototype bank, or the abort that ended it: trained
-    banks in one batched loop, mean banks one by one."""
+    banks in one batched loop, mean banks in one stacked mean."""
     if config.proto.strategy == "trained":
         return train_prototype_banks(
             [p.head for p in prepared], [p.support_feats for p in prepared],
@@ -472,9 +523,11 @@ def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
             LossWeights(config.proto.entropy_weight,
                         config.proto.class_weight),
             config.proto.epochs, config.proto.lr, [p.rng for p in prepared])
-    return [bank_or_abort(
-        mean_prototypes(p.support_feats, p.episode.support_y).protos)
-        for p in prepared]
+    if not prepared:
+        return []
+    return banks_or_aborts(mean_prototype_stack(
+        np.stack([p.support_feats for p in prepared]),
+        np.stack([p.episode.support_y for p in prepared])))
 
 
 def run_episode(emb: EmbeddingSet, config: RunConfig,
@@ -522,11 +575,13 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
                diags: list[Diagnostics]) -> Iterator[float | EpisodeAbort]:
     """One episode on each generator of `rngs`, recording into the
     matching entry of `diags`, with one stacked loop for their trained
-    heads and one for their trained prototypes; yields each one's
-    accuracy or the abort that ended it, in order. Each loop's time is
-    split evenly over the episodes it trains, into their "head" and
-    "proto" phases. An exception from preparing an episode stops the
-    preparing, and is raised after the outcomes before it."""
+    heads, one for their prototypes (or one stacked mean) and one
+    scoring pass per `score_width` of them; yields each one's accuracy
+    or the abort that ended it, in order. Each loop's time is split
+    evenly over the episodes it trains, into their "head" and "proto"
+    phases. An exception from preparing an episode stops the preparing,
+    and is raised after the outcomes before it; one from scoring an
+    episode is raised after the outcomes before that episode."""
     started: list[PreparedEpisode | EpisodeAbort] = []
     failure = None
     for rng, diag in zip(rngs, diags):
@@ -546,14 +601,21 @@ def _run_chunk(emb: EmbeddingSet, config: RunConfig,
     banks = iter(_prototype_banks(prepared, config))
     share = (time.perf_counter() - t) / max(len(prepared), 1)
 
+    # Each episode's bank, or the abort that ended it.
+    outcomes = []
     for p, diag in zip(started, diags):
         if isinstance(p, EpisodeAbort):
-            yield p
+            outcomes.append(p)
             continue
         diag.seconds["proto"] += share
-        bank = next(banks)
-        yield (bank if isinstance(bank, EpisodeAbort)
-               else finish_episode(p, bank, config, diag))
+        outcomes.append(next(banks))
+    accuracies = _accuracies(
+        [(p, bank, diag) for p, bank, diag in zip(started, outcomes, diags)
+         if isinstance(bank, PrototypeBank)],
+        config, score_width(config, emb.dim))
+    for outcome in outcomes:
+        yield (outcome if isinstance(outcome, EpisodeAbort)
+               else next(accuracies))
     if failure is not None:
         raise failure
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import Diagnostics, EpisodeAbort
-from .optim import (label_targets, softmax, stacked_nll, stacked_softmax,
-                    train_stack)
+from .optim import (label_targets, softmax, sorted_unique, stacked_nll,
+                    stacked_softmax, train_stack)
 
 # Epoch-to-epoch loss increases beyond this slack are counted as a
 # diagnostic; full-batch training is expected to be monotone.
@@ -59,7 +59,7 @@ def manifold_augment(support_feats: np.ndarray, labels: np.ndarray,
         raise ValueError("n_aug must be non-negative")
     feats = [support_feats]
     labs = [labels]
-    for c in np.unique(labels):
+    for c in sorted_unique(labels):
         rows = support_feats[labels == c]
         extra = np.empty((n_aug, support_feats.shape[1]))
         for i in range(n_aug):

@@ -48,6 +48,17 @@ def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, norms
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of 1-D `values` in ascending order, as
+    `np.unique` gives them, by a sort and a compare of neighbours.
+    `np.unique` imports `numpy.ma`, about 17 ms in a fresh process."""
+    values = np.sort(values)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def label_targets(labels: list[np.ndarray], n_classes: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """B equal-length label arrays as their (B, r, n) one-hot stack and

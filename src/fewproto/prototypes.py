@@ -57,19 +57,44 @@ class LossWeights:
 
 
 def mean_prototypes(support_feats: np.ndarray, labels: np.ndarray) -> PrototypeBank:
-    """Per-class arithmetic mean of the aggregated support rows.
+    """Per-class arithmetic mean of the aggregated support rows: the
+    one-episode case of `mean_prototype_stack`."""
+    return PrototypeBank(protos=mean_prototype_stack(
+        np.asarray(support_feats)[None], np.asarray(labels)[None])[0])
+
+
+def mean_prototype_stack(support_feats: np.ndarray,
+                         labels: np.ndarray) -> np.ndarray:
+    """The (B, n, e) per-class means of B episodes' (B, r, e) aggregated
+    support rows, with (B, r) labels.
 
     The rows must come in the layout `Episode` documents: grouped by
-    class, class 0 first, the same count k per class. The means are then
-    one `reshape(n_classes, k, e).mean(axis=1)`, with the bits of each
-    class's own `rows.mean(axis=0)`. A class with no rows raises
-    ValueError naming it; any other layout raises naming the labels.
+    class, class 0 first, the same count k per class, and the same in
+    every episode of the stack. That is checked once for the stack, and
+    the means are then one `reshape(B, n, k, e).mean(axis=2)`, with the
+    bits of each class's own `rows.mean(axis=0)`. A class with no rows
+    raises ValueError naming it; any other layout raises naming the
+    labels.
     """
     support_feats = np.asarray(support_feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if support_feats.shape[0] != labels.shape[0]:
-        raise ValueError(f"{support_feats.shape[0]} support rows for "
-                         f"{labels.shape[0]} labels")
+    if support_feats.shape[:-1] != labels.shape:
+        raise ValueError(f"{support_feats.shape[-2]} support rows for "
+                         f"{labels.shape[-1]} labels")
+    n_classes, k = _class_layout(labels[0])
+    if not (labels == labels[0]).all():
+        for row in labels[1:]:
+            _class_layout(row)
+        raise ValueError("the episodes of a stack have different support "
+                         "labels")
+    return support_feats.reshape(
+        labels.shape[0], n_classes, k, -1).mean(axis=2)
+
+
+def _class_layout(labels: np.ndarray) -> tuple[int, int]:
+    """The class count n and per-class row count k of one episode's
+    support `labels`, if they are n runs of k rows, class 0 first; else
+    the ValueError `mean_prototype_stack` documents."""
     # All-negative labels report class 0 as empty below.
     n_classes = max(int(labels.max()) + 1, 1)
     k = labels.shape[0] // n_classes
@@ -80,8 +105,7 @@ def mean_prototypes(support_feats: np.ndarray, labels: np.ndarray) -> PrototypeB
                 f"class {np.argmin(present)} has no support rows")
         raise ValueError(f"support labels {labels.tolist()} are not grouped "
                          "by class with the same count per class")
-    protos = support_feats.reshape(n_classes, k, -1).mean(axis=1)
-    return PrototypeBank(protos=protos)
+    return n_classes, k
 
 
 def loss_class(protos: np.ndarray, head: LinearHead) -> float:
@@ -338,11 +362,12 @@ def train_prototype_banks(heads: list[LinearHead],
     # The step's cross-term buffer is free until the next step.
     overflowed = train_stack(protos, step, epochs, lr, done, abort,
                              work.cross)
+    banks = banks_or_aborts(protos)
     for j in np.flatnonzero(~done):
         results[j] = (EpisodeAbort(
             "proto_grad_overflow",
             "Adam second moment overflowed; training stalled")
-            if overflowed[j] else bank_or_abort(protos[j]))
+            if overflowed[j] else banks[j])
     return results
 
 
@@ -363,17 +388,20 @@ def train_prototypes(head: LinearHead, support_feats: np.ndarray,
 
 
 def validate_prototypes(protos: np.ndarray) -> None:
-    """Reject a bank with a non-finite entry or a row of zeros."""
-    if not np.all(np.isfinite(protos)):
-        raise EpisodeAbort("proto_nonfinite")
-    if not protos.any(axis=1).all():
-        raise EpisodeAbort("zero_prototype_row")
+    """Reject a bank with a non-finite entry or a row of zeros: the
+    one-bank case of `banks_or_aborts`."""
+    bank, = banks_or_aborts(np.asarray(protos)[None])
+    if isinstance(bank, EpisodeAbort):
+        raise bank
 
 
-def bank_or_abort(protos: np.ndarray) -> PrototypeBank | EpisodeAbort:
-    """`protos` as a bank, or the abort validate_prototypes raises."""
-    try:
-        validate_prototypes(protos)
-    except EpisodeAbort as abort:
-        return abort
-    return PrototypeBank(protos=protos)
+def banks_or_aborts(protos: np.ndarray) -> list[PrototypeBank | EpisodeAbort]:
+    """Each bank of the (B, n, e) stack `protos` as a `PrototypeBank` (a
+    view of the stack), or its abort: `proto_nonfinite` for a non-finite
+    entry, else `zero_prototype_row` for a row of zeros."""
+    finite = np.isfinite(protos).all(axis=(1, 2))
+    full = protos.any(axis=2).all(axis=1)
+    return [PrototypeBank(protos=bank) if ok and nonzero
+            else EpisodeAbort("zero_prototype_row" if ok
+                              else "proto_nonfinite")
+            for bank, ok, nonzero in zip(protos, finite, full)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewproto.classify import (AttentionMasks, build_masks, classify_batch,
-                               score_episode)
+                               classify_stack, mask_stack, score_episode,
+                               score_episodes)
 from fewproto.diagnostics import Diagnostics
 from fewproto.embeddings import generate_synthetic, sample_episode
+from fewproto.harness import SCORE_BYTES, RunConfig, score_width
 from fewproto.optim import softmax
 from fewproto.prototypes import PrototypeBank
 
@@ -364,3 +367,105 @@ def test_classify_corrected_rows_past_norm_range():
     _, want = classify_batch(np.array([[1.0, 0.5]]), protos, masks, True,
                              Diagnostics())
     np.testing.assert_allclose(scores, want, rtol=1e-15)
+
+
+def extreme_stack(n_ways, dim, seed):
+    """Queries (3, 15 n, dim) and banks (3, n, dim) at aggregated-feature
+    magnitudes, with a zero query, a query near 1e152 whose corrected
+    rows square past float64 range, a tiny query and a bank row near
+    1e303, whose scale * |p| leaves float64 range at scale 1e6."""
+    rng = np.random.default_rng([n_ways, dim, seed])
+    queries = rng.normal(0.0, 10.0, size=(3, 15 * n_ways, dim))
+    protos = rng.normal(0.0, 10.0, size=(3, n_ways, dim))
+    queries[0, 7] = 0.0
+    queries[1, 4] *= 1e151
+    queries[2, 2] *= 1e-170
+    protos[1, 1] *= 1e302
+    return queries, protos
+
+
+@pytest.mark.parametrize("n_ways, dim", [(5, 64), (10, 64), (5, 640),
+                                         (10, 640)])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 1.0, 1e6])
+@pytest.mark.parametrize("use_mask", [False, True])
+def test_stack_matches_each_episode_alone(n_ways, dim, scale, use_mask):
+    # Bit for bit: masks, predictions, scores and zero-query counts of a
+    # stack against each episode's own build_masks and classify_batch.
+    queries, protos = extreme_stack(n_ways, dim, int(scale))
+    masks = mask_stack(protos, scale, 1e4)
+    predictions, scores, zero_queries = classify_stack(
+        queries, protos, masks if use_mask else None, 1e4)
+    assert scores.shape == (3, 15 * n_ways, n_ways)
+    assert zero_queries.tolist() == [1, 0, 0]
+    for b in range(3):
+        alone = build_masks(bank_from(protos[b]), scale, 1e4)
+        np.testing.assert_array_equal(masks[b], alone.masks)
+        diag = Diagnostics()
+        want_pred, want_scores = classify_batch(
+            queries[b], bank_from(protos[b]), alone, use_mask, diag)
+        np.testing.assert_array_equal(predictions[b], want_pred)
+        np.testing.assert_array_equal(scores[b], want_scores)
+        assert diag.counts["zero_query"] == zero_queries[b]
+
+
+@pytest.mark.parametrize("n_ways, dim", [(5, 64), (10, 640)])
+@pytest.mark.parametrize("use_mask", [False, True])
+def test_stack_matches_per_class_oracle(n_ways, dim, use_mask):
+    # The stacked pass against scoring one class of one episode at a
+    # time, on rows whose norms stay in range.
+    rng = np.random.default_rng([n_ways, dim])
+    queries = rng.normal(0.0, 10.0, size=(4, 15 * n_ways, dim))
+    protos = rng.normal(0.0, 10.0, size=(4, n_ways, dim))
+    queries[3, 0] = 0.0
+    masks = mask_stack(protos, 0.1, 1e4)
+    predictions, scores, _ = classify_stack(
+        queries, protos, masks if use_mask else None, 1e4)
+    for b in range(4):
+        want = per_class_scores(queries[b], bank_from(protos[b]),
+                                AttentionMasks(masks[b], 1e4), use_mask)
+        np.testing.assert_array_equal(scores[b], want)
+        np.testing.assert_array_equal(predictions[b],
+                                      np.argmax(want, axis=1))
+
+
+def test_stack_rejects_what_one_bank_rejects():
+    protos = np.ones((3, 2, 4))
+    protos[1, 1] = 0.0
+    with pytest.raises(ValueError, match="zero-norm prototype row"):
+        classify_stack(np.ones((3, 5, 4)), protos, None, 1e4)
+    protos[1, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="prototypes must be finite"):
+        mask_stack(protos, 0.1, 1e4)
+
+
+@pytest.mark.parametrize("use_mask", [False, True])
+def test_scoring_pass_memory_is_bounded(use_mask):
+    # One pass at the bench shape (5-way, 15 queries, 64-d) holds the
+    # widest stack SCORE_BYTES allows. Masked, it allocates its buffer
+    # of corrected queries; both ways, at most one query-sized temporary
+    # and score-sized arrays (64 KiB) beside it.
+    config = RunConfig(n_ways=5, n_queries=15)
+    width = score_width(config, 64)
+    assert width == 5
+    rng = np.random.default_rng(4)
+    queries = rng.normal(0.0, 10.0, size=(width, 75, 64))
+    protos = rng.normal(0.0, 10.0, size=(width, 5, 64))
+    masks = mask_stack(protos, 0.1, 1e4) if use_mask else None
+    tracemalloc.start()
+    try:
+        classify_stack(queries, protos, masks, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = SCORE_BYTES if use_mask else 0
+    assert peak <= bound + queries.nbytes + (1 << 16)
+
+
+def test_score_episodes_match_each_episode():
+    pool = generate_synthetic(6, 30, 8, 5.0, 0.2, np.random.default_rng(7))
+    episodes = [sample_episode(pool, 3, 2, 4, np.random.default_rng(s))
+                for s in range(3)]
+    predictions = np.random.default_rng(8).integers(0, 3, size=(3, 12))
+    got = score_episodes(episodes, predictions)
+    assert got.tolist() == [score_episode(ep, row)
+                            for ep, row in zip(episodes, predictions)]

@@ -343,14 +343,28 @@ def test_determinism_across_processes(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     # The runtime depends on numpy alone; scipy is a test-only dependency.
-    # A run loads multiprocessing only when it forks workers.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fewproto; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] in ('scipy', 'multiprocessing', "
-         "'concurrent')))"],
-        capture_output=True, text=True, timeout=60)
+    # A run loads multiprocessing only when it forks workers. Nothing
+    # loads numpy.ma, whose import costs about 17 ms (np.unique loads
+    # it): not building a synthetic or an EMB1 pool, nor an episode.
+    script = (
+        "import sys, fewproto\n"
+        "from fewproto import harness\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'numpy.ma' or\n"
+        "                  m.split('.')[0] in ('scipy', 'multiprocessing',\n"
+        "                                      'concurrent'))\n"
+        "print(loaded())\n"
+        "cfg = harness.RunConfig.from_flat({'synthetic': '8,25,16,8.0,0.3',"
+        " 'n_ways': 3, 'k_shots': 2, 'n_queries': 3, 'graph.top_m': 4,"
+        " 'proto.epochs': 5})\n"
+        "pool = harness._resolve_pool(cfg)\n"
+        f"fewproto.save_embedding_set(pool, {str(tmp_path / 'p.emb')!r})\n"
+        f"pool = fewproto.load_embedding_set({str(tmp_path / 'p.emb')!r})\n"
+        "fewproto.run_episode(pool, cfg, harness.episode_rng(0, 0))\n"
+        "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]

@@ -378,9 +378,14 @@ def test_chunk_plan_covers_tasks_evenly():
     assert harness.stack_width(trained, 640) == 16
     assert harness.stack_width(trained, 64) == 48
     assert harness.stack_width(trained, 10 ** 6) == 1
-    # Mean banks train nothing: a mean run holds one episode at a time.
-    assert harness.stack_width(small_config(**{"proto.strategy": "mean"}),
-                               64) == 1
+    # Mean banks train nothing: a mean chunk is one scoring pass, whose
+    # (B, 5, 75, dim) buffer stays within 1 MiB.
+    mean = small_config(n_ways=5, n_queries=15,
+                        **{"proto.strategy": "mean"})
+    assert harness.score_width(mean, 64) == 5
+    assert harness.score_width(mean, 640) == 1
+    assert harness.stack_width(mean, 64) == 5
+    assert harness.stack_width(mean, 640) == 1
     for n_tasks in (1, 15, 16, 17, 40, 47, 48, 49, 100, 1000):
         for width in (1, 7, 16, 48):
             plan = harness.chunk_plan(n_tasks, width)
@@ -393,15 +398,18 @@ def test_chunk_plan_covers_tasks_evenly():
 
 def test_run_eval_deterministic_across_chunks(monkeypatch):
     # Stacks of at most 1, 7 (7+7+6), 16 (10+10) and the default (one
-    # chunk of 20) must give the same report bytes.
+    # chunk of 20) must give the same report bytes, for trained and for
+    # mean prototypes, whose chunks are scoring passes of that width.
     n_tasks = 20
-    reports = []
-    for max_stack in (1, 7, 16, harness.MAX_STACK):
-        monkeypatch.setattr(harness, "MAX_STACK", max_stack)
-        raw = asdict(run_eval(small_config(**{"n_tasks": n_tasks})))
-        raw.pop("wall_time")
-        reports.append(json.dumps(raw, sort_keys=True))
-    assert len(set(reports)) == 1
+    for strategy in ("trained", "mean"):
+        reports = []
+        for max_stack in (1, 7, 16, 48):
+            monkeypatch.setattr(harness, "MAX_STACK", max_stack)
+            raw = asdict(run_eval(small_config(**{
+                "n_tasks": n_tasks, "proto.strategy": strategy})))
+            raw.pop("wall_time")
+            reports.append(json.dumps(raw, sort_keys=True))
+        assert len(set(reports)) == 1
 
 
 def task_index(prepared, config) -> int:
@@ -477,14 +485,14 @@ def two_workers(monkeypatch):
 def test_worker_error_reaches_the_caller(monkeypatch, task):
     # Task 3 runs in this process, task 15 in the forked worker for 10-19.
     two_workers(monkeypatch)
-    real_finish = harness.finish_episode
+    real_score = harness._score_stack
 
-    def finish(prepared, bank, config, diag):
-        if task_index(prepared, config) == task:
+    def score(prepared, banks, config, diags):
+        if any(task_index(p, config) == task for p in prepared):
             raise ValueError(f"bad task {task}")
-        return real_finish(prepared, bank, config, diag)
+        return real_score(prepared, banks, config, diags)
 
-    monkeypatch.setattr(harness, "finish_episode", finish)
+    monkeypatch.setattr(harness, "_score_stack", score)
     with pytest.raises(ValueError, match=f"bad task {task}"):
         run_eval(small_config(**{"n_tasks": 20}))
     assert multiprocessing.active_children() == []
@@ -551,14 +559,14 @@ def test_trained_chunk_keeps_its_results_before_an_exception(monkeypatch):
 
 def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
         monkeypatch):
-    real_finish = harness.finish_episode
+    real_score = harness._score_stack
 
-    def finish(prepared, bank, config, diag):
-        if task_index(prepared, config) == 2:
+    def score(prepared, banks, config, diags):
+        if any(task_index(p, config) == 2 for p in prepared):
             raise ValueError("bad task 2")
-        return real_finish(prepared, bank, config, diag)
+        return real_score(prepared, banks, config, diags)
 
-    monkeypatch.setattr(harness, "finish_episode", finish)
+    monkeypatch.setattr(harness, "_score_stack", score)
     cfg = small_config(**{"proto.epochs": 20})
     emb = harness._resolve_pool(cfg)
     rngs = [episode_rng(cfg.seed, i) for i in range(4)]
@@ -568,6 +576,41 @@ def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
         run_episode(emb, cfg, episode_rng(cfg.seed, i)) for i in range(2)]
     with pytest.raises(ValueError, match="bad task 2"):
         next(outcomes)
+
+
+def test_scoring_error_stands_at_its_own_task(monkeypatch):
+    # Of 200 mean tasks, 10, 20 and 125 abort, and scoring task 130
+    # raises. At the default width the pass that holds 130 starts before
+    # 125 (at 120 on one worker, at 100 on two), so only re-scoring it
+    # one episode at a time lets the third abort end the run, the same
+    # way at every chunk plan and on one and two workers.
+    real_prepare, real_score = harness.prepare_episode, harness._score_stack
+
+    def prepare(emb, config, rng, diag):
+        prepared = real_prepare(emb, config, rng, diag)
+        if task_index(prepared, config) in (10, 20, 125):
+            raise EpisodeAbort("test_abort")
+        return prepared
+
+    def score(prepared, banks, config, diags):
+        if any(task_index(p, config) == 130 for p in prepared):
+            raise ValueError("bad task 130")
+        return real_score(prepared, banks, config, diags)
+
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    monkeypatch.setattr(harness, "_score_stack", score)
+    cfg = small_config(**{"n_tasks": 200, "proto.strategy": "mean"})
+    texts = set()
+    for max_stack in (7, 48):
+        monkeypatch.setattr(harness, "MAX_STACK", max_stack)
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "worker_count",
+                                lambda n_tasks: min(workers, n_tasks))
+            texts.add(report_text(cfg))
+            assert multiprocessing.active_children() == []
+    assert len(texts) == 1
+    assert texts.pop().startswith(
+        "RunError: 3 of 200 episodes aborted by task 125 ")
 
 
 @pytest.mark.parametrize("strategy, phases", [
@@ -620,7 +663,8 @@ def test_chunk_splits_its_prototype_loop_over_its_banks(monkeypatch):
 
 def test_abort_cap_stops_two_workers_early(tmp_path, monkeypatch):
     # Every episode aborts. This process runs tasks 0-99 and stops at
-    # the third abort, the cap of 2 of 200, then stops the worker.
+    # the third abort, the cap of 2 of 200, then stops the worker: it
+    # prepares only its first chunk (0-33 of the three that split 0-99).
     path = tmp_path / "degenerate.emb"
     save_embedding_set(zero_class_pool(), path)
     cfg = RunConfig(data=str(path), n_ways=2, k_shots=1, n_queries=2,
@@ -638,7 +682,8 @@ def test_abort_cap_stops_two_workers_early(tmp_path, monkeypatch):
     two_workers(monkeypatch)
     with pytest.raises(RunError, match="3 of 200 episodes aborted by task 2 "):
         run_eval(cfg)
-    assert prepare.calls == 3
+    first = harness.chunk_plan(100, harness.stack_width(cfg, 4))[0]
+    assert prepare.calls == len(first) == 34
     assert multiprocessing.active_children() == []
 
 
@@ -654,14 +699,14 @@ def test_episode_abort_survives_a_pickle_round_trip():
 
 def test_dead_worker_fails_the_run(monkeypatch):
     two_workers(monkeypatch)
-    real_finish = harness.finish_episode
+    real_score = harness._score_stack
 
-    def finish(prepared, bank, config, diag):
-        if task_index(prepared, config) == 15:
+    def score(prepared, banks, config, diags):
+        if any(task_index(p, config) == 15 for p in prepared):
             os._exit(3)
-        return real_finish(prepared, bank, config, diag)
+        return real_score(prepared, banks, config, diags)
 
-    monkeypatch.setattr(harness, "finish_episode", finish)
+    monkeypatch.setattr(harness, "_score_stack", score)
     with pytest.raises(RunError, match="tasks 10-19 exited with code 3"):
         run_eval(small_config(**{"n_tasks": 20}))
     assert multiprocessing.active_children() == []
@@ -835,8 +880,8 @@ def test_abort_cap_fails_run(tmp_path):
 
 
 def test_abort_cap_stops_the_run_early(tmp_path, monkeypatch):
-    # Every episode of this pool aborts. The cap is 2 of 200 tasks and
-    # mean episodes run one per chunk, so the third abort ends the run.
+    # Every episode of this pool aborts. The cap is 2 of 200 tasks, so
+    # the third abort ends the run in its first chunk (0-39 of five).
     from fewproto.embeddings import save_embedding_set
     path = tmp_path / "degenerate.emb"
     save_embedding_set(zero_class_pool(), path)
@@ -855,7 +900,8 @@ def test_abort_cap_stops_the_run_early(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "worker_count", lambda n_tasks: 1)
     with pytest.raises(RunError, match="3 of 200 episodes aborted"):
         run_eval(cfg)
-    assert prepare.calls == 3
+    first = harness.chunk_plan(200, harness.stack_width(cfg, 4))[0]
+    assert prepare.calls == len(first) == 40
 
 
 def test_aborted_episodes_excluded(monkeypatch):
@@ -867,14 +913,15 @@ def test_aborted_episodes_excluded(monkeypatch):
             raise EpisodeAbort("synthetic_test_abort")
         return real_prepare(emb, config, rng, diag)
 
-    def fake_finish(prepared, bank, config, diag):
-        fake_finish.calls += 1
-        return float((fake_finish.calls - 1) % 2)
+    def fake_score(prepared, banks, config, diags):
+        first = fake_score.calls
+        fake_score.calls += len(prepared)
+        return [float(k % 2) for k in range(first, fake_score.calls)]
 
     fake_prepare.calls = 0
-    fake_finish.calls = 0
+    fake_score.calls = 0
     monkeypatch.setattr("fewproto.harness.prepare_episode", fake_prepare)
-    monkeypatch.setattr("fewproto.harness.finish_episode", fake_finish)
+    monkeypatch.setattr("fewproto.harness._score_stack", fake_score)
     monkeypatch.setattr(harness, "worker_count", lambda n_tasks: 1)
     cfg = small_config(**{"n_tasks": "200"})
     rep = run_eval(cfg)

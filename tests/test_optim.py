@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fewproto.optim import (AdamState, adam_step, adam_update, grad_check,
-                            row_norms, softmax, train_stack)
+                            row_norms, softmax, sorted_unique, train_stack)
 
 
 def test_softmax_uniform_pair():
@@ -261,3 +261,12 @@ def test_row_norms_rescales_only_the_lost_rows():
                                         [0.0, 0.0], [3.0, 4.0]])
     np.testing.assert_array_equal(norms, [1.25, 1.25, 0.0, 5.0])
     assert x[0, 0] == 3e-170  # the input is left as it was
+
+
+@pytest.mark.parametrize("values", [[], [3], [2, 2, 2], [5, -1, 3, -1, 5, 0],
+                                    list(range(40, 0, -3)) * 2])
+def test_sorted_unique_matches_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    got = sorted_unique(values)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.unique(values))

@@ -14,8 +14,8 @@ from fewproto.optim import (LOG_FLOOR, AdamState, adam_update, row_norms,
 from fewproto.prototypes import (LossWeights, _step_loss_and_grad,
                                  _Workspace, init_prototypes, loss_class,
                                  loss_entropy, loss_metric, loss_total,
-                                 mean_prototypes, train_prototype_banks,
-                                 validate_prototypes)
+                                 mean_prototype_stack, mean_prototypes,
+                                 train_prototype_banks, validate_prototypes)
 from fewproto.verification import check_proto_gradient
 
 # The composite loss's term weights at their run defaults.
@@ -114,6 +114,50 @@ def test_mean_prototypes_rejects_other_layouts(labels):
 def test_mean_prototypes_rejects_row_count_mismatch():
     with pytest.raises(ValueError, match="3 support rows for 4 labels"):
         mean_prototypes(np.ones((3, 2)), np.array([0, 0, 1, 1]))
+
+
+@pytest.mark.parametrize("n_ways, k", [(5, 1), (5, 5), (10, 3)])
+@pytest.mark.parametrize("dim", [64, 640])
+def test_mean_stack_matches_each_episode_alone(n_ways, k, dim):
+    # Bit for bit, with a middle bank that aborts: a non-finite support
+    # row gives proto_nonfinite, a class of zero rows zero_prototype_row.
+    rng = np.random.default_rng([n_ways, k, dim])
+    labels = np.repeat(np.arange(n_ways), k)
+    for kind, reason in (("nan", "proto_nonfinite"),
+                         ("zero", "zero_prototype_row")):
+        feats = rng.normal(0.0, 10.0, size=(3, n_ways * k, dim))
+        feats[2, 0] *= 1e300
+        if kind == "nan":
+            feats[1, -1, 3] = np.nan
+        else:
+            feats[1, :k] = 0.0
+        means = mean_prototype_stack(feats, np.stack([labels] * 3))
+        for b in range(3):
+            np.testing.assert_array_equal(
+                means[b], mean_prototypes(feats[b], labels).protos)
+        first, middle, last = prototypes.banks_or_aborts(means)
+        assert isinstance(middle, EpisodeAbort) and middle.reason == reason
+        with pytest.raises(EpisodeAbort, match=reason):
+            validate_prototypes(means[1])
+        for bank, b in ((first, 0), (last, 2)):
+            np.testing.assert_array_equal(bank.protos, means[b])
+            for c in range(n_ways):
+                np.testing.assert_array_equal(
+                    bank.protos[c], feats[b][labels == c].mean(axis=0))
+
+
+def test_mean_stack_rejects_a_layout_by_episode():
+    # Each episode's own error; equal layouts are required across the
+    # stack.
+    good = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match=re.escape("[1, 1, 0, 0]")):
+        mean_prototype_stack(np.ones((2, 4, 3)),
+                             np.stack([good, [1, 1, 0, 0]]))
+    with pytest.raises(ValueError, match="different support labels"):
+        mean_prototype_stack(np.ones((2, 4, 3)),
+                             np.stack([good, [0, 0, 0, 0]]))
+    with pytest.raises(ValueError, match="4 support rows for 3 labels"):
+        mean_prototype_stack(np.ones((2, 4, 3)), np.zeros((2, 3), int))
 
 
 @settings(max_examples=40, deadline=None)
