@@ -10,29 +10,33 @@ size, one per CPU the process may run on. This process runs the first
 range while forked workers run the others. Within its range, each runs
 episodes in chunks of consecutive task indices (`chunk_plan`), as many
 as `stack_width` allows and split evenly over the range: each is
-prepared on its own generator (sampled, aggregated, its support
-augmented and its head's init drawn), then, for trained prototypes, one
-stacked Adam loop trains the chunk's heads and one batched Adam loop its
-prototype banks; mean banks are one stacked mean. Then the chunk's
-episodes are scored in stacks of `score_width`, each one pass that
-builds their masks, classifies their queries and takes their
-accuracies. A head's, a bank's or a score's bits do not depend on the
-stack it is computed in, so reports are identical for any chunk plan
-and any worker count. Episodes that hit a fatal numerical condition are
-aborted, counted, and excluded. The results reach `run_eval` as one
-stream in task order, each with its episode's `Diagnostics`: its event
-counts and its phase seconds. An episode's "head" phase is its
-augmentation and head init plus an even share of its chunk's head loop,
-its "proto" phase an even share of the prototype loop or mean, and its
-"classify" phase an even share of its scoring pass. A worker sends the
-results it finished along with its exception, which is raised after
-them. The abort cap is checked once, on that stream, so a failed run
-ends at whichever comes first in task order, at any worker count: the
-abort that takes the count past 1% of the requested tasks, or an
-exception. Scoring draws no random numbers, so a stack whose pass
-raises is scored again one episode at a time, and the exception stands
-at its own task. Only an exception from the stacked mean or from one of
-the two batched loops itself stands at its chunk's first task.
+prepared on its own generator (sampled, aggregated and, for trained
+prototypes, its support augmented and its head's and its prototype
+bank's inits drawn). Those are all of an episode's random draws. Then
+the chunk runs three stacked stages over the episodes no abort has
+ended: for trained prototypes, one Adam loop trains their heads; one
+batched Adam loop trains their prototype banks, or one stacked mean
+takes them; and passes of `score_width` episodes each build their
+masks, classify their queries and take their accuracies. A head's, a
+bank's or a score's bits do not depend on the stack it is computed in,
+so reports are identical for any chunk plan and any worker count.
+Episodes that hit a fatal numerical condition are aborted, counted, and
+excluded. The results reach `run_eval` as one stream in task order,
+each with its episode's `Diagnostics`: its event counts and its phase
+seconds. An episode's "head" phase is its augmentation and head init
+plus an even share of its chunk's head loop, its "proto" phase its
+bank's init plus an even share of the prototype loop or mean, and its
+"classify" phase an even share of its scoring pass.
+
+One failure rule places every exception at its own task. A chunk
+either gives every task's result or raises; one that raises is run
+again one task at a time, each on a fresh generator and `Diagnostics`,
+so its exception is raised after the results of the tasks before it. A
+worker sends the results it finished along with its exception, which
+is raised after them. The abort cap is checked once, on that stream, so
+a failed run ends at whichever comes first in task order, at any chunk
+plan and worker count: the abort that takes the count past 1% of the
+requested tasks, or an exception.
 """
 
 from __future__ import annotations
@@ -60,7 +64,8 @@ from .graph import build_task_graph
 from .head import (AugmentedSupport, LinearHead, init_head,
                    manifold_augment, train_heads)
 from .prototypes import (LossWeights, PrototypeBank, banks_or_aborts,
-                         mean_prototype_stack, train_prototype_banks)
+                         init_prototypes, mean_prototype_stack,
+                         train_prototype_banks)
 
 ABORT_CAP_FRACTION = 0.01
 # Seed stream for building a synthetic pool, distinct from episode streams.
@@ -409,16 +414,17 @@ def worker_count(n_tasks: int) -> int:
 @dataclass
 class PreparedEpisode:
     """An episode up to its prototypes: sampled, aggregated and, for
-    trained prototypes, its head set up (`head` and `aug` are None
-    otherwise).
+    trained prototypes, its head and bank set up (`head`, `aug` and
+    `init` are None otherwise), with the `Diagnostics` it records into.
 
     `episode` keeps its labels, but its raw `support_x` and `query_x`
     are dropped (None) once aggregated: only the aggregated features are
     read later. `head` is the head's initial draw until the chunk's
     stacked head loop trains it on the augmented support `aug` and puts
     the trained head in its place; the loop takes `aug` over as it
-    starts (`take_aug`). `rng` is the episode's generator, positioned
-    where prototype initialization draws from it.
+    starts (`take_aug`). `init` is the prototype bank's initial draw,
+    from which the chunk's prototype loop trains `bank`; a mean bank
+    needs none.
     """
 
     episode: Episode
@@ -426,7 +432,9 @@ class PreparedEpisode:
     query_feats: np.ndarray
     head: LinearHead | None
     aug: AugmentedSupport | None
-    rng: np.random.Generator
+    init: np.ndarray | None
+    diag: Diagnostics
+    bank: PrototypeBank | None = None
 
     def take_aug(self) -> AugmentedSupport:
         """`aug`, which this episode then drops (None)."""
@@ -446,9 +454,12 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
                     diag: Diagnostics) -> PreparedEpisode:
     """Sample an episode, aggregate it through the task graph and, for
     trained prototypes, augment its support rows and draw its head's
-    init: only the prototype loss reads the head, which the chunk's
-    stacked loop trains. Adds the "sample", "graph" and, with a head,
-    "head" phases to `diag.seconds`."""
+    init and then its prototype bank's init. These are all of the
+    episode's random draws: the stages after this one draw none, so they
+    can run again on the same episode. Only the prototype loss reads the
+    head, which the chunk's stacked loop trains. Adds the "sample",
+    "graph" and, for trained prototypes, "head" and "proto" phases to
+    `diag.seconds`."""
     t = time.perf_counter()
     episode = sample_episode(emb, config.n_ways, config.k_shots,
                              config.n_queries, rng)
@@ -458,58 +469,27 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
         config.graph.self_weight, config.graph.rounds, diag)
     episode = replace(episode, support_x=None, query_x=None)
     t = _lap(diag, "graph", t)
-    head = aug = None
+    head = aug = init = None
     if config.proto.strategy == "trained":
+        dim = support_feats.shape[1]
         aug = manifold_augment(support_feats, episode.support_y,
                                config.head.n_aug, rng)
-        head = init_head(config.n_ways, support_feats.shape[1], rng)
-        _lap(diag, "head", t)
+        head = init_head(config.n_ways, dim, rng)
+        t = _lap(diag, "head", t)
+        init = init_prototypes(config.n_ways, dim, rng)
+        _lap(diag, "proto", t)
     return PreparedEpisode(episode, support_feats, query_feats, head, aug,
-                           rng)
+                           init, diag)
 
 
-def _score_stack(prepared: list[PreparedEpisode], banks: list[PrototypeBank],
-                 config: RunConfig, diags: list[Diagnostics]) -> list[float]:
-    """Build the masks of `banks`, classify each episode's queries
-    against its bank and return the accuracies, in one pass over the
-    stack. Records each episode's `zero_query` count into the matching
-    entry of `diags`, and adds an even share of the pass to its
-    "classify" phase."""
-    t = time.perf_counter()
-    protos = np.stack([bank.protos for bank in banks])
-    masks = (mask_stack(protos, config.mask.scale, config.mask.boost)
-             if config.mask.enabled else None)
-    predictions, _, zero_queries = classify_stack(
-        np.stack([p.query_feats for p in prepared]), protos, masks,
-        config.mask.boost)
-    accuracies = score_episodes([p.episode for p in prepared],
-                                predictions).tolist()
-    share = (time.perf_counter() - t) / len(prepared)
-    for diag, zeros in zip(diags, zero_queries):
-        if zeros:
-            diag.record("zero_query", int(zeros))
-        diag.seconds["classify"] += share
-    return accuracies
-
-
-def _accuracies(ready: list[tuple[PreparedEpisode, PrototypeBank,
-                                  Diagnostics]],
-                config: RunConfig, width: int) -> Iterator[float]:
-    """The accuracy of each (episode, bank, diagnostics) entry of
-    `ready`, scored `width` at a time by `_score_stack` when the first of
-    them is asked for. Scoring draws no random numbers, so a stack whose
-    pass raises is scored again one episode at a time: the accuracies
-    before the episode that raises come first, then its exception."""
-    for start in range(0, len(ready), width):
-        stack = ready[start:start + width]
-        prepared, banks, diags = zip(*stack)
-        try:
-            accuracies = _score_stack(list(prepared), list(banks), config,
-                                      list(diags))
-        except Exception:
-            accuracies = (_score_stack([p], [bank], config, [diag])[0]
-                          for p, bank, diag in stack)
-        yield from accuracies
+def _train_heads(prepared: list[PreparedEpisode], config: RunConfig
+                 ) -> list[LinearHead | EpisodeAbort]:
+    """Each episode's trained head, or the abort that ended it, from one
+    stacked loop. Each episode hands the loop its augmented rows, which
+    the loop's stack then holds alone."""
+    return train_heads([p.head for p in prepared],
+                       (p.take_aug() for p in prepared), config.head.epochs,
+                       config.head.lr, [p.diag for p in prepared])
 
 
 def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
@@ -522,12 +502,52 @@ def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
             [p.episode.support_y for p in prepared],
             LossWeights(config.proto.entropy_weight,
                         config.proto.class_weight),
-            config.proto.epochs, config.proto.lr, [p.rng for p in prepared])
-    if not prepared:
-        return []
+            config.proto.epochs, config.proto.lr,
+            [p.init for p in prepared])
     return banks_or_aborts(mean_prototype_stack(
         np.stack([p.support_feats for p in prepared]),
         np.stack([p.episode.support_y for p in prepared])))
+
+
+def _score_stack(prepared: list[PreparedEpisode], config: RunConfig
+                 ) -> list[float]:
+    """Build the masks of the episodes' banks, classify each episode's
+    queries against its bank and return the accuracies, in one pass over
+    the stack. Records each episode's `zero_query` count."""
+    protos = np.stack([p.bank.protos for p in prepared])
+    masks = (mask_stack(protos, config.mask.scale, config.mask.boost)
+             if config.mask.enabled else None)
+    predictions, _, zero_queries = classify_stack(
+        np.stack([p.query_feats for p in prepared]), protos, masks,
+        config.mask.boost)
+    for p, zeros in zip(prepared, zero_queries):
+        if zeros:
+            p.diag.record("zero_query", int(zeros))
+    return score_episodes([p.episode for p in prepared],
+                          predictions).tolist()
+
+
+def _stage(entries: list, config: RunConfig, phase: str, width: int,
+           run, into: str | None = None) -> None:
+    """Run the stage `run(prepared, config)` over the live entries of
+    `entries`, the prepared episodes no abort has ended, `width` at a
+    time. Each pass's time is split evenly into its episodes' `phase`
+    seconds. A result that is an EpisodeAbort takes its entry's place,
+    and so does any other when `into` is None; otherwise it becomes the
+    entry's attribute `into`."""
+    live = [k for k, entry in enumerate(entries)
+            if isinstance(entry, PreparedEpisode)]
+    for start in range(0, len(live), width):
+        slots = live[start:start + width]
+        t = time.perf_counter()
+        results = run([entries[k] for k in slots], config)
+        share = (time.perf_counter() - t) / len(slots)
+        for k, result in zip(slots, results):
+            entries[k].diag.seconds[phase] += share
+            if into is None or isinstance(result, EpisodeAbort):
+                entries[k] = result
+            else:
+                setattr(entries[k], into, result)
 
 
 def run_episode(emb: EmbeddingSet, config: RunConfig,
@@ -546,92 +566,60 @@ def run_episode(emb: EmbeddingSet, config: RunConfig,
     return outcome
 
 
-def _train_heads(started: list[PreparedEpisode | EpisodeAbort],
-                 diags: list[Diagnostics], config: RunConfig) -> None:
-    """Train the heads of the prepared entries of `started` in one
-    stacked loop, recording into the matching entries of `diags`. Each
-    entry hands the loop its augmented rows, which the loop's stack then
-    holds alone, and gets its trained head or is replaced by the abort
-    that ended it. The loop's time is split evenly over their "head"
-    phases."""
-    slots = [k for k, p in enumerate(started)
-             if isinstance(p, PreparedEpisode)]
-    t = time.perf_counter()
-    heads = train_heads([started[k].head for k in slots],
-                        (started[k].take_aug() for k in slots),
-                        config.head.epochs, config.head.lr,
-                        [diags[k] for k in slots])
-    share = (time.perf_counter() - t) / max(len(slots), 1)
-    for k, head in zip(slots, heads):
-        diags[k].seconds["head"] += share
-        if isinstance(head, EpisodeAbort):
-            started[k] = head
-        else:
-            started[k].head = head
-
-
 def _run_chunk(emb: EmbeddingSet, config: RunConfig,
                rngs: list[np.random.Generator],
-               diags: list[Diagnostics]) -> Iterator[float | EpisodeAbort]:
+               diags: list[Diagnostics]) -> list[float | EpisodeAbort]:
     """One episode on each generator of `rngs`, recording into the
-    matching entry of `diags`, with one stacked loop for their trained
-    heads, one for their prototypes (or one stacked mean) and one
-    scoring pass per `score_width` of them; yields each one's accuracy
-    or the abort that ended it, in order. Each loop's time is split
-    evenly over the episodes it trains, into their "head" and "proto"
-    phases. An exception from preparing an episode stops the preparing,
-    and is raised after the outcomes before it; one from scoring an
-    episode is raised after the outcomes before that episode."""
-    started: list[PreparedEpisode | EpisodeAbort] = []
-    failure = None
+    matching entry of `diags`: each one's accuracy or the abort that
+    ended it, in order. After preparing them, `_stage` runs one stacked
+    loop for their trained heads, one for their prototypes (or one
+    stacked mean) and one scoring pass per `score_width` of them. An
+    exception from preparing or from a stage ends the whole chunk."""
+    entries: list[PreparedEpisode | EpisodeAbort | float] = []
     for rng, diag in zip(rngs, diags):
         try:
-            started.append(prepare_episode(emb, config, rng, diag))
+            entries.append(prepare_episode(emb, config, rng, diag))
         except EpisodeAbort as abort:
             # Its traceback would keep the episode's frames alive.
-            started.append(abort.with_traceback(None))
-        except Exception as exc:
-            failure = exc
-            break
-
+            entries.append(abort.with_traceback(None))
     if config.proto.strategy == "trained":
-        _train_heads(started, diags, config)
-    prepared = [p for p in started if isinstance(p, PreparedEpisode)]
-    t = time.perf_counter()
-    banks = iter(_prototype_banks(prepared, config))
-    share = (time.perf_counter() - t) / max(len(prepared), 1)
-
-    # Each episode's bank, or the abort that ended it.
-    outcomes = []
-    for p, diag in zip(started, diags):
-        if isinstance(p, EpisodeAbort):
-            outcomes.append(p)
-            continue
-        diag.seconds["proto"] += share
-        outcomes.append(next(banks))
-    accuracies = _accuracies(
-        [(p, bank, diag) for p, bank, diag in zip(started, outcomes, diags)
-         if isinstance(bank, PrototypeBank)],
-        config, score_width(config, emb.dim))
-    for outcome in outcomes:
-        yield (outcome if isinstance(outcome, EpisodeAbort)
-               else next(accuracies))
-    if failure is not None:
-        raise failure
+        _stage(entries, config, "head", len(entries), _train_heads, "head")
+    _stage(entries, config, "proto", len(entries), _prototype_banks, "bank")
+    _stage(entries, config, "classify", score_width(config, emb.dim),
+           _score_stack)
+    return entries
 
 
 # A task's accuracy, or the abort that ended it, and its diagnostics.
 TaskResult = tuple[float | EpisodeAbort, Diagnostics]
 
 
+def _chunk_results(emb: EmbeddingSet, config: RunConfig, tasks: range
+                   ) -> list[TaskResult]:
+    """`_run_chunk` over `tasks`, each on its `episode_rng` and a fresh
+    `Diagnostics`, so a pass that raised leaves no counts behind."""
+    diags = [Diagnostics() for _ in tasks]
+    rngs = [episode_rng(config.seed, i) for i in tasks]
+    return list(zip(_run_chunk(emb, config, rngs, diags), diags))
+
+
 def _run_range(emb: EmbeddingSet, config: RunConfig, tasks: range
                ) -> Iterator[TaskResult]:
     """Each task of `tasks` in order. Runs a chunk of `chunk_plan` when
-    its first result is asked for."""
+    its first result is asked for, and a chunk that raises again one task
+    at a time, as the module docstring describes."""
     for chunk in chunk_plan(len(tasks), stack_width(config, emb.dim)):
-        diags = [Diagnostics() for _ in chunk]
-        rngs = [episode_rng(config.seed, tasks[k]) for k in chunk]
-        yield from zip(_run_chunk(emb, config, rngs, diags), diags)
+        chunk = tasks[chunk.start:chunk.stop]
+        try:
+            results = _chunk_results(emb, config, chunk)
+        except Exception:
+            # A task's bits do not depend on its chunk, so alone it gives
+            # the result it gives there: the chunk's exception is raised
+            # after the results of the tasks before its own.
+            results = (result for i in chunk
+                       for result in _chunk_results(emb, config,
+                                                    range(i, i + 1)))
+        yield from results
 
 
 def _range_worker(send, emb: EmbeddingSet, config: RunConfig,
@@ -715,10 +703,11 @@ def run_eval(config: RunConfig) -> EvalReport:
     The phases of wall_time are the tasks' phase seconds summed, over
     every worker, so they can add up to the worker count times "total".
     The abort cap is checked only here, in task order; the error names
-    the task that passes it and the diagnostics of the tasks up to it. A
-    worker's exception is raised after the results it finished, so a
-    failed run ends at the first of these in task order, and its text
-    does not depend on the worker count.
+    the task that passes it and the diagnostics of the tasks up to it.
+    Any other exception, from whichever stage, is raised after the
+    results of the tasks before its own, so a failed run ends at the
+    first of these in task order, and its text does not depend on the
+    chunk plan or the worker count.
     """
     config.validate()
     emb = _resolve_pool(config)

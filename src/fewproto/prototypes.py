@@ -310,23 +310,24 @@ def init_prototypes(n_classes: int, dim: int,
 def train_prototype_banks(heads: list[LinearHead],
                           support_feats: list[np.ndarray],
                           labels: list[np.ndarray], weights: LossWeights,
-                          epochs: int, lr: float,
-                          rngs: list[np.random.Generator],
+                          epochs: int, lr: float, inits: list[np.ndarray],
                           trajectories: list[list[float]] | None = None
                           ) -> list[PrototypeBank | EpisodeAbort]:
     """Train one prototype bank per episode, all in one `train_stack`
     loop.
 
     Entry j holds episode j's frozen head, aggregated support rows,
-    labels and generator; all episodes share one (rows, dim) and class
-    count. Each bank gives the bits `train_prototypes` gives for it
-    alone. Returns per episode either the trained bank or the
-    EpisodeAbort that ended it: a zero-norm support row before training;
-    a zero-norm prototype row or a non-finite loss at the epoch it
-    happens; an overflowed Adam moment (`proto_grad_overflow`); or a
-    degenerate final bank. An aborted bank stays in the stack: each
-    operation of the step runs within one bank, so its NaNs reach no
-    other bank.
+    labels and initial bank (n, dim), such as an `init_prototypes` draw;
+    all episodes share one (rows, dim) and class count. The loop draws
+    no random numbers, and each bank gets the bits it gets alone. Returns
+    per episode either the trained bank or the EpisodeAbort that ended
+    it: a zero-norm support row before training; a zero-norm prototype
+    row or a non-finite loss at the epoch it happens; an overflowed Adam
+    moment (`proto_grad_overflow`); or a degenerate final bank. An
+    aborted bank stays in the stack: each operation of the step runs
+    within one bank, so its NaNs reach no other bank. Any other
+    exception ends the whole call; a run then trains each of its banks
+    alone, so the exception stands at its own episode.
     Appends each bank's per-epoch loss (evaluated before each update)
     to `trajectories[j]` until it aborts, when given.
     """
@@ -335,15 +336,13 @@ def train_prototype_banks(heads: list[LinearHead],
     if not heads:
         return []
     work = _Workspace(heads, support_feats, labels, weights)
-    # A bank with a zero-norm support row starts done, yet still draws
-    # its init, so every generator ends where training leaves it.
+    # A bank with a zero-norm support row starts done.
     done = work.zero_support.copy()
     results: list[PrototypeBank | EpisodeAbort | None] = [
         EpisodeAbort("zero_support_row",
                      "cosine undefined for a zero-norm support row")
         if zero else None for zero in done]
-    n_classes, dim = heads[0].weights.shape
-    protos = np.stack([init_prototypes(n_classes, dim, rng) for rng in rngs])
+    protos = np.stack(inits, dtype=np.float64)
 
     def step(protos):
         loss, grad = _step_loss_and_grad(protos, work)
@@ -376,12 +375,14 @@ def train_prototypes(head: LinearHead, support_feats: np.ndarray,
                      lr: float, rng: np.random.Generator) -> PrototypeBank:
     """Full-batch Adam on loss_total with the prototypes as sole parameters.
 
-    The head is frozen. This is train_prototype_banks for one episode.
-    Raises EpisodeAbort on a zero-norm support row, a non-finite loss, an
-    overflowed Adam moment or a degenerate final bank.
+    The head is frozen. This is train_prototype_banks for one episode,
+    from a bank `init_prototypes` draws from `rng`. Raises EpisodeAbort
+    on a zero-norm support row, a non-finite loss, an overflowed Adam
+    moment or a degenerate final bank.
     """
     result, = train_prototype_banks(
-        [head], [support_feats], [labels], weights, epochs, lr, [rng])
+        [head], [support_feats], [labels], weights, epochs, lr,
+        [init_prototypes(*head.weights.shape, rng)])
     if isinstance(result, EpisodeAbort):
         raise result
     return result

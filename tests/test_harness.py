@@ -373,6 +373,20 @@ def test_chunk_holds_its_augmented_rows_once(monkeypatch):
     assert alive_at_first_step == [False] * 4
 
 
+@pytest.mark.parametrize("strategy", ["trained", "mean"])
+def test_no_stage_after_preparing_draws(strategy):
+    # Every random draw of an episode is made in prepare_episode, so its
+    # later stages can run again over it: a full episode leaves its
+    # generator where preparing alone does.
+    cfg = small_config(**{"proto.strategy": strategy, "proto.epochs": 20})
+    emb = harness._resolve_pool(cfg)
+    for i in range(3):
+        prepared, ran = episode_rng(cfg.seed, i), episode_rng(cfg.seed, i)
+        harness.prepare_episode(emb, cfg, prepared, Diagnostics())
+        run_episode(emb, cfg, ran)
+        assert ran.bit_generator.state == prepared.bit_generator.state
+
+
 def test_chunk_plan_covers_tasks_evenly():
     trained = small_config(n_ways=5)
     assert harness.stack_width(trained, 640) == 16
@@ -412,9 +426,34 @@ def test_run_eval_deterministic_across_chunks(monkeypatch):
         assert len(set(reports)) == 1
 
 
-def task_index(prepared, config) -> int:
-    """The task index of a prepared episode, from its generator's seed."""
-    return prepared.rng.bit_generator.seed_seq.entropy - config.seed
+def task_index(rng, config) -> int:
+    """The task index of a generator handed to `prepare_episode`, from
+    its seed."""
+    return rng.bit_generator.seed_seq.entropy - config.seed
+
+
+def tag_tasks(monkeypatch, effect=lambda task: None):
+    """Patch `prepare_episode` to tag each episode it prepares with its
+    task index (`.task`), then call `effect(task)`, which may raise."""
+    real_prepare = harness.prepare_episode
+
+    def prepare(emb, config, rng, diag):
+        prepared = real_prepare(emb, config, rng, diag)
+        prepared.task = task_index(rng, config)
+        effect(prepared.task)
+        return prepared
+
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+
+
+def raising_at(task, stage):
+    """`stage`, a stage of `_run_chunk`, raising ValueError for a stack
+    that holds tagged task `task`."""
+    def run(prepared, config):
+        if any(p.task == task for p in prepared):
+            raise ValueError(f"bad task {task}")
+        return stage(prepared, config)
+    return run
 
 
 def report_text(config) -> str:
@@ -440,7 +479,7 @@ def test_run_eval_same_report_on_one_and_two_workers(monkeypatch, tmp_path):
     def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
         key = (config.proto.strategy, config.n_tasks)
-        if task_index(prepared, config) in aborting.get(key, ()):
+        if task_index(rng, config) in aborting.get(key, ()):
             raise EpisodeAbort("test_abort")
         return prepared
 
@@ -485,14 +524,9 @@ def two_workers(monkeypatch):
 def test_worker_error_reaches_the_caller(monkeypatch, task):
     # Task 3 runs in this process, task 15 in the forked worker for 10-19.
     two_workers(monkeypatch)
-    real_score = harness._score_stack
-
-    def score(prepared, banks, config, diags):
-        if any(task_index(p, config) == task for p in prepared):
-            raise ValueError(f"bad task {task}")
-        return real_score(prepared, banks, config, diags)
-
-    monkeypatch.setattr(harness, "_score_stack", score)
+    tag_tasks(monkeypatch)
+    monkeypatch.setattr(harness, "_score_stack",
+                        raising_at(task, harness._score_stack))
     with pytest.raises(ValueError, match=f"bad task {task}"):
         run_eval(small_config(**{"n_tasks": 20}))
     assert multiprocessing.active_children() == []
@@ -508,7 +542,7 @@ def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
 
     def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
-        task = task_index(prepared, config)
+        task = task_index(rng, config)
         if task in (10, 120, 130):
             raise EpisodeAbort("test_abort")
         if task == 150:
@@ -528,78 +562,56 @@ def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
         "RunError: 3 of 200 episodes aborted by task 130 ")
 
 
-def test_trained_chunk_keeps_its_results_before_an_exception(monkeypatch):
-    # Of 200 trained tasks, 10, 20 and 118 abort, and preparing task 121
-    # raises. One worker runs 120-159 as a chunk, two run 100-133: the
-    # chunk finishes the tasks it prepared before the exception, so the
-    # third abort ends the run on both.
-    real_prepare = harness.prepare_episode
-
-    def prepare(emb, config, rng, diag):
-        prepared = real_prepare(emb, config, rng, diag)
-        task = task_index(prepared, config)
-        if task in (10, 20, 118):
-            raise EpisodeAbort("test_abort")
-        if task == 121:
-            raise ValueError("bad task 121")
-        return prepared
-
-    monkeypatch.setattr(harness, "prepare_episode", prepare)
-    cfg = small_config(**{"n_tasks": 200, "proto.epochs": 20})
-    texts = []
-    for workers in (1, 2):
-        monkeypatch.setattr(harness, "worker_count",
-                            lambda n_tasks: min(workers, n_tasks))
-        texts.append(report_text(cfg))
-        assert multiprocessing.active_children() == []
-    assert texts[0] == texts[1]
-    assert texts[0].startswith(
-        "RunError: 3 of 200 episodes aborted by task 118 ")
-
-
 def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
         monkeypatch):
-    real_score = harness._score_stack
-
-    def score(prepared, banks, config, diags):
-        if any(task_index(p, config) == 2 for p in prepared):
-            raise ValueError("bad task 2")
-        return real_score(prepared, banks, config, diags)
-
-    monkeypatch.setattr(harness, "_score_stack", score)
-    cfg = small_config(**{"proto.epochs": 20})
+    # Scoring task 2 raises, so the range's one chunk of 4 fails and runs
+    # again one task at a time. Tasks 0 and 1 then give what each gives
+    # alone: the same accuracy, and the same counts, with none left over
+    # from the failed pass (on a noisy pool, a huge head lr makes each
+    # record some `head_loss_increase` events).
+    tag_tasks(monkeypatch)
+    monkeypatch.setattr(harness, "_score_stack",
+                        raising_at(2, harness._score_stack))
+    cfg = small_config(**{"synthetic": "8,25,16,2.0,1.0", "head.lr": 1e3,
+                          "proto.epochs": 20})
     emb = harness._resolve_pool(cfg)
-    rngs = [episode_rng(cfg.seed, i) for i in range(4)]
-    outcomes = harness._run_chunk(emb, cfg, rngs,
-                                  [Diagnostics() for _ in rngs])
-    assert [next(outcomes), next(outcomes)] == [
-        run_episode(emb, cfg, episode_rng(cfg.seed, i)) for i in range(2)]
+    results = harness._run_range(emb, cfg, range(4))
+    earlier = [next(results) for _ in range(2)]
+    alone = []
+    for i in range(2):
+        diag = Diagnostics()
+        alone.append((run_episode(emb, cfg, episode_rng(cfg.seed, i), diag),
+                       diag.as_dict()))
+    assert [(outcome, diag.as_dict()) for outcome, diag in earlier] == alone
+    assert all(counts["head_loss_increase"] > 0 for _, counts in alone)
     with pytest.raises(ValueError, match="bad task 2"):
-        next(outcomes)
+        next(results)
 
 
-def test_scoring_error_stands_at_its_own_task(monkeypatch):
-    # Of 200 mean tasks, 10, 20 and 125 abort, and scoring task 130
-    # raises. At the default width the pass that holds 130 starts before
-    # 125 (at 120 on one worker, at 100 on two), so only re-scoring it
-    # one episode at a time lets the third abort end the run, the same
-    # way at every chunk plan and on one and two workers.
-    real_prepare, real_score = harness.prepare_episode, harness._score_stack
-
-    def prepare(emb, config, rng, diag):
-        prepared = real_prepare(emb, config, rng, diag)
-        if task_index(prepared, config) in (10, 20, 125):
+@pytest.mark.parametrize("stage, strategy", [
+    ("prepare_episode", "trained"), ("_train_heads", "trained"),
+    ("_prototype_banks", "trained"), ("_prototype_banks", "mean"),
+    ("_score_stack", "trained")],
+    ids=["prepare", "head_loop", "proto_loop", "stacked_mean", "scoring"])
+def test_stage_error_stands_at_its_own_task(monkeypatch, stage, strategy):
+    # Of 200 tasks, 10, 20 and 118 abort, and one stage raises for task
+    # 121. On one worker at MAX_STACK 48, 118 and 121 fall in different
+    # chunks (80-119, 120-159); on two, the worker's first chunk,
+    # 100-133, holds both. A chunk that raises runs again one task at a
+    # time, so the third abort ends the run at every chunk plan and on
+    # one and two workers, whichever stage raises.
+    def prepare_effect(task):
+        if task in (10, 20, 118):
             raise EpisodeAbort("test_abort")
-        return prepared
+        if stage == "prepare_episode" and task == 121:
+            raise ValueError("bad task 121")
 
-    def score(prepared, banks, config, diags):
-        if any(task_index(p, config) == 130 for p in prepared):
-            raise ValueError("bad task 130")
-        return real_score(prepared, banks, config, diags)
-
-    monkeypatch.setattr(harness, "prepare_episode", prepare)
-    monkeypatch.setattr(harness, "_score_stack", score)
-    cfg = small_config(**{"n_tasks": 200, "proto.strategy": "mean"})
+    tag_tasks(monkeypatch, prepare_effect)
+    if stage != "prepare_episode":
+        monkeypatch.setattr(harness, stage,
+                            raising_at(121, getattr(harness, stage)))
+    cfg = small_config(**{"n_tasks": 200, "proto.epochs": 20,
+                          "proto.strategy": strategy})
     texts = set()
     for max_stack in (7, 48):
         monkeypatch.setattr(harness, "MAX_STACK", max_stack)
@@ -610,7 +622,7 @@ def test_scoring_error_stands_at_its_own_task(monkeypatch):
             assert multiprocessing.active_children() == []
     assert len(texts) == 1
     assert texts.pop().startswith(
-        "RunError: 3 of 200 episodes aborted by task 125 ")
+        "RunError: 3 of 200 episodes aborted by task 118 ")
 
 
 @pytest.mark.parametrize("strategy, phases", [
@@ -645,7 +657,7 @@ def test_chunk_splits_its_prototype_loop_over_its_banks(monkeypatch):
 
     def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
-        if task_index(prepared, config) == 1:
+        if task_index(rng, config) == 1:
             raise EpisodeAbort("test_abort")
         return prepared
 
@@ -699,12 +711,13 @@ def test_episode_abort_survives_a_pickle_round_trip():
 
 def test_dead_worker_fails_the_run(monkeypatch):
     two_workers(monkeypatch)
+    tag_tasks(monkeypatch)
     real_score = harness._score_stack
 
-    def score(prepared, banks, config, diags):
-        if any(task_index(p, config) == 15 for p in prepared):
+    def score(prepared, config):
+        if any(p.task == 15 for p in prepared):
             os._exit(3)
-        return real_score(prepared, banks, config, diags)
+        return real_score(prepared, config)
 
     monkeypatch.setattr(harness, "_score_stack", score)
     with pytest.raises(RunError, match="tasks 10-19 exited with code 3"):
@@ -766,7 +779,8 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
 
     def prepare(emb, config, rng, diag):
         prepared = real_prepare(emb, config, rng, diag)
-        how = broken.get(task_index(prepared, config))
+        prepared.task = task_index(rng, config)
+        how = broken.get(prepared.task)
         if how == "nan_init":
             prepared.head.weights[0, 0] = np.nan
         elif how == "zero_row":
@@ -775,7 +789,7 @@ def test_run_eval_matches_run_episode_around_aborts(monkeypatch):
 
     def banks(prepared, config):
         for p in prepared:
-            if broken.get(task_index(p, config)) == "nan_head":
+            if broken.get(p.task) == "nan_head":
                 p.head.weights[0, 0] = np.nan
         return real_banks(prepared, config)
 
@@ -913,7 +927,7 @@ def test_aborted_episodes_excluded(monkeypatch):
             raise EpisodeAbort("synthetic_test_abort")
         return real_prepare(emb, config, rng, diag)
 
-    def fake_score(prepared, banks, config, diags):
+    def fake_score(prepared, config):
         first = fake_score.calls
         fake_score.calls += len(prepared)
         return [float(k % 2) for k in range(first, fake_score.calls)]

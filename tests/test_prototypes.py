@@ -366,7 +366,7 @@ def test_banks_match_allocating_adam(ways, shots, dim):
     trajectories = [[] for _ in heads]
     banks = train_prototype_banks(
         list(heads), feats, list(labels), weights, 25, 3e-2,
-        [np.random.default_rng(60 + j) for j in range(4)], trajectories)
+        draws(heads, range(60, 64)), trajectories)
     for j, (head, f, lab) in enumerate(zip(heads, feats, labels)):
         protos = init_prototypes(ways, dim, np.random.default_rng(60 + j))
         state = AdamState.fresh(protos.shape, lr=3e-2)
@@ -380,12 +380,20 @@ def test_banks_match_allocating_adam(ways, shots, dim):
         np.testing.assert_array_equal(banks[j].protos, protos)
 
 
+def draws(heads, seeds):
+    """An `init_prototypes` draw for each head's bank, on the generator
+    seeded with its seed."""
+    return [init_prototypes(*head.weights.shape, np.random.default_rng(seed))
+            for head, seed in zip(heads, seeds)]
+
+
 def _train_alone(head, feats, labels, weights, epochs, lr, rng):
-    """One bank trained alone, in a stack of one: its bank or abort, and
-    its per-epoch losses."""
+    """One bank trained alone, in a stack of one, from its init drawn
+    from `rng`: its bank or abort, and its per-epoch losses."""
     trajectory = []
-    result, = train_prototype_banks([head], [feats], [labels], weights,
-                                    epochs, lr, [rng], [trajectory])
+    result, = train_prototype_banks(
+        [head], [feats], [labels], weights, epochs, lr,
+        [init_prototypes(*head.weights.shape, rng)], [trajectory])
     return result, trajectory
 
 
@@ -397,7 +405,7 @@ def _batched_against_alone(instances, seeds, weights, epochs, lr):
     trajectories = [[] for _ in instances]
     batched = train_prototype_banks(
         list(heads), list(feats), list(labels), weights, epochs, lr,
-        [np.random.default_rng(seed) for seed in seeds], trajectories)
+        draws(heads, seeds), trajectories)
     reasons = []
     for (_, head, f, lab), seed, got, traj in zip(instances, seeds, batched,
                                                   trajectories):
@@ -462,7 +470,7 @@ def test_aborted_bank_keeps_its_finite_losses():
     trajectories = [[] for _ in instances]
     banks = train_prototype_banks(
         list(heads), list(feats), list(labels), LossWeights(0.0, 0.0), 60,
-        0.1, [np.random.default_rng(20 + j) for j in range(3)], trajectories)
+        0.1, draws(heads, range(20, 23)), trajectories)
     assert banks[1].reason == "proto_loss_diverged"
     diverged_at = int(str(banks[1]).rsplit(" ", 1)[1])
     assert 0 < diverged_at < 60
@@ -537,7 +545,7 @@ def test_train_leaves_inputs_unchanged():
                   for _, h, f, lab in instances]
         train_prototype_banks(
             list(heads), list(feats), list(labels), WEIGHTS, 30, 1e-2,
-            [np.random.default_rng(40 + j) for j in range(n_banks)])
+            draws(heads, range(40, 40 + n_banks)))
         for (_, h, f, lab), old in zip(instances, before):
             for arr, want in zip((h.weights, h.bias, f, lab), old):
                 np.testing.assert_array_equal(arr, want)
@@ -555,7 +563,7 @@ def test_grad_overflow_aborts_serial_and_batched():
     _, heads, feats, labels = zip(*instances)
     batched = train_prototype_banks(
         list(heads), list(feats), list(labels), WEIGHTS, 200,
-        1e-2, [np.random.default_rng(30 + j) for j in range(3)])
+        1e-2, draws(heads, range(30, 33)))
     reasons = []
     for j, (_, head, f, lab) in enumerate(instances):
         alone, traj = _train_alone(head, f, lab, WEIGHTS, 200, 1e-2,
@@ -639,7 +647,7 @@ def test_train_banks_need_an_epoch():
     _, head, feats, labels = random_instance(np.random.default_rng(13))
     with pytest.raises(ValueError, match="epochs must be >= 1"):
         train_prototype_banks([head], [feats], [labels], WEIGHTS, 0, 1e-2,
-                              [np.random.default_rng(0)])
+                              draws([head], [0]))
 
 
 def test_loss_metric_zero_support_row_aborts():
@@ -673,28 +681,17 @@ def test_init_prototypes_modes():
                                                      (5, 6)))
 
 
-def test_zero_init_row_aborts_only_its_bank(monkeypatch):
+def test_zero_init_row_aborts_only_its_bank():
     # A zero prototype row shows up inside the loop, at epoch 0, as a
     # zero norm in the step; the other banks of the stack keep the bits
     # they get alone.
     rng = np.random.default_rng(31)
     _, heads, feats, labels = zip(*(random_instance(rng) for _ in range(3)))
     seeds, weights = (40, 41, 42), WEIGHTS
-    real_init = prototypes.init_prototypes
-    drawn = []
-
-    def init_with_zero_row(n_classes, dim, rng):
-        protos = real_init(n_classes, dim, rng)
-        drawn.append(protos)
-        if len(drawn) == 2:
-            protos[3] = 0.0
-        return protos
-
-    monkeypatch.setattr(prototypes, "init_prototypes", init_with_zero_row)
+    inits = draws(heads, seeds)
+    inits[1][3] = 0.0
     banks = train_prototype_banks(
-        list(heads), list(feats), list(labels), weights, 30, 1e-2,
-        [np.random.default_rng(seed) for seed in seeds])
-    monkeypatch.undo()
+        list(heads), list(feats), list(labels), weights, 30, 1e-2, inits)
     assert isinstance(banks[1], EpisodeAbort)
     assert banks[1].reason == "zero_prototype_row"
     assert str(banks[1]).endswith("at epoch 0")
