@@ -155,8 +155,10 @@ def classify_stack(queries: np.ndarray, protos: np.ndarray,
         norms = query_norms[:, None, :]
     # A zero query stays zero under correction, so its scores are all 0
     # and argmax falls through to class 0.
-    safe = np.where(norms == 0.0, 1.0, norms)
-    scores = np.clip(dots / safe, -1.0, 1.0).transpose(0, 2, 1)
+    dots /= np.where(norms == 0.0, 1.0, norms)
+    np.maximum(dots, -1.0, out=dots)  # clip to [-1, 1]
+    np.minimum(dots, 1.0, out=dots)
+    scores = dots.transpose(0, 2, 1)
     return (np.argmax(scores, axis=2), scores,
             np.count_nonzero(query_norms == 0.0, axis=1))
 

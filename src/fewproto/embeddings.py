@@ -188,9 +188,10 @@ def load_embedding_set(path) -> EmbeddingSet:
     never copied; only the labels are read into memory.
 
     Raises:
-        EmbeddingFormatError: bad magic, zero dimension, class-count
-            mismatch, truncated payload, trailing bytes, or a non-finite
-            value; the error carries the failing byte offset.
+        EmbeddingFormatError: bad magic, a dimension that is zero or
+            too large for a record, class-count mismatch, truncated
+            payload, trailing bytes, or a non-finite value; the error
+            carries the failing byte offset.
     """
     with open(path, "rb") as f:
         header = f.read(HEADER_SIZE)
@@ -203,6 +204,9 @@ def load_embedding_set(path) -> EmbeddingSet:
         if dim == 0:
             raise EmbeddingFormatError("embedding dimension is zero", 4)
         record_size = 4 + 4 * dim
+        if record_size > np.iinfo(np.intc).max:  # numpy's cap on a dtype
+            raise EmbeddingFormatError(
+                f"embedding dimension {dim} is too large for a record", 4)
         expected = HEADER_SIZE + count * record_size
         size = os.fstat(f.fileno()).st_size
         if size < expected:

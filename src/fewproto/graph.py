@@ -31,7 +31,7 @@ def build_similarity(v: np.ndarray, diag: Diagnostics) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("non-finite feature rows")
     v, norms = row_norms(v)
     zero = norms == 0.0
@@ -39,9 +39,12 @@ def build_similarity(v: np.ndarray, diag: Diagnostics) -> np.ndarray:
         diag.record("zero_vector_cosine", int(zero.sum()))
         norms = np.where(zero, 1.0, norms)
     unit = v / norms[:, None]
-    s = np.clip(unit @ unit.T, -1.0, 1.0)
-    s = (s + s.T) / 2.0  # force exact symmetry against BLAS rounding
-    np.fill_diagonal(s, 0.0)
+    s = unit @ unit.T
+    np.maximum(s, -1.0, out=s)  # clip to [-1, 1]
+    np.minimum(s, 1.0, out=s)
+    s = s + s.T  # force exact symmetry against BLAS rounding
+    s /= 2.0
+    s.flat[::s.shape[0] + 1] = 0.0  # the diagonal
     return s
 
 
@@ -69,21 +72,22 @@ def sparsify_top_m(s: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"non-finite similarity {s[row, col]} at row {row}, "
                          f"column {col}")
     ranked = s.copy()
-    np.fill_diagonal(ranked, -np.inf)
+    ranked.flat[::n + 1] = -np.inf
     # m <= n - 1 finite entries per row, so the m-th largest is finite.
     kth = np.partition(ranked, n - m, axis=1)[:, n - m, None]
     keep = ranked >= kth
-    surplus = np.count_nonzero(keep, axis=1) - m
-    rows = np.flatnonzero(surplus)
-    if rows.size:
+    surplus = np.add.reduce(keep, axis=1) - m
+    if surplus.any():
         # More entries tie with the m-th largest than slots are left for
         # them: keep the lowest-column ones.
+        rows = np.flatnonzero(surplus)
         tied = ranked[rows] == kth[rows]
         slots = np.count_nonzero(tied, axis=1) - surplus[rows]
         keep[rows] = (ranked[rows] > kth[rows]) | (
             tied & (np.cumsum(tied, axis=1) <= slots[:, None]))
+    # The diagonal holds -inf in `ranked`, below every finite kth, so
+    # it is never kept.
     keep |= keep.T
-    np.fill_diagonal(keep, False)
     return np.where(keep, s, 0.0)
 
 
@@ -98,11 +102,15 @@ def normalize_adjacency(s: np.ndarray, diag: Diagnostics) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     degrees = s.sum(axis=1)
     usable = degrees > 0.0
-    if not usable.all():
+    if usable.all():
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+    else:
         diag.record("isolated_vertex", int((~usable).sum()))
-    inv_sqrt = np.zeros_like(degrees)
-    inv_sqrt[usable] = 1.0 / np.sqrt(degrees[usable])
-    return s * inv_sqrt[:, None] * inv_sqrt[None, :]
+        inv_sqrt = np.zeros_like(degrees)
+        inv_sqrt[usable] = 1.0 / np.sqrt(degrees[usable])
+    adjacency = s * inv_sqrt[:, None]
+    adjacency *= inv_sqrt
+    return adjacency
 
 
 def propagate(v: np.ndarray, adjacency: np.ndarray,
@@ -121,7 +129,9 @@ def propagate(v: np.ndarray, adjacency: np.ndarray,
             f"adjacency {adjacency.shape} incompatible with features {v.shape}")
     out = v.copy()
     for _ in range(rounds):
-        out = self_weight * out + adjacency @ out
+        nxt = adjacency @ out
+        out *= self_weight
+        out += nxt
     return out
 
 
@@ -133,8 +143,8 @@ def build_task_graph(support_x: np.ndarray, query_x: np.ndarray, m: int,
     Returns the aggregated (support rows, query rows). Raises
     EpisodeAbort("graph_overflow") when an aggregated entry is not finite.
     """
-    v = np.vstack([np.asarray(support_x, dtype=np.float64),
-                   np.asarray(query_x, dtype=np.float64)])
+    v = np.concatenate([np.asarray(support_x, dtype=np.float64),
+                        np.asarray(query_x, dtype=np.float64)])
     adjacency = normalize_adjacency(
         sparsify_top_m(build_similarity(v, diag), m), diag)
     with np.errstate(over="ignore", invalid="ignore"):  # aborted below

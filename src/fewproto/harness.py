@@ -396,6 +396,47 @@ def chunk_plan(n_tasks: int, width: int) -> list[range]:
     return _split_tasks(n_tasks, -(-n_tasks // width))
 
 
+@functools.cache
+def _blas_threads():
+    """The `(get, set)` thread-count calls of the OpenBLAS that numpy's
+    linear algebra runs on, looked up once per process, or None where
+    numpy's extension exports neither name pair (another BLAS)."""
+    import ctypes
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with BLAS at one thread, and give the caller's count
+    back after it, raised or not. Forked workers inherit the count. An
+    episode's products are about 100 x 100: on 2 vCPUs, a 2000-task
+    mean `fewproto eval` took 7.3-8.3 s with each of its two processes
+    at OpenBLAS's default of two threads, and 0.8-1.1 s at one."""
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def worker_count(n_tasks: int) -> int:
     """Processes that share a run of `n_tasks` episodes: one per CPU
     this process may run on, at most one per task. It is 1, and nothing
@@ -708,6 +749,10 @@ def run_eval(config: RunConfig) -> EvalReport:
     results of the tasks before its own, so a failed run ends at the
     first of these in task order, and its text does not depend on the
     chunk plan or the worker count.
+
+    The episodes run with the loaded OpenBLAS at one thread, in this
+    process and in every worker (`_one_blas_thread`); the caller's
+    thread count is back when `run_eval` returns or raises.
     """
     config.validate()
     emb = _resolve_pool(config)
@@ -720,7 +765,8 @@ def run_eval(config: RunConfig) -> EvalReport:
     t_start = time.perf_counter()
     per_task: list[float] = []
     diagnostics = Diagnostics()
-    with contextlib.closing(_task_results(emb, config)) as results:
+    with (_one_blas_thread(),
+          contextlib.closing(_task_results(emb, config)) as results):
         for outcome, diag in results:
             diagnostics.counts.update(diag.counts)
             diagnostics.seconds.update(diag.seconds)

@@ -23,9 +23,10 @@ FD_STEP = 1e-5
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax via max-subtraction; rows sum to 1."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,9 +34,11 @@ def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row whose squared norm under- or overflowed (norm 0 or inf; entries
     beyond about 1e+-154) is divided by its largest |entry|, which
     changes none of its cosines. Other rows keep their bits; when every
-    norm is finite and nonzero, `x` itself comes back."""
+    norm is finite and nonzero, `x` itself comes back. A norm is
+    sqrt(sum(x * x)), the formula `np.linalg.norm(x, axis=-1)` runs for
+    float `x`, without its wrapper."""
     with np.errstate(over="ignore"):  # an inf norm is rescaled below
-        norms = np.linalg.norm(x, axis=-1)
+        norms = np.sqrt(np.add.reduce(x * x, axis=-1))
     if np.isfinite(norms).all() and norms.all():
         return x, norms
     lost = (norms == 0.0) | ~np.isfinite(norms)
@@ -44,7 +47,7 @@ def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = x[lost]
     rows /= np.abs(rows).max(axis=-1, keepdims=True)
     x[lost] = rows
-    norms[lost] = np.linalg.norm(rows, axis=-1)
+    norms[lost] = np.sqrt(np.add.reduce(rows * rows, axis=-1))
     return x, norms
 
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewproto import classify
 from fewproto.classify import (AttentionMasks, build_masks, classify_batch,
                                classify_stack, mask_stack, score_episode,
                                score_episodes)
 from fewproto.diagnostics import Diagnostics
 from fewproto.embeddings import generate_synthetic, sample_episode
 from fewproto.harness import SCORE_BYTES, RunConfig, score_width
-from fewproto.optim import softmax
+from fewproto.optim import row_norms, softmax
 from fewproto.prototypes import PrototypeBank
 
 
@@ -469,3 +470,70 @@ def test_score_episodes_match_each_episode():
     got = score_episodes(episodes, predictions)
     assert got.tolist() == [score_episode(ep, row)
                             for ep, row in zip(episodes, predictions)]
+
+
+def reference_softmax(z, axis=-1):
+    """Reference: `softmax` through `np.max` and `np.sum`."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def reference_classify_stack(queries, protos, masks, boost):
+    """Reference: `classify_stack` with its scores divided and clipped
+    through `np.clip` into a fresh array."""
+    queries = np.asarray(queries, dtype=np.float64)
+    p, proto_norms = row_norms(np.asarray(protos, dtype=np.float64))
+    queries, query_norms = row_norms(queries)
+    if np.any(proto_norms == 0.0):
+        raise ValueError("zero-norm prototype row; bank is unusable")
+    unit_protos = (p / proto_norms[:, :, None])[:, :, :, None]
+    if masks is not None:
+        n_stack, n_queries, dim = queries.shape
+        corrected = np.empty((n_stack, p.shape[1], n_queries, dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.copyto(corrected, masks[:, :, None])
+            corrected *= (boost * queries)[:, None]
+            corrected += queries[:, None]
+            dots = np.matmul(corrected, unit_protos)[:, :, :, 0]
+            np.multiply(corrected, corrected, out=corrected)
+            norms = np.sqrt(corrected.sum(axis=3))
+        lost = ~np.isfinite(norms)
+        if lost.any():
+            stack, classes, rows = np.nonzero(lost)
+            q = queries[stack, rows]
+            q = q / np.abs(q).max(axis=1, keepdims=True)
+            fixed, norms[lost] = row_norms(
+                boost * q * masks[stack, classes] + q)
+            dots[lost] = (fixed * unit_protos[stack, classes, :, 0]).sum(
+                axis=1)
+    else:
+        dots = np.matmul(queries[:, None], unit_protos)[:, :, :, 0]
+        norms = query_norms[:, None, :]
+    safe = np.where(norms == 0.0, 1.0, norms)
+    scores = np.clip(dots / safe, -1.0, 1.0).transpose(0, 2, 1)
+    return (np.argmax(scores, axis=2), scores,
+            np.count_nonzero(query_norms == 0.0, axis=1))
+
+
+@pytest.mark.parametrize("n_ways, dim", [(5, 64), (3, 2), (10, 640)])
+@pytest.mark.parametrize("scale", [0.0, 0.1, -1.0, 1e6, 1e306])
+def test_scoring_matches_the_wrapper_reference(monkeypatch, n_ways, dim,
+                                               scale):
+    # extreme_stack holds a zero query, a query whose corrected rows
+    # overflow, a tiny query and a bank row whose scale * |p| overflows
+    # from scale 1e6 on; the masks' softmax is checked against the
+    # np.max / np.sum form of `softmax` on the same rows.
+    queries, protos = extreme_stack(n_ways, dim, 7)
+    queries[0, 3] = protos[0, 1]  # a cosine of exactly 1
+    queries[0, 4] = -protos[0, 2]  # and of exactly -1
+    masks = mask_stack(protos, scale, 1e4)
+    with monkeypatch.context() as patched:
+        patched.setattr(classify, "softmax", reference_softmax)
+        np.testing.assert_array_equal(masks, mask_stack(protos, scale, 1e4))
+    for stack_masks in (masks, None):
+        got = classify_stack(queries, protos, stack_masks, 1e4)
+        want = reference_classify_stack(queries, protos, stack_masks, 1e4)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

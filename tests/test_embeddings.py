@@ -168,6 +168,65 @@ def test_zero_dimension(tmp_path):
     assert exc.value.offset == 4
 
 
+def test_dimension_too_large_for_a_record(tmp_path):
+    # No payload to outgrow the file, so only the record's size rejects it.
+    path = tmp_path / "hugedim.emb"
+    with open(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<III", 2 ** 32 - 1, 0, 0))
+    with pytest.raises(EmbeddingFormatError, match="too large") as exc:
+        load_embedding_set(path)
+    assert exc.value.offset == 4
+
+
+def fuzzed_files(valid: bytes):
+    """Derandomized variants of the EMB1 file `valid`: every truncation,
+    random byte flips, each header field at edge values, the header
+    alone at edge (dim, count), and appended bytes."""
+    rng = np.random.default_rng(71)
+    yield from (valid[:length] for length in range(len(valid)))
+    for _ in range(600):
+        data = bytearray(valid)
+        for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+            data[pos] = rng.integers(0, 256)
+        yield bytes(data)
+    edges = (0, 1, 2, 3, 4, 11, 12, 13, 2 ** 28, 2 ** 29 - 2, 2 ** 29 - 1,
+             2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1)
+    for field_offset in (4, 8, 12):
+        for value in edges:
+            data = bytearray(valid)
+            struct.pack_into("<I", data, field_offset, value)
+            yield bytes(data)
+    for dim in edges:
+        for count in edges:
+            yield MAGIC + struct.pack("<III", dim, count, 0)
+    for extra in (1, 3, 4, 23, 24, 25):
+        yield valid + bytes(range(extra))
+
+
+def test_loader_fuzz_loads_a_valid_set_or_names_an_offset(tmp_path):
+    # Each variant loads as a set that keeps the format's invariants, or
+    # raises EmbeddingFormatError at an offset within the file; any
+    # other exception or a RuntimeWarning fails.
+    rng = np.random.default_rng(70)
+    emb = make_set(rng, n_classes=3, per_class=4, dim=5)
+    path = tmp_path / "valid.emb"
+    save_embedding_set(emb, path)
+    valid = path.read_bytes()
+    for case, data in enumerate(fuzzed_files(valid)):
+        path = tmp_path / f"case{case}.emb"
+        path.write_bytes(data)
+        try:
+            loaded = load_embedding_set(path)
+        except EmbeddingFormatError as err:
+            assert 0 <= err.offset <= len(data), (case, str(err))
+            continue
+        dim, count, n_classes = struct.unpack_from("<III", data, 4)
+        assert loaded.vectors.shape == (count, dim), case
+        assert np.isfinite(loaded.vectors).all(), case
+        assert loaded.n_classes == (n_classes if count else 0), case
+
+
 def test_class_count_mismatch(tmp_path):
     path = tmp_path / "classes.emb"
     write_raw(path, 2, [(0, [1, 2]), (0, [3, 4])], n_classes=2)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fewproto.diagnostics import Diagnostics, EpisodeAbort
 from fewproto.graph import (build_similarity, build_task_graph,
                             normalize_adjacency, propagate, sparsify_top_m)
+from fewproto.optim import row_norms
 
 
 def dense_normalize_oracle(s):
@@ -309,3 +310,192 @@ def test_task_graph_aborts_when_aggregation_overflows():
     assert err.value.reason == "graph_overflow"
     s, q = build_task_graph(support, query, 3, 1e100, 3, Diagnostics())
     assert np.isfinite(s).all() and np.isfinite(q).all()
+
+
+# References for the graph stage: each function's formula written with
+# numpy's wrappers (np.clip, np.fill_diagonal, np.count_nonzero,
+# np.vstack) and a fresh array at each step. Every stage function must
+# give their bits, diagnostics and errors.
+
+def reference_similarity(v, diag):
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] < 2:
+        raise ValueError("need a 2-D matrix with at least two rows")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite feature rows")
+    v, norms = row_norms(v)
+    zero = norms == 0.0
+    if zero.any():
+        diag.record("zero_vector_cosine", int(zero.sum()))
+        norms = np.where(zero, 1.0, norms)
+    unit = v / norms[:, None]
+    s = np.clip(unit @ unit.T, -1.0, 1.0)
+    s = (s + s.T) / 2.0
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
+def reference_top_m(s, m):
+    s = np.asarray(s, dtype=np.float64)
+    n = s.shape[0]
+    finite = np.isfinite(s)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite similarity {s[row, col]} at row {row}, "
+                         f"column {col}")
+    ranked = s.copy()
+    np.fill_diagonal(ranked, -np.inf)
+    kth = np.partition(ranked, n - m, axis=1)[:, n - m, None]
+    keep = ranked >= kth
+    surplus = np.count_nonzero(keep, axis=1) - m
+    rows = np.flatnonzero(surplus)
+    if rows.size:
+        tied = ranked[rows] == kth[rows]
+        slots = np.count_nonzero(tied, axis=1) - surplus[rows]
+        keep[rows] = (ranked[rows] > kth[rows]) | (
+            tied & (np.cumsum(tied, axis=1) <= slots[:, None]))
+    keep |= keep.T
+    np.fill_diagonal(keep, False)
+    return np.where(keep, s, 0.0)
+
+
+def reference_normalize(s, diag):
+    s = np.asarray(s, dtype=np.float64)
+    degrees = s.sum(axis=1)
+    usable = degrees > 0.0
+    if not usable.all():
+        diag.record("isolated_vertex", int((~usable).sum()))
+    inv_sqrt = np.zeros_like(degrees)
+    inv_sqrt[usable] = 1.0 / np.sqrt(degrees[usable])
+    return s * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def reference_propagate(v, adjacency, self_weight, rounds):
+    out = np.asarray(v, dtype=np.float64).copy()
+    for _ in range(rounds):
+        out = self_weight * out + adjacency @ out
+    return out
+
+
+def reference_task_graph(support_x, query_x, m, self_weight, rounds, diag):
+    v = np.vstack([np.asarray(support_x, dtype=np.float64),
+                   np.asarray(query_x, dtype=np.float64)])
+    adjacency = reference_normalize(
+        reference_top_m(reference_similarity(v, diag), m), diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        aggregated = reference_propagate(v, adjacency, self_weight, rounds)
+    if not np.isfinite(aggregated).all():
+        raise EpisodeAbort(
+            "graph_overflow", f"aggregated features left float64 range at "
+            f"self_weight={self_weight!r}, rounds={rounds}")
+    n_support = support_x.shape[0]
+    return aggregated[:n_support], aggregated[n_support:]
+
+
+def edge_features(seed):
+    """Feature matrices of 2 to 40 rows with the rows the stage treats
+    specially: zero rows, rows whose squared norms over- or underflow,
+    repeated and negated rows (cosines of exactly 1 and -1)."""
+    rng = np.random.default_rng(seed)
+    cases = [rng.normal(size=(int(n), int(e))) + rng.normal(size=int(e))
+             for n, e in rng.integers([2, 1], [41, 17], size=(12, 2))]
+    v = rng.normal(size=(20, 6))
+    v[3] = 0.0
+    v[4] = 0.0
+    v[5] *= 1e170
+    v[6] *= 1e-170
+    v[7] = v[8]
+    v[9] = -v[8]
+    rows = rng.normal(size=(10, 6))  # some rounded cosines pass +-1
+    cases += [v, np.vstack([rows, rows, -rows]), np.zeros((5, 3)),
+              np.array([[1.0, 0.0], [1.0, 0.0]])]
+    return cases
+
+
+def check_same(call, reference, *args):
+    """`call` and `reference` on fresh `Diagnostics`: equal bits and
+    counts, or the same exception type and text."""
+    diags = Diagnostics(), Diagnostics()
+    results = []
+    for fn, diag in zip((call, reference), diags):
+        try:
+            results.append(fn(*args, diag))
+        except (ValueError, EpisodeAbort) as err:
+            results.append(err)
+    got, want = results
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+    else:
+        for g, w in zip(got if isinstance(got, tuple) else (got,),
+                        want if isinstance(want, tuple) else (want,)):
+            assert np.array_equal(g, w)
+    assert diags[0].counts == diags[1].counts
+    return got
+
+
+def test_similarity_matches_the_wrapper_reference():
+    for v in edge_features(60) + [np.array([[np.nan, 1.0], [1.0, 0.0]])]:
+        check_same(build_similarity, reference_similarity, v)
+
+
+def test_top_m_matches_the_wrapper_reference():
+    rng = np.random.default_rng(61)
+    matrices = [build_similarity(v, Diagnostics())
+                for v in edge_features(61) if len(v) > 2]
+    # Exact ties at the m-th largest: a few values, symmetric and not.
+    for n in (3, 8, 25):
+        tied = rng.choice(TIED_VALUES, size=(n, n))
+        matrices += [tied, np.triu(tied, 1) + np.triu(tied, 1).T,
+                     np.full((n, n), 0.25)]
+    for s in matrices:
+        n = len(s)
+        for m in sorted({1, 2, n // 2, n - 1} - {0}):
+            check_same(lambda s, diag: sparsify_top_m(s, m),
+                       lambda s, diag: reference_top_m(s, m), s)
+    bad = np.zeros((4, 4))
+    bad[2, 1] = np.inf
+    check_same(lambda s, diag: sparsify_top_m(s, 2),
+               lambda s, diag: reference_top_m(s, 2), bad)
+
+
+def test_normalize_matches_the_wrapper_reference():
+    rng = np.random.default_rng(62)
+    matrices = [sparsify_top_m(build_similarity(v, Diagnostics()), 1)
+                for v in edge_features(62)]
+    # Isolated vertices: degrees at zero and below.
+    s = rng.uniform(0.1, 1.0, size=(7, 7))
+    s = s + s.T
+    s[2] = s[:, 2] = 0.0
+    s[4] = s[:, 4] = -0.3
+    matrices += [s, np.zeros((3, 3)), -np.ones((2, 2))]
+    for s in matrices:
+        check_same(normalize_adjacency, reference_normalize, s)
+
+
+@pytest.mark.parametrize("rounds", range(5))
+@pytest.mark.parametrize("self_weight", [1.0, 0.0, 0.5, 2.5, -1.0])
+def test_propagate_matches_the_wrapper_reference(rounds, self_weight):
+    for v in edge_features(63):
+        adjacency = normalize_adjacency(sparsify_top_m(
+            build_similarity(v, Diagnostics()), 1), Diagnostics())
+        v_before = v.copy()
+        check_same(lambda v, diag: propagate(v, adjacency, self_weight,
+                                             rounds),
+                   lambda v, diag: reference_propagate(v, adjacency,
+                                                       self_weight, rounds),
+                   v)
+        np.testing.assert_array_equal(v, v_before)  # the input is kept
+
+
+@pytest.mark.parametrize("self_weight, rounds",
+                         [(1.0, 3), (0.5, 0), (2.5, 4), (1e110, 3)])
+def test_task_graph_matches_the_wrapper_reference(self_weight, rounds):
+    for v in edge_features(64):
+        if len(v) < 4:
+            continue
+        k = len(v) // 3
+        check_same(lambda q, diag: build_task_graph(
+                       v[:k], q, 2, self_weight, rounds, diag),
+                   lambda q, diag: reference_task_graph(
+                       v[:k], q, 2, self_weight, rounds, diag), v[k:])

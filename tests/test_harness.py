@@ -532,6 +532,39 @@ def test_worker_error_reaches_the_caller(monkeypatch, task):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_eval_runs_its_episodes_at_one_blas_thread(monkeypatch, workers):
+    # Each prepared episode records the BLAS thread count it ran at; at
+    # W=2, tasks 3-5 run in the forked worker.
+    calls = harness._blas_threads()
+    assert calls is not None, "numpy's OpenBLAS thread calls not found"
+    get, put = calls
+    monkeypatch.setattr(harness, "worker_count",
+                        lambda n_tasks: min(workers, n_tasks))
+    real_prepare = harness.prepare_episode
+
+    def prepare(emb, config, rng, diag):
+        diag.record(f"blas_threads={get()}")
+        if task_index(rng, config) == 4 and config.n_tasks == 5:
+            raise ValueError("bad task 4")
+        return real_prepare(emb, config, rng, diag)
+
+    monkeypatch.setattr(harness, "prepare_episode", prepare)
+    before = get()
+    put(2)
+    try:
+        report = run_eval(small_config(**{"proto.strategy": "mean"}))
+        after_return = get()
+        with pytest.raises(ValueError, match="bad task 4"):
+            run_eval(small_config(**{"proto.strategy": "mean",
+                                     "n_tasks": 5}))
+        after_raise = get()
+    finally:
+        put(before)
+    assert report.diagnostics["blas_threads=1"] == 6
+    assert after_return == after_raise == 2
+
+
 def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
         monkeypatch):
     # Of 200 mean tasks, 10, 120 and 130 abort, and task 150 raises. The

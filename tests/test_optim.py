@@ -270,3 +270,59 @@ def test_sorted_unique_matches_np_unique(values):
     got = sorted_unique(values)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, np.unique(values))
+
+
+def reference_softmax(z, axis=-1):
+    """Reference: `softmax` through numpy's `np.max` and `np.sum`
+    wrappers, with a fresh array at each step."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def reference_row_norms(x):
+    """Reference: `row_norms` with its norms from `np.linalg.norm`."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=-1)
+    if np.isfinite(norms).all() and norms.all():
+        return x, norms
+    lost = (norms == 0.0) | ~np.isfinite(norms)
+    lost[lost] = x[lost].any(axis=-1)
+    x = x.copy()
+    rows = x[lost]
+    rows /= np.abs(rows).max(axis=-1, keepdims=True)
+    x[lost] = rows
+    norms[lost] = np.linalg.norm(rows, axis=-1)
+    return x, norms
+
+
+def test_softmax_matches_the_wrapper_reference():
+    rng = np.random.default_rng(41)
+    cases = [(rng.normal(size=(6, 9)), -1), (rng.normal(size=(6, 9)), 0),
+             (rng.normal(0.0, 1e3, size=(3, 5, 64)), -1),
+             (rng.normal(size=(3, 5, 64)), 1),
+             (np.zeros((4, 7)), -1),                    # uniform rows
+             (np.array([[1e300, -1e300, 0.0]]), -1),    # exp underflows
+             (np.ones((2, 1)), -1), (np.empty((0, 4)), -1)]
+    for z, axis in cases:
+        np.testing.assert_array_equal(softmax(z, axis=axis),
+                                      reference_softmax(z, axis=axis))
+
+
+def test_row_norms_match_the_wrapper_reference():
+    rng = np.random.default_rng(42)
+    mixed = rng.normal(size=(8, 6))
+    mixed[1] = 0.0                  # a zero row keeps norm 0
+    mixed[2] *= 1e170               # squared norm overflows
+    mixed[3] *= 1e-170              # squared norm underflows
+    mixed[4] = [1e308, 1e308, 0, 0, 0, 0]
+    cases = [rng.normal(size=(7, 5)), rng.normal(size=(3, 4, 6)), mixed,
+             rng.normal(size=(2, 3, 6)) * 1e160, np.zeros((3, 4)),
+             np.empty((0, 5)), rng.normal(size=(5, 6)).astype(np.float32)]
+    for x in cases:
+        got, norms = row_norms(x)
+        want, want_norms = reference_row_norms(x)
+        assert norms.dtype == want_norms.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(norms, want_norms)
