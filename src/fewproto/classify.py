@@ -37,12 +37,11 @@ def build_masks(protos: PrototypeBank, scale: float,
                 boost: float) -> AttentionMasks:
     """Mask row n = softmax over dimensions of scale * |proto_n|: the
     one-bank case of `mask_stack`."""
-    return AttentionMasks(masks=mask_stack(protos.protos[None], scale,
-                                           boost)[0], boost=boost)
+    return AttentionMasks(masks=mask_stack(protos.protos[None], scale)[0],
+                          boost=boost)
 
 
-def mask_stack(protos: np.ndarray, scale: float,
-               boost: float) -> np.ndarray:
+def mask_stack(protos: np.ndarray, scale: float) -> np.ndarray:
     """The (B, n, e) masks of a (B, n, e) stack of prototype banks: row
     n of bank b is the softmax over dimensions of scale * |protos[b, n]|.
 
@@ -51,14 +50,11 @@ def mask_stack(protos: np.ndarray, scale: float,
     row whose scale * |proto_n| leaves float64 range takes the softmax's
     limit: equal weight on the entries where sign(scale) * |proto_n| is
     largest, 0 elsewhere. Every other row has the bits of its own
-    `softmax`. Raises ValueError naming a non-finite `scale` or `boost`
-    or a negative `boost`, or on non-finite prototypes.
+    `softmax`. Raises ValueError naming a non-finite `scale`, or on
+    non-finite prototypes.
     """
-    for name, value in (("scale", scale), ("boost", boost)):
-        if not math.isfinite(value):
-            raise ValueError(f"mask {name}={value!r} must be finite")
-    if boost < 0:
-        raise ValueError(f"mask boost={boost!r} must be >= 0")
+    if not math.isfinite(scale):
+        raise ValueError(f"mask scale={scale!r} must be finite")
     magnitudes = np.abs(np.asarray(protos, dtype=np.float64))
     top = float(magnitudes.max())
     if not math.isfinite(top):
@@ -117,10 +113,16 @@ def classify_stack(queries: np.ndarray, protos: np.ndarray,
     `row_norms`. A corrected row whose norm overflows is rebuilt from
     its query divided by the query's largest |entry|, which changes none
     of its cosines, and scored through `row_norms`. Raises ValueError on
-    a zero-norm prototype row.
+    a bad `boost`, unfit shapes or a zero-norm prototype row.
     """
+    if not 0.0 <= boost < math.inf:  # and NaN
+        raise ValueError(f"mask boost={boost!r} must be finite and >= 0")
     queries = np.asarray(queries, dtype=np.float64)
-    p, proto_norms = row_norms(np.asarray(protos, dtype=np.float64))
+    protos = np.asarray(protos, dtype=np.float64)
+    if queries.ndim != 3 or queries.shape[::2] != protos.shape[::2]:
+        raise ValueError(f"queries {queries.shape} do not fit prototype "
+                         f"banks {protos.shape}")
+    p, proto_norms = row_norms(protos)
     queries, query_norms = row_norms(queries)
     if np.any(proto_norms == 0.0):
         raise ValueError("zero-norm prototype row; bank is unusable")
@@ -166,18 +168,16 @@ def classify_stack(queries: np.ndarray, protos: np.ndarray,
 def score_episode(episode: Episode, predictions: np.ndarray) -> float:
     """Fraction of queries whose prediction matches the hidden label:
     the one-episode case of `score_episodes`."""
-    return float(score_episodes(
-        [episode], np.asarray(predictions, dtype=np.int64)[None])[0])
+    return float(score_episodes(episode.hidden_labels[None],
+                                np.asarray(predictions)[None])[0])
 
 
-def score_episodes(episodes: list[Episode],
+def score_episodes(hidden_labels: np.ndarray,
                    predictions: np.ndarray) -> np.ndarray:
     """Each episode's fraction of queries whose prediction, a row of the
-    (B, Q) `predictions`, matches its hidden label."""
+    (B, Q) `predictions`, matches its row of `hidden_labels`."""
     predictions = np.asarray(predictions, dtype=np.int64)
-    truth = np.stack([episode.hidden_labels for episode in episodes])
-    if predictions.shape != truth.shape:
-        raise ValueError(
-            f"{predictions.shape[1] if predictions.ndim > 1 else 0} "
-            f"predictions for {truth.shape[1]} queries")
-    return np.mean(predictions == truth, axis=1)
+    if predictions.ndim != 2 or predictions.shape != np.shape(hidden_labels):
+        raise ValueError(f"predictions {predictions.shape} do not match "
+                         f"hidden labels {np.shape(hidden_labels)}")
+    return np.mean(predictions == hidden_labels, axis=1)

@@ -12,21 +12,22 @@ episodes in chunks of consecutive task indices (`chunk_plan`), as many
 as `stack_width` allows and split evenly over the range: each is
 prepared on its own generator (sampled, aggregated and, for trained
 prototypes, its support augmented and its head's and its prototype
-bank's inits drawn). Those are all of an episode's random draws. Then
-the chunk runs three stacked stages over the episodes no abort has
-ended: for trained prototypes, one Adam loop trains their heads; one
-batched Adam loop trains their prototype banks, or one stacked mean
-takes them; and passes of `score_width` episodes each build their
-masks, classify their queries and take their accuracies. A head's, a
-bank's or a score's bits do not depend on the stack it is computed in,
-so reports are identical for any chunk plan and any worker count.
-Episodes that hit a fatal numerical condition are aborted, counted, and
-excluded. The results reach `run_eval` as one stream in task order,
-each with its episode's `Diagnostics`: its event counts and its phase
-seconds. An episode's "head" phase is its augmentation and head init
-plus an even share of its chunk's head loop, its "proto" phase its
-bank's init plus an even share of the prototype loop or mean, and its
-"classify" phase an even share of its scoring pass.
+bank's inits drawn: all of an episode's random draws), and keeps only
+what the stages after it read. Then the chunk runs three stacked stages
+over the episodes no abort has ended: for trained prototypes, one Adam
+loop trains their heads; one batched Adam loop trains their prototype
+banks, or one stacked mean takes them; and passes of `score_width`
+episodes each build their masks, classify their queries and take their
+accuracies. A head's, a bank's or a score's bits do not depend on the
+stack it is computed in, so reports are identical for any chunk plan
+and any worker count. Episodes that hit a fatal numerical condition are
+aborted, counted, and excluded. The results reach `run_eval` as one
+stream in task order, each with its episode's `Diagnostics`: its event
+counts and its phase seconds. An episode's "head" phase is its
+augmentation and head init plus an even share of its chunk's head loop,
+its "proto" phase its bank's init plus an even share of the prototype
+loop or mean, and its "classify" phase an even share of its scoring
+pass.
 
 One failure rule places every exception at its own task. A chunk
 either gives every task's result or raises; one that raises is run
@@ -49,17 +50,16 @@ import numbers
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
-                         replace)
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .classify import classify_stack, mask_stack, score_episodes
 from .diagnostics import Diagnostics, EpisodeAbort
-from .embeddings import (FLOAT32_MAX, EmbeddingSet, Episode,
-                         eligible_classes, generate_synthetic,
-                         load_embedding_set, sample_episode)
+from .embeddings import (FLOAT32_MAX, EmbeddingSet, eligible_classes,
+                         generate_synthetic, load_embedding_set,
+                         sample_episode)
 from .graph import build_task_graph
 from .head import (AugmentedSupport, LinearHead, init_head,
                    manifold_augment, train_heads)
@@ -456,26 +456,24 @@ def worker_count(n_tasks: int) -> int:
 class PreparedEpisode:
     """An episode up to its prototypes: sampled, aggregated and, for
     trained prototypes, its head and bank set up (`head`, `aug` and
-    `init` are None otherwise), with the `Diagnostics` it records into.
+    `bank` are None otherwise), with the `Diagnostics` it records into.
 
-    `episode` keeps its labels, but its raw `support_x` and `query_x`
-    are dropped (None) once aggregated: only the aggregated features are
-    read later. `head` is the head's initial draw until the chunk's
-    stacked head loop trains it on the augmented support `aug` and puts
-    the trained head in its place; the loop takes `aug` over as it
-    starts (`take_aug`). `init` is the prototype bank's initial draw,
-    from which the chunk's prototype loop trains `bank`; a mean bank
-    needs none.
+    It keeps only what the stages after it read: the aggregated
+    features, the support labels and the query labels `hidden_labels`,
+    which only scoring reads. `head` and `bank` hold their initial draws
+    until the chunk's stacked loops train them in their place, and a
+    stacked mean puts a mean bank in `bank`; the head loop takes the
+    augmented support `aug` over as it starts (`take_aug`).
     """
 
-    episode: Episode
+    support_y: np.ndarray
+    hidden_labels: np.ndarray
     support_feats: np.ndarray
     query_feats: np.ndarray
     head: LinearHead | None
     aug: AugmentedSupport | None
-    init: np.ndarray | None
+    bank: PrototypeBank | None
     diag: Diagnostics
-    bank: PrototypeBank | None = None
 
     def take_aug(self) -> AugmentedSupport:
         """`aug`, which this episode then drops (None)."""
@@ -508,19 +506,18 @@ def prepare_episode(emb: EmbeddingSet, config: RunConfig,
     support_feats, query_feats = build_task_graph(
         episode.support_x, episode.query_x, config.graph.top_m,
         config.graph.self_weight, config.graph.rounds, diag)
-    episode = replace(episode, support_x=None, query_x=None)
     t = _lap(diag, "graph", t)
-    head = aug = init = None
+    head = aug = bank = None
     if config.proto.strategy == "trained":
         dim = support_feats.shape[1]
         aug = manifold_augment(support_feats, episode.support_y,
                                config.head.n_aug, rng)
         head = init_head(config.n_ways, dim, rng)
         t = _lap(diag, "head", t)
-        init = init_prototypes(config.n_ways, dim, rng)
+        bank = PrototypeBank(init_prototypes(config.n_ways, dim, rng))
         _lap(diag, "proto", t)
-    return PreparedEpisode(episode, support_feats, query_feats, head, aug,
-                           init, diag)
+    return PreparedEpisode(episode.support_y, episode.hidden_labels,
+                           support_feats, query_feats, head, aug, bank, diag)
 
 
 def _train_heads(prepared: list[PreparedEpisode], config: RunConfig
@@ -540,14 +537,14 @@ def _prototype_banks(prepared: list[PreparedEpisode], config: RunConfig
     if config.proto.strategy == "trained":
         return train_prototype_banks(
             [p.head for p in prepared], [p.support_feats for p in prepared],
-            [p.episode.support_y for p in prepared],
+            [p.support_y for p in prepared],
             LossWeights(config.proto.entropy_weight,
                         config.proto.class_weight),
             config.proto.epochs, config.proto.lr,
-            [p.init for p in prepared])
+            [p.bank.protos for p in prepared])
     return banks_or_aborts(mean_prototype_stack(
         np.stack([p.support_feats for p in prepared]),
-        np.stack([p.episode.support_y for p in prepared])))
+        np.stack([p.support_y for p in prepared])))
 
 
 def _score_stack(prepared: list[PreparedEpisode], config: RunConfig
@@ -556,15 +553,15 @@ def _score_stack(prepared: list[PreparedEpisode], config: RunConfig
     queries against its bank and return the accuracies, in one pass over
     the stack. Records each episode's `zero_query` count."""
     protos = np.stack([p.bank.protos for p in prepared])
-    masks = (mask_stack(protos, config.mask.scale, config.mask.boost)
-             if config.mask.enabled else None)
+    masks = (mask_stack(protos, config.mask.scale) if config.mask.enabled
+             else None)
     predictions, _, zero_queries = classify_stack(
         np.stack([p.query_feats for p in prepared]), protos, masks,
         config.mask.boost)
     for p, zeros in zip(prepared, zero_queries):
         if zeros:
             p.diag.record("zero_query", int(zeros))
-    return score_episodes([p.episode for p in prepared],
+    return score_episodes(np.stack([p.hidden_labels for p in prepared]),
                           predictions).tolist()
 
 
@@ -733,8 +730,11 @@ def _resolve_pool(config: RunConfig) -> EmbeddingSet:
         return load_embedding_set(config.data)
     spec = config.synthetic
     pool_rng = np.random.default_rng([config.seed, POOL_STREAM])
-    return generate_synthetic(spec.n_classes, spec.per_class, spec.dim,
-                              spec.mean_scale, spec.sigma, pool_rng)
+    try:
+        return generate_synthetic(spec.n_classes, spec.per_class, spec.dim,
+                                  spec.mean_scale, spec.sigma, pool_rng)
+    except ValueError as err:  # its records summed past float32 range
+        raise RunError(f"synthetic={spec}: {err}") from None
 
 
 def run_eval(config: RunConfig) -> EvalReport:

@@ -168,8 +168,6 @@ def train_heads(inits: list[LinearHead], augs: Iterable[AugmentedSupport],
     stacked copy of the rows: rows handed over by an iterator are freed
     before the first step.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if not inits:
         return []
     feats, labels = zip(*((aug.features, aug.labels) for aug in augs))

@@ -174,8 +174,10 @@ def train_stack(param: np.ndarray, step, epochs: int, lr: float,
     early once every member is done. Returns the (B,) flags of members
     whose Adam second moment overflowed: a gradient entry past ~1e154
     leaves the loss finite but freezes its coordinate, and an inf
-    moment stays inf, so one check after the loop catches it.
-    """
+    moment stays inf, so one check after the loop catches it. Raises
+    ValueError on `epochs` < 1."""
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     state = AdamState.fresh(param.shape, lr=lr)
     # A zero norm (0/0), an overflow and the inf - inf or 0 * inf it
     # leads to each end in a non-finite loss or moment, which the

@@ -79,8 +79,8 @@ def mean_prototype_stack(support_feats: np.ndarray,
     support_feats = np.asarray(support_feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if support_feats.shape[:-1] != labels.shape:
-        raise ValueError(f"{support_feats.shape[-2]} support rows for "
-                         f"{labels.shape[-1]} labels")
+        raise ValueError(f"support rows {support_feats.shape} do not match "
+                         f"labels {labels.shape}")
     n_classes, k = _class_layout(labels[0])
     if not (labels == labels[0]).all():
         for row in labels[1:]:
@@ -331,8 +331,6 @@ def train_prototype_banks(heads: list[LinearHead],
     Appends each bank's per-epoch loss (evaluated before each update)
     to `trajectories[j]` until it aborts, when given.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if not heads:
         return []
     work = _Workspace(heads, support_feats, labels, weights)

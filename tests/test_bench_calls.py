@@ -46,13 +46,15 @@ def test_adam_update_samples(bench):
     assert len(samples) == 3 and all(s >= 0.0 for s in samples)
 
 
-def test_bench_smoke_run():
-    # The shortest run still makes its reference check and one timed call.
-    proc = subprocess.run(
-        [sys.executable, str(Path(BENCH) / "run.py"), "--workload",
-         "mean_5w5s", "--seed", "1", "--seconds", "0.01", "--trace", "0"],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["correct"] is True and result["failed"] == 0
-    assert result["metrics"]["episodes_per_s"]["value"] > 0
+def test_bench_smoke_run(bench):
+    # The shortest run of each workload still makes its reference check
+    # and one timed call.
+    for workload in bench[1].WORKLOADS:
+        proc = subprocess.run(
+            [sys.executable, str(Path(BENCH) / "run.py"), "--workload",
+             workload, "--seed", "1", "--seconds", "0.01", "--trace", "0"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (workload, proc.stderr)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, workload
+        assert result["metrics"]["episodes_per_s"]["value"] > 0, workload

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -269,9 +270,26 @@ def test_masks_reject_nonfinite_prototypes(bad):
     # RunConfig rejects mask.boost < 0; the library path does too.
     ("boost", -1e4)])
 def test_masks_reject_a_nonfinite_scale_or_boost(name, bad):
+    # build_masks names a bad scale; the boost, which only scoring
+    # multiplies by, is named when the masks score.
     values = {"scale": 0.1, "boost": 1e4, name: bad}
+    bank = bank_from([[1.0, 0.0], [0.5, 2.0]])
     with pytest.raises(ValueError, match=f"mask {name}={bad!r} must be "):
-        build_masks(bank_from([[1.0, 0.0], [0.5, 2.0]]), **values)
+        masks = build_masks(bank, **values)
+        classify_batch(np.ones((3, 2)), bank, masks, True, Diagnostics())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e4])
+def test_scoring_rejects_a_nonfinite_or_negative_boost(bad):
+    # Unchecked, a NaN boost scores every query NaN and predicts class 0,
+    # and a negative one turns the correction around.
+    queries, protos = np.ones((2, 3, 4)), np.eye(4)[None, :2].repeat(2, 0)
+    masks = mask_stack(protos, 0.1)
+    with pytest.raises(ValueError, match=f"mask boost={bad!r} must be "):
+        classify_stack(queries, protos, masks, bad)
+    with pytest.raises(ValueError, match=f"mask boost={bad!r} must be "):
+        classify_batch(queries[0], bank_from(protos[0]),
+                       AttentionMasks(masks[0], bad), True, Diagnostics())
 
 
 @pytest.mark.parametrize("scale, want", [
@@ -393,7 +411,7 @@ def test_stack_matches_each_episode_alone(n_ways, dim, scale, use_mask):
     # Bit for bit: masks, predictions, scores and zero-query counts of a
     # stack against each episode's own build_masks and classify_batch.
     queries, protos = extreme_stack(n_ways, dim, int(scale))
-    masks = mask_stack(protos, scale, 1e4)
+    masks = mask_stack(protos, scale)
     predictions, scores, zero_queries = classify_stack(
         queries, protos, masks if use_mask else None, 1e4)
     assert scores.shape == (3, 15 * n_ways, n_ways)
@@ -418,7 +436,7 @@ def test_stack_matches_per_class_oracle(n_ways, dim, use_mask):
     queries = rng.normal(0.0, 10.0, size=(4, 15 * n_ways, dim))
     protos = rng.normal(0.0, 10.0, size=(4, n_ways, dim))
     queries[3, 0] = 0.0
-    masks = mask_stack(protos, 0.1, 1e4)
+    masks = mask_stack(protos, 0.1)
     predictions, scores, _ = classify_stack(
         queries, protos, masks if use_mask else None, 1e4)
     for b in range(4):
@@ -436,7 +454,7 @@ def test_stack_rejects_what_one_bank_rejects():
         classify_stack(np.ones((3, 5, 4)), protos, None, 1e4)
     protos[1, 1, 2] = np.nan
     with pytest.raises(ValueError, match="prototypes must be finite"):
-        mask_stack(protos, 0.1, 1e4)
+        mask_stack(protos, 0.1)
 
 
 @pytest.mark.parametrize("use_mask", [False, True])
@@ -451,7 +469,7 @@ def test_scoring_pass_memory_is_bounded(use_mask):
     rng = np.random.default_rng(4)
     queries = rng.normal(0.0, 10.0, size=(width, 75, 64))
     protos = rng.normal(0.0, 10.0, size=(width, 5, 64))
-    masks = mask_stack(protos, 0.1, 1e4) if use_mask else None
+    masks = mask_stack(protos, 0.1) if use_mask else None
     tracemalloc.start()
     try:
         classify_stack(queries, protos, masks, 1e4)
@@ -467,9 +485,29 @@ def test_score_episodes_match_each_episode():
     episodes = [sample_episode(pool, 3, 2, 4, np.random.default_rng(s))
                 for s in range(3)]
     predictions = np.random.default_rng(8).integers(0, 3, size=(3, 12))
-    got = score_episodes(episodes, predictions)
+    got = score_episodes(np.stack([ep.hidden_labels for ep in episodes]),
+                         predictions)
     assert got.tolist() == [score_episode(ep, row)
                             for ep, row in zip(episodes, predictions)]
+
+
+@pytest.mark.parametrize("predictions", [np.zeros((2, 12), int),
+                                         np.zeros(12, int)])
+def test_score_episodes_name_both_shapes(predictions):
+    labels = np.zeros((3 if predictions.ndim == 2 else 1, 12), int)
+    with pytest.raises(ValueError, match=re.escape(
+            f"predictions {predictions.shape} do not match hidden labels "
+            f"{labels.shape}")):
+        score_episodes(labels, predictions)
+
+
+def test_stack_rejects_queries_that_do_not_fit_its_banks():
+    # Three query stacks against one bank would broadcast over it.
+    protos = np.eye(4)[None, :2]
+    for masks in (None, mask_stack(protos, 0.1)):
+        with pytest.raises(ValueError, match=re.escape(
+                "queries (3, 5, 4) do not fit prototype banks (1, 2, 4)")):
+            classify_stack(np.ones((3, 5, 4)), protos, masks, 1e4)
 
 
 def reference_softmax(z, axis=-1):
@@ -528,10 +566,10 @@ def test_scoring_matches_the_wrapper_reference(monkeypatch, n_ways, dim,
     queries, protos = extreme_stack(n_ways, dim, 7)
     queries[0, 3] = protos[0, 1]  # a cosine of exactly 1
     queries[0, 4] = -protos[0, 2]  # and of exactly -1
-    masks = mask_stack(protos, scale, 1e4)
+    masks = mask_stack(protos, scale)
     with monkeypatch.context() as patched:
         patched.setattr(classify, "softmax", reference_softmax)
-        np.testing.assert_array_equal(masks, mask_stack(protos, scale, 1e4))
+        np.testing.assert_array_equal(masks, mask_stack(protos, scale))
     for stack_masks in (masks, None):
         got = classify_stack(queries, protos, stack_masks, 1e4)
         want = reference_classify_stack(queries, protos, stack_masks, 1e4)

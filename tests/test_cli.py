@@ -75,6 +75,8 @@ EVAL = ["eval", "--synthetic", "6,9,12,4.0,0.5"]
     (EVAL + ["--top-m", "-1"], "graph.top_m=-1 must be >= 1"),
     (EVAL + ["--self-weight", "-1e999"],
      "graph.self_weight=-inf must be a finite float"),
+    (SYNTH + ["6,30,8,3e38,1e38"],
+     "synthetic=6,30,8,3e+38,1e+38: records of mean_scale=3e+38 plus noise"),
 ])
 def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
                                              message):

@@ -8,6 +8,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -15,11 +16,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fewproto
 from fewproto import harness, head
 from fewproto.diagnostics import Diagnostics, EpisodeAbort
-from fewproto.embeddings import EmbeddingSet, save_embedding_set
+from fewproto.embeddings import (FLOAT32_MAX, EmbeddingSet,
+                                 generate_synthetic, save_embedding_set)
 from fewproto.harness import (EvalReport, RunConfig, RunError, SyntheticSpec,
                               confidence_interval_95, emit_report, episode_rng,
                               load_config_file, load_report, run_episode,
@@ -1074,6 +1078,141 @@ def test_mask_scale_past_float_range_takes_the_softmax_limit(strategy):
         **SWEEP_POOL, "proto.strategy": strategy, "mask.scale": scale}
     )).per_task_accuracy for scale in (1e300, 1.7e308)]
     assert accuracies[0] == accuracies[1]
+
+
+# A float field's edges, kept where they lie in its domain, and the ints
+# of a tiny run: each int field's upper end, where its domain has none.
+FLOAT_EDGES = [-1.7e308, -FLOAT32_MAX, -1e300, -1.0, -5e-324, 0.0, 5e-324,
+               1e-300, 0.1, 1.0, 1e60, 1e300, FLOAT32_MAX, 1.7e308]
+INT_CAPS = {"n_ways": 3, "k_shots": 2, "n_queries": 3, "n_tasks": 3,
+            "graph.rounds": 60, "head.epochs": 5, "head.n_aug": 3,
+            "proto.epochs": 5, "synthetic.dim": 8, "seed": 2 ** 64 - 1}
+# The EMB1 pool a `data` draw reads: enough classes and records for any
+# episode shape INT_CAPS allows.
+DOMAIN_FILE_POOL = (5, 7, 6, 3.0, 1.5)
+
+
+def field_domain(f, hint, low=None, high=None):
+    """The values of a config field that a draw takes, its default and
+    edges included, and values just outside its domain. `low` and `high`
+    bound an int field, from its `ge` and INT_CAPS unless given."""
+    meta = f.metadata
+    if hint is bool:
+        return st.booleans(), ["maybe"]
+    if meta["choices"]:
+        return st.sampled_from(meta["choices"]), ["oracle"]
+    if hint is int:
+        low = meta["ge"] if low is None else low
+        return st.integers(low, high), [meta["ge"] - 1]
+    lo = next(b for b in (meta["ge"], meta["gt"], -sys.float_info.max)
+              if b is not None)
+    hi = sys.float_info.max if meta["le"] is None else meta["le"]
+    edges = [x for x in FLOAT_EDGES if lo <= x <= hi and x != meta["gt"]]
+    outside = [math.nan, math.inf, -math.inf, 10 ** 400]
+    if lo > -sys.float_info.max:
+        outside.append(math.nextafter(lo, -math.inf) if meta["gt"] is None
+                       else lo)
+    if meta["le"] is not None:
+        outside.append(math.nextafter(hi, math.inf))
+    return st.one_of(st.just(f.default), st.sampled_from(edges), st.floats(
+        lo, hi, exclude_min=meta["gt"] is not None)), outside
+
+
+@st.composite
+def domain_configs(draw, data_path):
+    """A flat config of a tiny run, every key at a value of its domain,
+    often an edge, with a pool that fits its episodes; in about one draw
+    of three, one key is then set just outside its domain. Returns the
+    config and that key, or None."""
+    fields = {key: (f, hint) for key, _, f, hint in [
+        *harness.flat_fields(RunConfig()),
+        *harness.flat_fields(SyntheticSpec(), "synthetic.")]}
+    flat, outside = {}, {}
+
+    def put(key, **bounds):
+        f, hint = fields[key]
+        inside, outside[key] = field_domain(
+            f, hint, **{"high": INT_CAPS.get(key), **bounds})
+        flat[key] = draw(inside)
+
+    for key in ("n_ways", "k_shots", "n_queries"):
+        put(key)
+    need = flat["k_shots"] + flat["n_queries"]
+    put("graph.top_m", high=flat["n_ways"] * need - 1)
+    outside["graph.top_m"].append(flat["n_ways"] * need)
+    for key in fields:
+        if key not in flat and key not in harness.SOURCES and (
+                not key.startswith("synthetic.")):
+            put(key)
+    if draw(st.sampled_from(harness.SOURCES)) == "data":
+        flat["data"] = data_path
+    else:
+        put("synthetic.n_classes", low=flat["n_ways"],
+            high=flat["n_ways"] + 2)
+        put("synthetic.per_class", low=need, high=need + 2)
+        for key in ("synthetic.dim", "synthetic.mean_scale",
+                    "synthetic.sigma"):
+            put(key)
+    outside["seed"].append(2 ** 64)
+    bad = draw(st.one_of(st.none(), st.none(),
+                         st.sampled_from(sorted(outside))))
+    if bad is not None:
+        flat[bad] = draw(st.sampled_from(outside[bad]))
+    spec = {key.split(".")[1]: flat.pop(key) for key in list(flat)
+            if key.startswith("synthetic.")}
+    if spec:
+        flat["synthetic"] = SyntheticSpec(**spec)
+    return flat, bad
+
+
+@pytest.fixture(scope="module")
+def domain_pool_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("domain") / "pool.emb"
+    save_embedding_set(generate_synthetic(
+        *DOMAIN_FILE_POOL, np.random.default_rng(0)), path)
+    return str(path)
+
+
+def domain_outcome(flat: dict, workers: int):
+    """`run_eval`'s report at `workers` workers, without its wall time,
+    or the text of the RunError it raises. A RuntimeWarning raises."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(harness, "worker_count",
+                      lambda n_tasks: min(workers, n_tasks))
+        try:
+            report = asdict(run_eval(RunConfig.from_flat(flat)))
+        except RunError as err:
+            return str(err)
+    del report["wall_time"]
+    return report
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_config_domain_gives_a_report_or_names_its_fault(domain_pool_path,
+                                                         data):
+    # Every key's domain and edges on tiny runs: a report with one
+    # accuracy in [0, 1] per task that did not abort, or a RunError that
+    # names a flat key or the abort cap; a key set outside its domain is
+    # the one named. A drawn flag picks a fixed sub-sample that must give
+    # the same at W=2.
+    flat, bad = data.draw(domain_configs(domain_pool_path))
+    outcome = domain_outcome(flat, 1)
+    if bad is not None:
+        assert isinstance(outcome, str) and f"{bad}=" in outcome, outcome
+    elif isinstance(outcome, str):
+        keys = [*RunConfig().to_flat(), *(
+            f"synthetic.{key}" for key in asdict(SyntheticSpec()))]
+        assert any(f"{key}=" in outcome for key in keys) or (
+            f"(cap {harness.ABORT_CAP_FRACTION:.0%})" in outcome), outcome
+    else:
+        accuracies = outcome["per_task_accuracy"]
+        assert len(accuracies) == flat["n_tasks"] - outcome["diagnostics"][
+            "aborted_episodes"]
+        assert all(0.0 <= a <= 1.0 for a in accuracies)
+    if data.draw(st.booleans()) and flat["n_tasks"] >= 2:
+        assert domain_outcome(flat, 2) == outcome
 
 
 def test_soft_events_reach_the_report(tmp_path, monkeypatch):

@@ -112,7 +112,8 @@ def test_mean_prototypes_rejects_other_layouts(labels):
 
 
 def test_mean_prototypes_rejects_row_count_mismatch():
-    with pytest.raises(ValueError, match="3 support rows for 4 labels"):
+    with pytest.raises(ValueError, match=re.escape(
+            "support rows (1, 3, 2) do not match labels (1, 4)")):
         mean_prototypes(np.ones((3, 2)), np.array([0, 0, 1, 1]))
 
 
@@ -156,8 +157,13 @@ def test_mean_stack_rejects_a_layout_by_episode():
     with pytest.raises(ValueError, match="different support labels"):
         mean_prototype_stack(np.ones((2, 4, 3)),
                              np.stack([good, [0, 0, 0, 0]]))
-    with pytest.raises(ValueError, match="4 support rows for 3 labels"):
+    with pytest.raises(ValueError, match=re.escape(
+            "support rows (2, 4, 3) do not match labels (2, 3)")):
         mean_prototype_stack(np.ones((2, 4, 3)), np.zeros((2, 3), int))
+    # One episode's rows against two episodes' labels: equal row counts.
+    with pytest.raises(ValueError, match=re.escape(
+            "support rows (1, 4, 3) do not match labels (2, 4)")):
+        mean_prototype_stack(np.ones((1, 4, 3)), np.zeros((2, 4), int))
 
 
 @settings(max_examples=40, deadline=None)
