@@ -122,6 +122,9 @@ def classify_stack(queries: np.ndarray, protos: np.ndarray,
     if queries.ndim != 3 or queries.shape[::2] != protos.shape[::2]:
         raise ValueError(f"queries {queries.shape} do not fit prototype "
                          f"banks {protos.shape}")
+    if masks is not None and np.shape(masks) != protos.shape:
+        raise ValueError(f"masks {np.shape(masks)} do not fit prototype "
+                         f"banks {protos.shape}")
     p, proto_norms = row_norms(protos)
     queries, query_norms = row_norms(queries)
     if np.any(proto_norms == 0.0):

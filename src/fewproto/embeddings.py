@@ -287,8 +287,8 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
                        rng: np.random.Generator) -> EmbeddingSet:
     """Gaussian blobs around class means drawn uniformly on a sphere.
 
-    Class means sit on the sphere of radius `mean_scale`; each record is
-    mean + iid Gaussian noise with standard deviation `noise_sigma`.
+    Class means sit on the sphere of radius `mean_scale`, clipped into
+    float32 range; each record is mean + iid N(0, noise_sigma**2) noise.
     Deterministic given the generator state. Both scales, and the
     records they sum to, must fit float32.
     """
@@ -303,12 +303,12 @@ def generate_synthetic(n_classes: int, per_class: int, dim: int,
         raise ValueError("noise_sigma must be non-negative")
     means = rng.normal(size=(n_classes, dim))
     means *= mean_scale / np.linalg.norm(means, axis=1, keepdims=True)
-    vectors = np.empty((n_classes * per_class, dim))
-    labels = np.repeat(np.arange(n_classes), per_class)
-    for c in range(n_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        vectors[block] = means[c] + noise_sigma * rng.normal(size=(per_class, dim))
+    np.clip(means, -FLOAT32_MAX, FLOAT32_MAX, out=means)  # rescale rounding
+    vectors = rng.normal(size=(n_classes, per_class, dim))
+    vectors *= noise_sigma  # then + mean, the bits of a per-class draw
+    vectors += means[:, None]
     if not (np.abs(vectors) <= FLOAT32_MAX).all():
         raise ValueError(f"records of mean_scale={mean_scale!r} plus noise "
                          f"of noise_sigma={noise_sigma!r} exceed float32 range")
-    return EmbeddingSet.from_arrays(vectors, labels)
+    return EmbeddingSet.from_arrays(vectors.reshape(-1, dim),
+                                    np.repeat(np.arange(n_classes), per_class))

@@ -183,31 +183,24 @@ class RunConfig:
     head: HeadConfig = field(default_factory=HeadConfig)
     proto: ProtoConfig = field(default_factory=ProtoConfig)
     mask: MaskConfig = field(default_factory=MaskConfig)
-    seed: int = _setting(0, "--seed", ge=0)
+    seed: int = _setting(0, "--seed", ge=0, le=2 ** 64 - 1)
 
     def validate(self) -> None:
         """Reject a config no run can use; each error names its field.
 
-        Every value goes through `_coerce`, as a flag or a config line
-        does, and is kept in the type it gives, so 3.0 in an int field
-        becomes 3. Text is parsed only by `set_flat`: a value assigned
-        directly must be one `_coerce` keeps equal."""
+        Beyond one pool source and `graph.top_m` below an episode's
+        vertex count, one walk keeps each field in its declared domain
+        and in the type `_coerce` gives, so 3.0 in an int field is 3."""
         if sum(getattr(self, key) is not None for key in SOURCES) != 1:
             raise RunError("exactly one of data path or synthetic spec required")
-        for key, owner, f, hint in flat_fields(self):
-            _check_field(key, owner, f, hint)
-        if self.synthetic is not None:
-            for key, owner, f, hint in flat_fields(self.synthetic,
-                                                   "synthetic."):
-                _check_field(key, owner, f, hint)
+        for item in flat_fields(self):
+            _check_field(*item)
         n_vertices = self.n_ways * (self.k_shots + self.n_queries)
         if self.graph.top_m > n_vertices - 1:
             raise RunError(
                 f"graph.top_m={self.graph.top_m} exceeds the "
                 f"{n_vertices - 1} neighbours each of an episode's "
                 f"{n_vertices} graph vertices has")
-        if self.seed >= 2 ** 64:
-            raise RunError(f"seed={self.seed} must be < 2**64")
 
     def to_flat(self) -> dict:
         """Flat key/value view; nested groups become dotted keys."""
@@ -251,7 +244,7 @@ def flat_fields(obj, prefix: str = ""):
 def _check_field(key: str, owner, f, hint) -> None:
     """Store field `f` of `owner`, flat key `key`, as its `_coerce`d
     value, or raise RunError naming `key=value` if that is not equal to
-    it or lies outside the field's domain."""
+    it or lies outside its domain; then walk a dataclass value's fields."""
     value, meta = getattr(owner, f.name), f.metadata
     name = f"{key}={value!r}"
     typed = _coerce(value, hint, key)
@@ -268,6 +261,9 @@ def _check_field(key: str, owner, f, hint) -> None:
         raise RunError(f"{name} must be <= {meta['le']}")
     if meta["choices"] and typed not in meta["choices"]:
         raise RunError(f"{name} must be one of {', '.join(meta['choices'])}")
+    if is_dataclass(typed):
+        for item in flat_fields(typed, f"{key}."):
+            _check_field(*item)
 
 
 def _coerce(value, hint, key: str):
@@ -728,13 +724,11 @@ def _task_results(emb: EmbeddingSet, config: RunConfig
 def _resolve_pool(config: RunConfig) -> EmbeddingSet:
     if config.data is not None:
         return load_embedding_set(config.data)
-    spec = config.synthetic
     pool_rng = np.random.default_rng([config.seed, POOL_STREAM])
     try:
-        return generate_synthetic(spec.n_classes, spec.per_class, spec.dim,
-                                  spec.mean_scale, spec.sigma, pool_rng)
+        return generate_synthetic(*asdict(config.synthetic).values(), pool_rng)
     except ValueError as err:  # its records summed past float32 range
-        raise RunError(f"synthetic={spec}: {err}") from None
+        raise RunError(f"synthetic={config.synthetic}: {err}") from None
 
 
 def run_eval(config: RunConfig) -> EvalReport:
@@ -759,8 +753,10 @@ def run_eval(config: RunConfig) -> EvalReport:
     need = config.k_shots + config.n_queries
     usable = len(eligible_classes(emb, need))
     if usable < config.n_ways:
-        raise RunError(f"pool has {usable} classes with >= {need} records, "
-                       f"need {config.n_ways}")
+        source = "data" if config.data is not None else "synthetic"
+        raise RunError(f"{source}={getattr(config, source)}: pool has "
+                       f"{usable} classes with >= {need} records, need "
+                       f"n_ways={config.n_ways}")
 
     t_start = time.perf_counter()
     per_task: list[float] = []

@@ -510,6 +510,15 @@ def test_stack_rejects_queries_that_do_not_fit_its_banks():
             classify_stack(np.ones((3, 5, 4)), protos, masks, 1e4)
 
 
+def test_stack_rejects_masks_that_do_not_fit_its_banks():
+    # One bank's masks would broadcast over all three episodes.
+    protos = np.ones((3, 2, 4))
+    with pytest.raises(ValueError, match=re.escape(
+            "masks (1, 2, 4) do not fit prototype banks (3, 2, 4)")):
+        classify_stack(np.ones((3, 5, 4)), protos,
+                       mask_stack(protos[:1], 0.1), 1e4)
+
+
 def reference_softmax(z, axis=-1):
     """Reference: `softmax` through `np.max` and `np.sum`."""
     z = np.asarray(z, dtype=np.float64)

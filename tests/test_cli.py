@@ -77,6 +77,11 @@ EVAL = ["eval", "--synthetic", "6,9,12,4.0,0.5"]
      "graph.self_weight=-inf must be a finite float"),
     (SYNTH + ["6,30,8,3e38,1e38"],
      "synthetic=6,30,8,3e+38,1e+38: records of mean_scale=3e+38 plus noise"),
+    (["eval", "--synthetic", "2,10,8,3.0,1.0", "--ways", "5"],
+     "synthetic=2,10,8,3.0,1.0: pool has 0 classes with >= 20 records, "
+     "need n_ways=5"),
+    (SYNTH + ["6,9,12,4.0,0.5", "--seed", str(2 ** 64)],
+     "seed=18446744073709551616 must be <= 18446744073709551615"),
 ])
 def test_bad_input_exits_2_naming_its_fault(tmp_path, capsys, argv,
                                              message):
@@ -219,6 +224,24 @@ def test_eval_requires_a_source(capsys):
     rc = main(["eval", "--tasks", "2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Two 1-d classes whose means sit at +-FLOAT32_MAX, with no noise.
+EDGE_SPEC = "2,4,1,3.4028234663852886e+38,0.0"
+
+
+def test_pool_at_the_float32_edge_runs_end_to_end(tmp_path, capsys):
+    assert main(["eval", "--synthetic", EDGE_SPEC, "--ways", "2", "--shots",
+                 "1", "--queries", "1", "--top-m", "1", "--tasks", "2",
+                 "--proto", "mean"]) == 0
+    assert re.fullmatch(r"\d+\.\d\d% ± \d+\.\d\d% \(2 tasks\)\n",
+                        capsys.readouterr().out)
+    out = tmp_path / "edge.emb"
+    assert main(["synth", "--out", str(out), "--synthetic", EDGE_SPEC]) == 0
+    emb = load_embedding_set(out)
+    assert emb.n_records == 8 and emb.dim == 1
+    assert {abs(v) for v in emb.vectors[:, 0].tolist()} == {
+        3.4028234663852886e+38}
 
 
 def test_eval_rejects_bad_synthetic_spec(capsys):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from fewproto import embeddings
-from fewproto.embeddings import (MAGIC, EmbeddingFormatError, EmbeddingSet,
-                                 generate_synthetic, load_embedding_set,
-                                 sample_episode, save_embedding_set)
+from fewproto.embeddings import (FLOAT32_MAX, MAGIC, EmbeddingFormatError,
+                                 EmbeddingSet, generate_synthetic,
+                                 load_embedding_set, sample_episode,
+                                 save_embedding_set)
+from fewproto.harness import POOL_STREAM
 
 
 def make_set(rng, n_classes=3, per_class=4, dim=5):
@@ -456,6 +458,54 @@ def test_synthetic_nearest_mean_oracle():
         total += held_out.shape[0]
     assert total == 10000
     assert correct / total >= 0.99
+
+
+def reference_synthetic(n_classes, per_class, dim, mean_scale, noise_sigma,
+                        rng):
+    """Reference: the records of `generate_synthetic`, drawn class by
+    class, each class's noise scaled and added to its mean."""
+    means = rng.normal(size=(n_classes, dim))
+    means *= mean_scale / np.linalg.norm(means, axis=1, keepdims=True)
+    vectors = np.empty((n_classes * per_class, dim))
+    for c in range(n_classes):
+        noise = rng.normal(size=(per_class, dim))
+        vectors[c * per_class:(c + 1) * per_class] = means[c] + (
+            noise_sigma * noise)
+    return vectors.astype(np.float32)
+
+
+# The bench's synthetic pool at seeds 0 and 3 and the golden 640-d pool,
+# each on run_eval's pool stream, and the bench file workload's pool on
+# its own stream (bench/workloads.py's FILE_POOL_STREAM).
+@pytest.mark.parametrize("spec, seed", [
+    ((20, 50, 64, 3.0, 1.5), [0, POOL_STREAM]),
+    ((20, 50, 64, 3.0, 1.5), [3, POOL_STREAM]),
+    ((20, 20, 640, 6.0, 1.5), [3, POOL_STREAM]),
+    ((20, 600, 640, 6.0, 1.5), [0, 0x66696C65]),
+])
+def test_synthetic_matches_a_per_class_loop(spec, seed):
+    emb = generate_synthetic(*spec, np.random.default_rng(seed))
+    want = reference_synthetic(*spec, np.random.default_rng(seed))
+    # Bits, so a flipped zero sign would count.
+    np.testing.assert_array_equal(emb.vectors.view(np.uint32),
+                                  want.view(np.uint32))
+    np.testing.assert_array_equal(emb.labels,
+                                  np.repeat(np.arange(spec[0]), spec[1]))
+
+
+@pytest.mark.parametrize("dim", [1, 64])
+@pytest.mark.parametrize("mean_scale", [FLOAT32_MAX, -FLOAT32_MAX])
+def test_synthetic_pool_builds_at_the_float32_edge(dim, mean_scale):
+    # On this stream the rescale rounds three of the eight 1-d means one
+    # float64 step past the edge.
+    emb = generate_synthetic(8, 3, dim, mean_scale, 0.0,
+                             np.random.default_rng(7))
+    assert emb.vectors.dtype == np.float32
+    assert np.isfinite(emb.vectors).all()
+    norms = np.linalg.norm(emb.vectors.astype(np.float64), axis=1)
+    np.testing.assert_allclose(norms, FLOAT32_MAX, rtol=1e-6)
+    if dim == 1:
+        assert (np.abs(emb.vectors) == np.float32(FLOAT32_MAX)).all()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -107,6 +107,31 @@ def test_config_rejects_top_m_beyond_episode():
             cfg.validate()
 
 
+@pytest.mark.parametrize("faults, named", [
+    # The synthetic spec's fields come right after `synthetic`, before
+    # every later field.
+    ({"synthetic": "0,25,16,8.0,0.3", "n_ways": 0}, "synthetic.n_classes="),
+    ({"synthetic": "8,25,16,8.0,-1", "seed": -1}, "synthetic.sigma="),
+    # The field walk comes before the rule that spans fields.
+    ({"graph.top_m": 500, "seed": 2 ** 64}, "seed="),
+    ({"graph.top_m": 500, "mask.boost": -1}, "mask.boost="),
+])
+def test_config_names_its_first_fault_in_declaration_order(faults, named):
+    with pytest.raises(RunError, match=re.escape(named)):
+        small_config(**faults).validate()
+
+
+def test_pool_too_small_for_the_episode_names_its_file(tmp_path):
+    # test_cli.py's bad-input cases hold the synthetic pool's message.
+    path = tmp_path / "small.emb"
+    save_embedding_set(generate_synthetic(2, 10, 8, 3.0, 1.0,
+                                          np.random.default_rng(0)), path)
+    with pytest.raises(RunError, match=re.escape(
+            f"data={path}: pool has 0 classes with >= 11 records, need "
+            f"n_ways=3")):
+        run_eval(small_config(synthetic=None, data=str(path), k_shots=6))
+
+
 # Config key, its bad value, and the field the error must name.
 FIELD_ERRORS = [(key, value, key) for key, value in [
     ("graph.top_m", "0"), ("graph.rounds", "-1"), ("head.epochs", "0"),
@@ -1086,7 +1111,7 @@ FLOAT_EDGES = [-1.7e308, -FLOAT32_MAX, -1e300, -1.0, -5e-324, 0.0, 5e-324,
                1e-300, 0.1, 1.0, 1e60, 1e300, FLOAT32_MAX, 1.7e308]
 INT_CAPS = {"n_ways": 3, "k_shots": 2, "n_queries": 3, "n_tasks": 3,
             "graph.rounds": 60, "head.epochs": 5, "head.n_aug": 3,
-            "proto.epochs": 5, "synthetic.dim": 8, "seed": 2 ** 64 - 1}
+            "proto.epochs": 5, "synthetic.dim": 8}
 # The EMB1 pool a `data` draw reads: enough classes and records for any
 # episode shape INT_CAPS allows.
 DOMAIN_FILE_POOL = (5, 7, 6, 3.0, 1.5)
@@ -1095,7 +1120,8 @@ DOMAIN_FILE_POOL = (5, 7, 6, 3.0, 1.5)
 def field_domain(f, hint, low=None, high=None):
     """The values of a config field that a draw takes, its default and
     edges included, and values just outside its domain. `low` and `high`
-    bound an int field, from its `ge` and INT_CAPS unless given."""
+    bound an int field, from its `ge` and its `le` or INT_CAPS unless
+    given."""
     meta = f.metadata
     if hint is bool:
         return st.booleans(), ["maybe"]
@@ -1103,7 +1129,9 @@ def field_domain(f, hint, low=None, high=None):
         return st.sampled_from(meta["choices"]), ["oracle"]
     if hint is int:
         low = meta["ge"] if low is None else low
-        return st.integers(low, high), [meta["ge"] - 1]
+        high = meta["le"] if high is None else high
+        return st.integers(low, high), [meta["ge"] - 1] + (
+            [] if meta["le"] is None else [meta["le"] + 1])
     lo = next(b for b in (meta["ge"], meta["gt"], -sys.float_info.max)
               if b is not None)
     hi = sys.float_info.max if meta["le"] is None else meta["le"]
@@ -1121,8 +1149,9 @@ def field_domain(f, hint, low=None, high=None):
 @st.composite
 def domain_configs(draw, data_path):
     """A flat config of a tiny run, every key at a value of its domain,
-    often an edge, with a pool that fits its episodes; in about one draw
-    of three, one key is then set just outside its domain. Returns the
+    often an edge, with a pool that fits its episodes or, for a
+    synthetic pool, may be too small for them; in about one draw of
+    three, one key is then set just outside its domain. Returns the
     config and that key, or None."""
     fields = {key: (f, hint) for key, _, f, hint in [
         *harness.flat_fields(RunConfig()),
@@ -1147,13 +1176,11 @@ def domain_configs(draw, data_path):
     if draw(st.sampled_from(harness.SOURCES)) == "data":
         flat["data"] = data_path
     else:
-        put("synthetic.n_classes", low=flat["n_ways"],
-            high=flat["n_ways"] + 2)
-        put("synthetic.per_class", low=need, high=need + 2)
+        put("synthetic.n_classes", high=flat["n_ways"] + 2)
+        put("synthetic.per_class", high=need + 2)
         for key in ("synthetic.dim", "synthetic.mean_scale",
                     "synthetic.sigma"):
             put(key)
-    outside["seed"].append(2 ** 64)
     bad = draw(st.one_of(st.none(), st.none(),
                          st.sampled_from(sorted(outside))))
     if bad is not None:
