@@ -2,10 +2,11 @@
 
 The episode's stacked features (support rows first, then query rows)
 become graph vertices. Pairwise cosine similarity with a zero diagonal
-gives a dense matrix; keeping each row's top-m entries (union with the
-transposed selection, so the result stays symmetric) zeroes the rest; a
-symmetric degree normalization turns it into the adjacency; features are
-then smoothed by `rounds` applications of x <- self_weight*x + A x.
+gives a dense matrix, exactly symmetric as numpy's BLAS `syrk` returns
+it; keeping each row's top-m entries (union with the transposed
+selection, so the result stays symmetric) zeroes the rest; a symmetric
+degree normalization turns it into the adjacency; features are then
+smoothed by `rounds` applications of x <- self_weight*x + A x.
 Smoothing that leaves float64 range (a large self_weight raised to the
 power `rounds`) aborts the episode as `graph_overflow`.
 An episode has n_ways*(k_shots+n_queries) vertices, about 100 in the
@@ -22,11 +23,11 @@ from .optim import row_norms
 
 def build_similarity(v: np.ndarray, diag: Diagnostics) -> np.ndarray:
     """Dense pairwise cosine matrix clamped to [-1, 1], with zero diagonal,
-    exactly symmetric.
+    exactly symmetric as numpy takes `unit @ unit.T` (BLAS `syrk` mirrors a
+    triangle, its own loop pairs the same products): `(s + s.T) / 2` is `s`.
 
-    A zero-norm row carries no similarity information: its similarities
-    are 0 and one `zero_vector_cosine` diagnostic is recorded per zero
-    row instead of failing the episode. Norms come from `row_norms`.
+    A zero-norm row has similarities 0 and records one `zero_vector_cosine`
+    diagnostic instead of failing the episode. Norms come from `row_norms`.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
@@ -42,8 +43,6 @@ def build_similarity(v: np.ndarray, diag: Diagnostics) -> np.ndarray:
     s = unit @ unit.T
     np.maximum(s, -1.0, out=s)  # clip to [-1, 1]
     np.minimum(s, 1.0, out=s)
-    s = s + s.T  # force exact symmetry against BLAS rounding
-    s /= 2.0
     s.flat[::s.shape[0] + 1] = 0.0  # the diagonal
     return s
 

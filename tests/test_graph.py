@@ -45,10 +45,11 @@ def test_similarity_matches_double_loop_oracle():
 
 
 def test_similarity_exactly_symmetric_zero_diagonal():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        s = build_similarity(rng.normal(size=(12, 5)), Diagnostics())
-        assert np.max(np.abs(s - s.T)) == 0.0
+    # No pass re-symmetrizes the product: numpy must return it symmetric
+    # in every layout and size `edge_features` covers.
+    for v in edge_features(1):
+        s = build_similarity(v, Diagnostics())
+        assert np.array_equal(s, s.T)
         assert np.all(np.diag(s) == 0.0)
         assert s.min() >= -1.0 and s.max() <= 1.0
 
@@ -395,7 +396,11 @@ def reference_task_graph(support_x, query_x, m, self_weight, rounds, diag):
 def edge_features(seed):
     """Feature matrices of 2 to 40 rows with the rows the stage treats
     specially: zero rows, rows whose squared norms over- or underflow,
-    repeated and negated rows (cosines of exactly 1 and -1)."""
+    repeated and negated rows (cosines of exactly 1 and -1). Then, at
+    2 to 257 rows of 1 to 640 columns, the layouts in which numpy could
+    take `unit @ unit.T` by another path: C and Fortran order, a strided
+    view, plain and with a zero row and rows scaled by 1e170 and 1e-170
+    (which `row_norms` copies to C order), and float32."""
     rng = np.random.default_rng(seed)
     cases = [rng.normal(size=(int(n), int(e))) + rng.normal(size=int(e))
              for n, e in rng.integers([2, 1], [41, 17], size=(12, 2))]
@@ -409,6 +414,17 @@ def edge_features(seed):
     rows = rng.normal(size=(10, 6))  # some rounded cosines pass +-1
     cases += [v, np.vstack([rows, rows, -rows]), np.zeros((5, 3)),
               np.array([[1.0, 0.0], [1.0, 0.0]])]
+    for n in (2, 9, 129, 257):
+        for e in (1, 65, 640):
+            v = rng.normal(size=(n, e)) + rng.normal(size=e)
+            extreme = v.copy()
+            extreme[0] = 0.0
+            for row, scale in zip(range(1, n), (1e170, 1e-170)):
+                extreme[row] *= scale
+            cases.append(v.astype(np.float32))
+            for w in (v, extreme):
+                cases += [w, np.asfortranarray(w),
+                          np.repeat(w, 2, axis=0)[::2]]
     return cases
 
 
