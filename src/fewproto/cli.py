@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("synth", help="write the pool eval --synthetic reads")
     sy.add_argument("--out", required=True, help="embedding file path")
     sy.add_argument("--synthetic", required=True, metavar="synthetic")
-    sy.add_argument("--seed", default=0, metavar="seed")
+    sy.add_argument("--seed", metavar="seed")
 
     sub.add_parser("gradcheck",
                    help="finite-difference check of analytic gradients")
@@ -87,8 +87,8 @@ def _eval_command(args: argparse.Namespace) -> int:
 
 
 def _synth_command(args: argparse.Namespace) -> int:
-    config = RunConfig.from_flat({"synthetic": args.synthetic,
-                                  "seed": args.seed})
+    seed = {} if args.seed is None else {"seed": args.seed}
+    config = RunConfig.from_flat({"synthetic": args.synthetic, **seed})
     config.validate()
     _check_out(args.out)
     emb = _resolve_pool(config)

@@ -145,9 +145,9 @@ def _record_dtype(dim: int) -> np.dtype:
 def save_embedding_set(emb: EmbeddingSet, path) -> None:
     """Write `emb` in the binary format; load_embedding_set inverts this.
 
-    The bytes go to a new file beside `path`, which is then renamed over
-    it. So a process that has the old file loaded keeps reading the old
-    set, and no reader sees a partly written one.
+    The bytes go to `path` through `replacing`. So a process that has
+    the old file loaded keeps reading the old set, and no reader sees a
+    partly written one.
 
     Raises ValueError if the set violates its invariants or has a class
     id outside [0, 2**32) (checked before any bytes are written). The
@@ -165,13 +165,23 @@ def save_embedding_set(emb: EmbeddingSet, path) -> None:
     rec = np.empty(checked.n_records, dtype=_record_dtype(checked.dim))
     rec["class_id"] = checked.labels
     rec["vec"] = checked.vectors
+    with replacing(path) as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<III", checked.dim, checked.n_records,
+                            checked.n_classes))
+        rec.tofile(f)
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A new binary file beside `path`, to be written in the `with`
+    block. On a clean exit it is synced to disk and renamed over `path`,
+    so a reader sees the old file or the whole new one, never part of
+    it; on any exception it is removed and `path` is left as it was."""
     part = f"{os.fspath(path)}.{os.urandom(6).hex()}.part"
     try:
         with open(part, "xb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<III", checked.dim, checked.n_records,
-                                checked.n_classes))
-            rec.tofile(f)
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(part, path)

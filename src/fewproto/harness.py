@@ -58,7 +58,7 @@ import numpy as np
 from .classify import classify_stack, mask_stack, score_episodes
 from .diagnostics import Diagnostics, EpisodeAbort
 from .embeddings import (FLOAT32_MAX, EmbeddingSet, eligible_classes,
-                         generate_synthetic, load_embedding_set,
+                         generate_synthetic, load_embedding_set, replacing,
                          sample_episode)
 from .graph import build_task_graph
 from .head import (AugmentedSupport, LinearHead, init_head,
@@ -73,10 +73,12 @@ POOL_STREAM = 0x706F6F6C
 # Episodes per batched prototype loop. A step pays for about 60 numpy
 # calls whatever the stack size, so wider stacks amortize them, until a
 # stacked (B, n_ways, dim) float64 array passes about STACK_BYTES and
-# the buffers outgrow the cache: with one BLAS thread on a 2-vCPU Xeon,
-# a 5-way 1-shot 640-d bank-step took 78 us at 16 banks and 103 us at
-# 48, while a 5-way 64-d one fell from 22 us at 16 to 19.5 us at 48.
-# MAX_STACK also bounds how many prepared episodes are held at once.
+# the buffers outgrow the cache. With one BLAS thread on a 2-vCPU Xeon,
+# a 5-way 1-shot 640-d bank-step took 90 us at 2 banks, 81 at 4 and
+# 52-53 at 8 to 16 (a 20-task range runs as two stacks of 10, the best
+# width measured), while a 5-way 64-d one took 18.7 us at 8, 12.4 at 20,
+# 10.5 at 48 and 12.3 at 64. MAX_STACK also bounds how many prepared
+# episodes are held at once.
 STACK_BYTES = 409600
 MAX_STACK = 48
 # Episodes per scoring pass, as many as keep its (B, n_ways, queries,
@@ -312,11 +314,11 @@ def _coerce(value, hint, key: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat `key = value` config file; '#' starts a comment and
-    a key may appear once."""
+    """Parse a flat `key = value` config file, UTF-8 with or without a
+    byte-order mark; '#' starts a comment and a key may appear once."""
     flat: dict = {}
     first_line: dict = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -795,14 +797,15 @@ def emit_report(report: EvalReport, path) -> None:
     """Write the report as JSON and print the one-line summary.
 
     JSON floats round-trip exactly (repr serialization), comfortably
-    above the minimum six significant digits. Refuses to emit a report
-    with no completed tasks.
+    above the minimum six significant digits. The bytes go to `path`
+    through `replacing`, so a write that fails leaves the report already
+    there whole. Refuses to emit a report with no completed tasks.
     """
     if not report.per_task_accuracy:
         raise RunError("refusing to emit a report with no completed tasks")
-    with open(path, "w") as f:
-        json.dump(asdict(report), f, indent=2, sort_keys=True)
-        f.write("\n")
+    with replacing(path) as f:
+        f.write(json.dumps(asdict(report), indent=2, sort_keys=True)
+                .encode() + b"\n")
     print(report.summary_line())
 
 

@@ -82,7 +82,7 @@ def head_predict(head: LinearHead, feats: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"features {feats.shape} incompatible with head "
             f"{head.weights.shape}")
-    return softmax(feats @ head.weights.T + head.bias, axis=1)
+    return softmax(feats @ head.weights.T + head.bias)
 
 
 class _Workspace:

@@ -20,12 +20,12 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 FD_STEP = 1e-5
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax via max-subtraction; rows sum to 1."""
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis by max-subtraction; rows sum to 1."""
     z = np.asarray(z, dtype=np.float64)
-    e = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

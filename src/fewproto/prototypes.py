@@ -149,7 +149,7 @@ def loss_metric(protos: np.ndarray, support_feats: np.ndarray,
     support_feats = np.asarray(support_feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     scores = _cosine_scores(support_feats, protos)
-    probs = softmax(scores, axis=1)
+    probs = softmax(scores)
     n_rows, n_classes = probs.shape
     picked = probs[np.arange(n_rows), labels]
     return float(np.sum(-np.log(np.maximum(picked, LOG_FLOOR)))

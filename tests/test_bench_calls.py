@@ -3,7 +3,8 @@
 This drives bench/tracing.py's traced pass, which calls the pipeline's
 public functions one by one, and checks it against run_eval on small
 configs of the bench's synthetic workloads. It also runs the benchmark
-itself once, briefly, as its command line does.
+itself, briefly, as its command line does: each workload once, and one
+traced, and checks their metric names against BENCHMARK.json's.
 """
 
 import json
@@ -15,7 +16,9 @@ import pytest
 
 from fewproto.harness import RunConfig, run_eval
 
-BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = str(ROOT / "bench")
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -46,15 +49,34 @@ def test_adam_update_samples(bench):
     assert len(samples) == 3 and all(s >= 0.0 for s in samples)
 
 
+def bench_run(workload: str, trace: int) -> dict:
+    """The result line of the shortest bench run of `workload`, which
+    still makes its reference check and one timed call."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(BENCH) / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "0.01", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, (workload, proc.stderr)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, workload
+    return result
+
+
+def declared_names(kind: str) -> set:
+    return {metric["name"] for metric in DECLARED[kind]}
+
+
 def test_bench_smoke_run(bench):
-    # The shortest run of each workload still makes its reference check
-    # and one timed call.
-    for workload in bench[1].WORKLOADS:
-        proc = subprocess.run(
-            [sys.executable, str(Path(BENCH) / "run.py"), "--workload",
-             workload, "--seed", "1", "--seconds", "0.01", "--trace", "0"],
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, (workload, proc.stderr)
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["correct"] is True and result["failed"] == 0, workload
+    # Every workload reports the end-to-end metrics BENCHMARK.json names.
+    workloads = bench[1].WORKLOADS
+    assert {w["name"] for w in DECLARED["workloads"]} == set(workloads)
+    for workload in workloads:
+        result = bench_run(workload, trace=0)
+        assert result["metrics"].keys() == declared_names("end_to_end")
         assert result["metrics"]["episodes_per_s"]["value"] > 0, workload
+
+
+def test_bench_trace_run():
+    # A traced run reports the per-layer metrics BENCHMARK.json names.
+    result = bench_run("mean_5w5s", trace=1)
+    assert result["metrics"].keys() == declared_names("per_layer")

@@ -302,7 +302,7 @@ def test_masks_past_float_range_take_the_softmax_limit(scale, want):
     masks = build_masks(bank_from(protos), scale, 1e4).masks
     np.testing.assert_array_equal(masks[0], want)
     np.testing.assert_array_equal(
-        masks[1], softmax(scale * np.abs(protos[1]), axis=0))
+        masks[1], softmax(scale * np.abs(protos[1])))
 
 
 def test_classify_batch_matches_single():
@@ -519,12 +519,12 @@ def test_stack_rejects_masks_that_do_not_fit_its_banks():
                        mask_stack(protos[:1], 0.1), 1e4)
 
 
-def reference_softmax(z, axis=-1):
+def reference_softmax(z):
     """Reference: `softmax` through `np.max` and `np.sum`."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def reference_classify_stack(queries, protos, masks, boost):

@@ -10,8 +10,9 @@ import pytest
 
 from fewproto import cli, verification
 from fewproto.cli import build_parser, eval_config, main
-from fewproto.embeddings import load_embedding_set
-from fewproto.harness import RunConfig, load_config_file, load_report
+from fewproto.embeddings import load_embedding_set, save_embedding_set
+from fewproto.harness import (RunConfig, _resolve_pool, load_config_file,
+                              load_report)
 from fewproto.optim import grad_check
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -132,6 +133,28 @@ def test_synth_pool_is_the_pool_eval_synthetic_reads(tmp_path, capsys,
     from_file, inline = reports
     assert from_file.per_task_accuracy == inline.per_task_accuracy
     assert from_file.diagnostics == inline.diagnostics
+    capsys.readouterr()
+
+
+def test_synth_without_seed_writes_the_pool_eval_synthetic_reads(
+        tmp_path, capsys, monkeypatch):
+    # An unseeded synth takes RunConfig's seed, as an unseeded eval does.
+    flats = []
+
+    class Recorded(RunConfig):
+        @classmethod
+        def from_flat(cls, flat):
+            flats.append(dict(flat))
+            return RunConfig.from_flat(flat)
+
+    monkeypatch.setattr(cli, "RunConfig", Recorded)
+    spec, pool = "20,50,64,3.0,1.5", tmp_path / "p.emb"
+    assert main(["synth", "--synthetic", spec, "--out", str(pool)]) == 0
+    assert flats == [{"synthetic": spec}]
+    args = build_parser().parse_args(["eval", "--synthetic", spec])
+    expected = tmp_path / "expected.emb"
+    save_embedding_set(_resolve_pool(eval_config(args)), expected)
+    assert pool.read_bytes() == expected.read_bytes()
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import ast
+import errno
 import inspect
 import json
 import math
@@ -67,6 +68,16 @@ def test_config_file_parsing(tmp_path):
     assert cfg.mask.enabled is False
     assert cfg.proto.strategy == "mean"
     assert cfg.proto.entropy_weight == 0.25
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # As Windows editors save it; UTF-8 is read whatever the locale.
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffn_tasks = 7  # caf\u00e9\nn_ways = 2\n"
+                     .encode("utf-8"))
+    flat = load_config_file(path)
+    assert flat == {"n_tasks": "7", "n_ways": "2"}
+    assert RunConfig.from_flat(flat).n_tasks == 7
 
 
 def test_config_unknown_key():
@@ -301,6 +312,33 @@ def test_report_roundtrip(tmp_path, capsys):
     assert report.summary_line() in out
     back = load_report(path)
     assert back == report
+
+
+def one_task_report(**diagnostics) -> EvalReport:
+    return EvalReport(config={}, per_task_accuracy=[1.0], mean_accuracy=1.0,
+                      ci95=0.0, diagnostics=diagnostics, wall_time={})
+
+
+def fail_fsync(fd):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failure", ["unencodable", "disk_full"])
+def test_failed_report_write_keeps_the_previous_report(
+        tmp_path, capsys, monkeypatch, failure):
+    path = tmp_path / "report.json"
+    emit_report(one_task_report(), path)
+    before = path.read_bytes()
+    if failure == "unencodable":  # json cannot encode an object()
+        report, error = one_task_report(z=object()), TypeError
+    else:  # every byte is written, then the disk refuses them
+        monkeypatch.setattr(os, "fsync", fail_fsync)
+        report, error = one_task_report(aborted_episodes=0), OSError
+    with pytest.raises(error):
+        emit_report(report, path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.part"))
+    capsys.readouterr()
 
 
 def test_report_refuses_empty():
