@@ -5,39 +5,43 @@ accuracy with a 95% confidence interval (1.96 * population stddev /
 sqrt(T), the convention behind "+-" columns in few-shot results).
 
 Episode i always uses the generator seeded with `seed + i`. A run
-splits its tasks into `worker_count` contiguous ranges of near-equal
-size, one per CPU the process may run on. This process runs the first
-range while forked workers run the others. Within its range, each runs
-episodes in chunks of consecutive task indices (`chunk_plan`), as many
-as `stack_width` allows and split evenly over the range: each is
-prepared on its own generator (sampled, aggregated and, for trained
-prototypes, its support augmented and its head's and its prototype
-bank's inits drawn: all of an episode's random draws), and keeps only
-what the stages after it read. Then the chunk runs three stacked stages
-over the episodes no abort has ended: for trained prototypes, one Adam
-loop trains their heads; one batched Adam loop trains their prototype
-banks, or one stacked mean takes them; and passes of `score_width`
-episodes each build their masks, classify their queries and take their
-accuracies. A head's, a bank's or a score's bits do not depend on the
-stack it is computed in, so reports are identical for any chunk plan
-and any worker count. Episodes that hit a fatal numerical condition are
-aborted, counted, and excluded. The results reach `run_eval` as one
-stream in task order, each with its episode's `Diagnostics`: its event
-counts and its phase seconds. An episode's "head" phase is its
-augmentation and head init plus an even share of its chunk's head loop,
-its "proto" phase its bank's init plus an even share of the prototype
-loop or mean, and its "classify" phase an even share of its scoring
-pass.
+splits its tasks into chunks of consecutive task indices (`chunk_plan`)
+of at most `stack_width` each: the fewest whose count is a multiple of
+W, the `worker_count` of one process per CPU the run may use. Chunk k
+runs in process k mod W: this process for k mod W = 0, a forked worker
+otherwise. Each episode of a chunk is prepared on its own generator
+(sampled, aggregated and, for trained prototypes, its support augmented
+and its head's and its prototype bank's inits drawn: all of an
+episode's random draws), and keeps only what the stages after it read.
+Then the chunk runs three stacked stages over the episodes no abort has
+ended: for trained prototypes, one Adam loop trains their heads; one
+batched Adam loop trains their prototype banks, or one stacked mean
+takes them; and passes of `score_width` episodes each build their
+masks, classify their queries and take their accuracies. A head's, a
+bank's or a score's bits do not depend on the stack it is computed in,
+so reports are identical for any chunk plan and any worker count.
+Episodes that hit a fatal numerical condition are aborted, counted, and
+excluded. The results reach `run_eval` as one stream in task order,
+each with its episode's `Diagnostics`: its event counts and its phase
+seconds. An episode's "head" phase is its augmentation and head init
+plus an even share of its chunk's head loop, its "proto" phase its
+bank's init plus an even share of the prototype loop or mean, and its
+"classify" phase an even share of its scoring pass.
+
+A worker sends each chunk's results as one message when the chunk ends,
+and this process reads a worker's chunks in order as the stream reaches
+them, so it holds at most one chunk from each worker.
 
 One failure rule places every exception at its own task. A chunk
 either gives every task's result or raises; one that raises is run
 again one task at a time, each on a fresh generator and `Diagnostics`,
 so its exception is raised after the results of the tasks before it. A
-worker sends the results it finished along with its exception, which
-is raised after them. The abort cap is checked once, on that stream, so
-a failed run ends at whichever comes first in task order, at any chunk
-plan and worker count: the abort that takes the count past 1% of the
-requested tasks, or an exception.
+worker sends None for a chunk that raised, and no exception: this
+process runs that chunk again itself, by the same rule, and a task's
+bits do not depend on its process. The abort cap is checked once, on
+that stream, so a failed run ends at whichever comes first in task
+order, at any chunk plan and worker count: the abort that takes the
+count past 1% of the requested tasks, or an exception.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ POOL_STREAM = 0x706F6F6C
 # stacked (B, n_ways, dim) float64 array passes about STACK_BYTES and
 # the buffers outgrow the cache. With one BLAS thread on a 2-vCPU Xeon,
 # a 5-way 1-shot 640-d bank-step took 90 us at 2 banks, 81 at 4 and
-# 52-53 at 8 to 16 (a 20-task range runs as two stacks of 10, the best
+# 52-53 at 8 to 16 (40 tasks at W=2 run as four stacks of 10, the best
 # width measured), while a 5-way 64-d one took 18.7 us at 8, 12.4 at 20,
 # 10.5 at 48 and 12.3 at 64. MAX_STACK also bounds how many prepared
 # episodes are held at once.
@@ -380,18 +384,15 @@ def score_width(config: RunConfig, dim: int) -> int:
     return max(1, min(MAX_STACK, SCORE_BYTES // per_episode))
 
 
-def _split_tasks(n_tasks: int, parts: int) -> list[range]:
-    """Task indices 0..n_tasks-1 in order, in `parts` ranges whose sizes
-    differ by at most one."""
+def chunk_plan(n_tasks: int, width: int, workers: int = 1) -> list[range]:
+    """Task indices 0..n_tasks-1 in order, in chunks of at most `width`
+    with sizes that differ by at most one: the fewest whose count is a
+    multiple of `workers`, or one per task where that is fewer."""
+    fewest = -(-n_tasks // width)
+    parts = min(n_tasks, -(-fewest // workers) * workers)
     size, extra = divmod(n_tasks, parts)
     bounds = [k * size + min(k, extra) for k in range(parts + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def chunk_plan(n_tasks: int, width: int) -> list[range]:
-    """Task indices 0..n_tasks-1 in order, in the fewest chunks of at
-    most `width`, with sizes that differ by at most one."""
-    return _split_tasks(n_tasks, -(-n_tasks // width))
 
 
 @functools.cache
@@ -639,83 +640,78 @@ def _chunk_results(emb: EmbeddingSet, config: RunConfig, tasks: range
     return list(zip(_run_chunk(emb, config, rngs, diags), diags))
 
 
-def _run_range(emb: EmbeddingSet, config: RunConfig, tasks: range
+def _run_tasks(emb: EmbeddingSet, config: RunConfig, tasks: range
                ) -> Iterator[TaskResult]:
-    """Each task of `tasks` in order. Runs a chunk of `chunk_plan` when
-    its first result is asked for, and a chunk that raises again one task
-    at a time, as the module docstring describes."""
-    for chunk in chunk_plan(len(tasks), stack_width(config, emb.dim)):
-        chunk = tasks[chunk.start:chunk.stop]
-        try:
-            results = _chunk_results(emb, config, chunk)
-        except Exception:
-            # A task's bits do not depend on its chunk, so alone it gives
-            # the result it gives there: the chunk's exception is raised
-            # after the results of the tasks before its own.
-            results = (result for i in chunk
-                       for result in _chunk_results(emb, config,
-                                                    range(i, i + 1)))
-        yield from results
-
-
-def _range_worker(send, emb: EmbeddingSet, config: RunConfig,
-                  tasks: range) -> None:
-    """A forked worker: send the results it finished and the exception
-    that stopped it with its traceback text, or None."""
-    results, failure = [], None
+    """Each task of the chunk `tasks` in order, from one `_run_chunk`
+    run when the first is asked for, or, if that raises, from one run
+    per task, as the module docstring describes."""
     try:
-        for result in _run_range(emb, config, tasks):
-            results.append(result)
-    except Exception as exc:
-        import traceback
-        failure = (exc, traceback.format_exc())
-    send.send((results, failure))
+        results = _chunk_results(emb, config, tasks)
+    except Exception:
+        # A task's bits do not depend on its chunk, so alone it gives
+        # the result it gives there: the chunk's exception is raised
+        # after the results of the tasks before its own.
+        results = (result for i in tasks
+                   for result in _chunk_results(emb, config, range(i, i + 1)))
+    yield from results
+
+
+def _chunk_worker(send, emb: EmbeddingSet, config: RunConfig,
+                  chunks: list[range]) -> None:
+    """A forked worker: send each chunk's results as it ends, or None
+    for a chunk that raised or whose results did not pickle."""
+    for tasks in chunks:
+        try:
+            send.send(_chunk_results(emb, config, tasks))
+        except Exception:
+            send.send(None)
     send.close()
 
 
-def _start_worker(emb: EmbeddingSet, config: RunConfig, tasks: range):
-    """Fork a worker for `tasks`; it inherits the pool and config, so
+def _start_worker(emb: EmbeddingSet, config: RunConfig, chunks: list[range]):
+    """Fork a worker for `chunks`; it inherits the pool and config, so
     only its results cross the pipe."""
     import multiprocessing  # only a run that forks loads it
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
-    process = context.Process(target=_range_worker,
-                              args=(send, emb, config, tasks))
+    process = context.Process(target=_chunk_worker,
+                              args=(send, emb, config, chunks))
     process.start()
     send.close()  # the worker holds the only write end: EOF if it dies
     return process, receive
 
 
-def _worker_results(process, receive, tasks: range) -> Iterator[TaskResult]:
-    """The results a worker finished, then the exception that stopped it."""
+def _received_chunk(process, receive, emb: EmbeddingSet, config: RunConfig,
+                    tasks: range) -> Iterator[TaskResult]:
+    """The results of the worker's next chunk, `tasks`, which runs here
+    again if the worker sent None."""
     try:
-        results, failure = receive.recv()
+        results = receive.recv()
     except EOFError:
         process.join()
         raise RunError(f"the worker for tasks {tasks.start}-{tasks.stop - 1} "
                        f"exited with code {process.exitcode} before sending "
                        f"its results") from None
-    yield from results
-    if failure is not None:
-        exc, text = failure
-        raise exc from RuntimeError(
-            f"in the worker for tasks {tasks.start}-{tasks.stop - 1}:\n{text}")
+    yield from _run_tasks(emb, config, tasks) if results is None else results
 
 
 def _task_results(emb: EmbeddingSet, config: RunConfig
                   ) -> Iterator[TaskResult]:
-    """Every task's result, in task order. The tasks are split into
-    `worker_count` ranges: forked workers run all but the first, which
-    runs in this process meanwhile. Closing the iterator stops and
-    reaps the workers."""
-    first, *rest = _split_tasks(config.n_tasks, worker_count(config.n_tasks))
+    """Every task's result, in task order. Chunk k of the plan runs in
+    process k mod `worker_count`: here for 0, in a forked worker
+    otherwise. Closing the iterator stops and reaps the workers."""
+    count = worker_count(config.n_tasks)
+    plan = chunk_plan(config.n_tasks, stack_width(config, emb.dim), count)
     workers = []
     try:
-        for tasks in rest:
-            workers.append(_start_worker(emb, config, tasks))
-        yield from _run_range(emb, config, first)
-        for tasks, (process, receive) in zip(rest, workers):
-            yield from _worker_results(process, receive, tasks)
+        for k in range(1, count):
+            workers.append(_start_worker(emb, config, plan[k::count]))
+        for k, tasks in enumerate(plan):
+            if k % count:
+                yield from _received_chunk(*workers[k % count - 1], emb,
+                                           config, tasks)
+            else:
+                yield from _run_tasks(emb, config, tasks)
     finally:
         for process, receive in workers:
             process.terminate()
@@ -734,8 +730,9 @@ def _resolve_pool(config: RunConfig) -> EmbeddingSet:
 
 
 def run_eval(config: RunConfig) -> EvalReport:
-    """Evaluate `config.n_tasks` episodes, in worker ranges and chunks as
-    the module docstring describes, and assemble the report.
+    """Evaluate `config.n_tasks` episodes, in chunks over this process
+    and its workers as the module docstring describes, and assemble the
+    report.
 
     The phases of wall_time are the tasks' phase seconds summed, over
     every worker, so they can add up to the worker count times "total".

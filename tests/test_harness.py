@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from dataclasses import asdict
@@ -467,14 +468,23 @@ def test_chunk_plan_covers_tasks_evenly():
     assert harness.score_width(mean, 640) == 1
     assert harness.stack_width(mean, 64) == 5
     assert harness.stack_width(mean, 640) == 1
-    for n_tasks in (1, 15, 16, 17, 40, 47, 48, 49, 100, 1000):
+    # With W workers, the count is the fewest that is a multiple of W,
+    # or one chunk per task where there are fewer tasks than that.
+    for n_tasks in (1, 3, 15, 16, 17, 40, 47, 48, 49, 100, 1000):
         for width in (1, 7, 16, 48):
-            plan = harness.chunk_plan(n_tasks, width)
-            assert [i for tasks in plan for i in tasks] == list(range(n_tasks))
-            sizes = [len(tasks) for tasks in plan]
-            assert len(plan) == -(-n_tasks // width)
-            assert max(sizes) <= width and max(sizes) - min(sizes) <= 1
+            fewest = -(-n_tasks // width)
+            for workers in range(1, min(n_tasks, 3) + 1):
+                plan = harness.chunk_plan(n_tasks, width, workers)
+                assert ([i for tasks in plan for i in tasks]
+                        == list(range(n_tasks)))
+                sizes = [len(tasks) for tasks in plan]
+                assert max(sizes) <= width and max(sizes) - min(sizes) <= 1
+                assert fewest <= len(plan) < fewest + workers
+                assert len(plan) % workers == 0 or len(plan) == n_tasks
     assert [len(t) for t in harness.chunk_plan(40, 16)] == [14, 13, 13]
+    assert [len(t) for t in harness.chunk_plan(3, 1, 2)] == [1, 1, 1]
+    assert ([len(t) for t in harness.chunk_plan(200, 48, 2)]
+            == [34, 34, 33, 33, 33, 33])
 
 
 def test_run_eval_deterministic_across_chunks(monkeypatch):
@@ -534,11 +544,14 @@ def report_text(config) -> str:
 
 
 def test_run_eval_same_report_on_one_and_two_workers(monkeypatch, tmp_path):
-    # Episodes abort by task index, on both sides of the worker split:
-    # two in the 200-task trained run, at the cap of 2, and five in the
-    # mean run, whose third abort, at task 130, ends the run however many
-    # workers the later ones ran in. The 100-task trained run fails at
-    # task 30: one worker runs 0-33 as one chunk, two run 25-49 as one.
+    # Episodes abort by task index, in this process and in workers: two
+    # in the 200-task trained run, at the cap of 2, and five in the mean
+    # run, whose third abort, at task 130, ends the run whichever process
+    # the later ones ran in. At W=2 and 3 those runs go in six chunks of
+    # 33-34, so 37 falls in worker 1's chunk 34-67, and 120 and 130 in
+    # chunk 101-133, worker 1's at W=2. The 100-task trained run fails at
+    # task 30: W=1 and W=3 run 0-33 as one chunk, here, and W=2 runs
+    # 25-49 as one, in the worker.
     aborting = {("trained", 200): {37, 150}, ("trained", 100): {20, 30, 40},
                 ("mean", 200): {10, 120, 130, 140, 150}}
     real_prepare = harness.prepare_episode
@@ -560,7 +573,7 @@ def test_run_eval_same_report_on_one_and_two_workers(monkeypatch, tmp_path):
                small_config(**noisy, n_tasks=200, **{"proto.strategy": "mean"}),
                small_config(synthetic=None, data=str(pool), n_tasks=40)]
     texts = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(harness, "worker_count",
                             lambda n_tasks: min(workers, n_tasks))
         with monkeypatch.context() as patched:
@@ -571,7 +584,7 @@ def test_run_eval_same_report_on_one_and_two_workers(monkeypatch, tmp_path):
             texts[workers] += [report_text(small_config(**noisy, n_tasks=n))
                                for n in (200, 100)]
             texts[workers].append(report_text(configs[1]))
-    assert texts[1] == texts[2]
+    assert texts[1] == texts[2] == texts[3]
     assert len(set(json.loads(texts[1][0])["per_task_accuracy"])) > 1
     assert (json.loads(texts[1][2])["per_task_accuracy"]
             == json.loads(texts[1][0])["per_task_accuracy"])
@@ -589,7 +602,8 @@ def two_workers(monkeypatch):
 
 @pytest.mark.parametrize("task", [3, 15])
 def test_worker_error_reaches_the_caller(monkeypatch, task):
-    # Task 3 runs in this process, task 15 in the forked worker for 10-19.
+    # Task 3 runs in this process's chunk 0-9, task 15 in the forked
+    # worker's chunk 10-19, which this process then runs again.
     two_workers(monkeypatch)
     tag_tasks(monkeypatch)
     monkeypatch.setattr(harness, "_score_stack",
@@ -634,10 +648,11 @@ def test_run_eval_runs_its_episodes_at_one_blas_thread(monkeypatch, workers):
 
 def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
         monkeypatch):
-    # Of 200 mean tasks, 10, 120 and 130 abort, and task 150 raises. The
+    # Of 200 mean tasks, 10, 120 and 130 abort, and task 131 raises. The
     # third abort comes first in task order, so the run fails at the cap
-    # on one worker, and on two, where the worker for 100-199 raises
-    # after finishing 120 and 130.
+    # on one worker, and on two, where 120, 130 and 131 fall in the
+    # worker's chunk 101-133: it sends None for the chunk, and this
+    # process runs it again one task at a time up to the cap.
     real_prepare = harness.prepare_episode
 
     def prepare(emb, config, rng, diag):
@@ -645,8 +660,8 @@ def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
         task = task_index(rng, config)
         if task in (10, 120, 130):
             raise EpisodeAbort("test_abort")
-        if task == 150:
-            raise ValueError("bad task 150")
+        if task == 131:
+            raise ValueError("bad task 131")
         return prepared
 
     monkeypatch.setattr(harness, "prepare_episode", prepare)
@@ -664,7 +679,7 @@ def test_failed_run_ends_at_the_first_event_on_one_and_two_workers(
 
 def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
         monkeypatch):
-    # Scoring task 2 raises, so the range's one chunk of 4 fails and runs
+    # Scoring task 2 raises, so the chunk of tasks 0-3 fails and runs
     # again one task at a time. Tasks 0 and 1 then give what each gives
     # alone: the same accuracy, and the same counts, with none left over
     # from the failed pass (on a noisy pool, a huge head lr makes each
@@ -675,7 +690,7 @@ def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
     cfg = small_config(**{"synthetic": "8,25,16,2.0,1.0", "head.lr": 1e3,
                           "proto.epochs": 20})
     emb = harness._resolve_pool(cfg)
-    results = harness._run_range(emb, cfg, range(4))
+    results = harness._run_tasks(emb, cfg, range(4))
     earlier = [next(results) for _ in range(2)]
     alone = []
     for i in range(2):
@@ -696,10 +711,12 @@ def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
 def test_stage_error_stands_at_its_own_task(monkeypatch, stage, strategy):
     # Of 200 tasks, 10, 20 and 118 abort, and one stage raises for task
     # 121. On one worker at MAX_STACK 48, 118 and 121 fall in different
-    # chunks (80-119, 120-159); on two, the worker's first chunk,
-    # 100-133, holds both. A chunk that raises runs again one task at a
-    # time, so the third abort ends the run at every chunk plan and on
-    # one and two workers, whichever stage raises.
+    # chunks (80-119, 120-159); on two, worker 1's chunk 101-133 holds
+    # both. At MAX_STACK 7, two and three workers split the tasks into 30
+    # chunks, and 121 falls in chunk 119-125, a worker's at both. A chunk
+    # that raises runs again one task at a time, so the third abort ends
+    # the run at every chunk plan and on one to three workers, whichever
+    # stage raises.
     def prepare_effect(task):
         if task in (10, 20, 118):
             raise EpisodeAbort("test_abort")
@@ -715,7 +732,7 @@ def test_stage_error_stands_at_its_own_task(monkeypatch, stage, strategy):
     texts = set()
     for max_stack in (7, 48):
         monkeypatch.setattr(harness, "MAX_STACK", max_stack)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(harness, "worker_count",
                                 lambda n_tasks: min(workers, n_tasks))
             texts.add(report_text(cfg))
@@ -774,9 +791,9 @@ def test_chunk_splits_its_prototype_loop_over_its_banks(monkeypatch):
 
 
 def test_abort_cap_stops_two_workers_early(tmp_path, monkeypatch):
-    # Every episode aborts. This process runs tasks 0-99 and stops at
-    # the third abort, the cap of 2 of 200, then stops the worker: it
-    # prepares only its first chunk (0-33 of the three that split 0-99).
+    # Every episode aborts. This process runs chunk 0 of the six that
+    # split 0-199, tasks 0-33, and stops at the third abort, the cap of 2
+    # of 200, then stops the worker before reading any of its chunks.
     path = tmp_path / "degenerate.emb"
     save_embedding_set(zero_class_pool(), path)
     cfg = RunConfig(data=str(path), n_ways=2, k_shots=1, n_queries=2,
@@ -794,7 +811,7 @@ def test_abort_cap_stops_two_workers_early(tmp_path, monkeypatch):
     two_workers(monkeypatch)
     with pytest.raises(RunError, match="3 of 200 episodes aborted by task 2 "):
         run_eval(cfg)
-    first = harness.chunk_plan(100, harness.stack_width(cfg, 4))[0]
+    first = harness.chunk_plan(200, harness.stack_width(cfg, 4), 2)[0]
     assert prepare.calls == len(first) == 34
     assert multiprocessing.active_children() == []
 
@@ -823,6 +840,97 @@ def test_dead_worker_fails_the_run(monkeypatch):
     with pytest.raises(RunError, match="tasks 10-19 exited with code 3"):
         run_eval(small_config(**{"n_tasks": 20}))
     assert multiprocessing.active_children() == []
+
+
+class HoldsALock(Exception):
+    """An exception that does not pickle: it holds a lock."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.lock = threading.Lock()
+
+
+class TwoArg(Exception):
+    """An exception that pickles but does not unpickle: its `args` holds
+    one value, and its `__init__` takes two."""
+
+    def __init__(self, text, where):
+        super().__init__(f"{text} at {where}")
+        self.where = where
+
+
+@pytest.mark.parametrize("make", [lambda: HoldsALock("bad task at 15"),
+                                  lambda: TwoArg("bad task", 15)],
+                         ids=["lock", "two_arg"])
+def test_worker_chunk_error_keeps_its_one_worker_type_and_text(
+        monkeypatch, make):
+    # Scoring task 15 raises, in the worker's chunk 10-19 at W=2, an
+    # exception that cannot cross a pipe as itself. The run gives the
+    # W=1 type and text after the results of tasks 0-14.
+    tag_tasks(monkeypatch)
+    real_score = harness._score_stack
+
+    def score(prepared, config):
+        if any(p.task == 15 for p in prepared):
+            raise make()
+        return real_score(prepared, config)
+
+    monkeypatch.setattr(harness, "_score_stack", score)
+    error = type(make())
+    cfg = small_config(**{"n_tasks": 20})
+    emb = harness._resolve_pool(cfg)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        earlier = []
+        with pytest.raises(error, match="^bad task at 15$") as caught:
+            for outcome, diag in harness._task_results(emb, cfg):
+                earlier.append((outcome, diag.as_dict()))
+        runs.append((earlier, type(caught.value), str(caught.value)))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 15
+    with pytest.raises(error, match="^bad task at 15$"):
+        run_eval(cfg)
+
+
+def test_workers_send_each_chunk_as_it_ends(monkeypatch):
+    # A worker sends one message per chunk, as the chunk ends, so no
+    # process holds more than a chunk of a worker's results. 200 mean
+    # tasks at MAX_STACK 5 and W=2 run in 40 chunks of 5: the worker sends
+    # chunks 1, 3, ..., 39, each message holding that chunk's results.
+    messages = []
+    real_start = harness._start_worker
+
+    class Recording:
+        """A worker's receive end that keeps each message it reads."""
+
+        def __init__(self, receive):
+            self.receive = receive
+
+        def recv(self):
+            messages.append(self.receive.recv())
+            return messages[-1]
+
+        def close(self):
+            self.receive.close()
+
+    def start(*args):
+        process, receive = real_start(*args)
+        return process, Recording(receive)
+
+    monkeypatch.setattr(harness, "_start_worker", start)
+    monkeypatch.setattr(harness, "MAX_STACK", 5)
+    two_workers(monkeypatch)
+    report = run_eval(small_config(**{"n_tasks": 200,
+                                      "proto.strategy": "mean"}))
+    worker_chunks = [range(start, start + 5) for start in range(5, 200, 10)]
+    assert [len(m) for m in messages] == [5] * 20
+    assert [outcome for m in messages for outcome, _ in m] == [
+        report.per_task_accuracy[i] for c in worker_chunks for i in c]
+    assert all(isinstance(diag, Diagnostics)
+               for m in messages for _, diag in m)
 
 
 def test_two_workers_fork_safely_with_threaded_blas():
