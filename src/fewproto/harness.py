@@ -33,12 +33,12 @@ and this process reads a worker's chunks in order as the stream reaches
 them, so it holds at most one chunk from each worker.
 
 One failure rule places every exception at its own task. A chunk
-either gives every task's result or raises; one that raises is run
-again one task at a time, each on a fresh generator and `Diagnostics`,
-so its exception is raised after the results of the tasks before it. A
-worker sends None for a chunk that raised, and no exception: this
-process runs that chunk again itself, by the same rule, and a task's
-bits do not depend on its process. The abort cap is checked once, on
+either gives every task's result or raises. A worker sends None, and no
+exception, for a chunk that raised or whose results do not pickle. A
+chunk that raised, here or in its worker, runs again here one task at a
+time, each on a fresh generator and `Diagnostics`. A task's bits do not
+depend on its chunk or process, so the exception is raised after the
+results of the tasks before its own. The abort cap is checked once, on
 that stream, so a failed run ends at whichever comes first in task
 order, at any chunk plan and worker count: the abort that takes the
 count past 1% of the requested tasks, or an exception.
@@ -640,22 +640,6 @@ def _chunk_results(emb: EmbeddingSet, config: RunConfig, tasks: range
     return list(zip(_run_chunk(emb, config, rngs, diags), diags))
 
 
-def _run_tasks(emb: EmbeddingSet, config: RunConfig, tasks: range
-               ) -> Iterator[TaskResult]:
-    """Each task of the chunk `tasks` in order, from one `_run_chunk`
-    run when the first is asked for, or, if that raises, from one run
-    per task, as the module docstring describes."""
-    try:
-        results = _chunk_results(emb, config, tasks)
-    except Exception:
-        # A task's bits do not depend on its chunk, so alone it gives
-        # the result it gives there: the chunk's exception is raised
-        # after the results of the tasks before its own.
-        results = (result for i in tasks
-                   for result in _chunk_results(emb, config, range(i, i + 1)))
-    yield from results
-
-
 def _chunk_worker(send, emb: EmbeddingSet, config: RunConfig,
                   chunks: list[range]) -> None:
     """A forked worker: send each chunk's results as it ends, or None
@@ -681,25 +665,13 @@ def _start_worker(emb: EmbeddingSet, config: RunConfig, chunks: list[range]):
     return process, receive
 
 
-def _received_chunk(process, receive, emb: EmbeddingSet, config: RunConfig,
-                    tasks: range) -> Iterator[TaskResult]:
-    """The results of the worker's next chunk, `tasks`, which runs here
-    again if the worker sent None."""
-    try:
-        results = receive.recv()
-    except EOFError:
-        process.join()
-        raise RunError(f"the worker for tasks {tasks.start}-{tasks.stop - 1} "
-                       f"exited with code {process.exitcode} before sending "
-                       f"its results") from None
-    yield from _run_tasks(emb, config, tasks) if results is None else results
-
-
 def _task_results(emb: EmbeddingSet, config: RunConfig
                   ) -> Iterator[TaskResult]:
     """Every task's result, in task order. Chunk k of the plan runs in
     process k mod `worker_count`: here for 0, in a forked worker
-    otherwise. Closing the iterator stops and reaps the workers."""
+    otherwise. A chunk that raised here, or that its worker sent as
+    None, runs again here one task at a time, as the module docstring
+    describes. Closing the iterator stops and reaps the workers."""
     count = worker_count(config.n_tasks)
     plan = chunk_plan(config.n_tasks, stack_width(config, emb.dim), count)
     workers = []
@@ -707,11 +679,28 @@ def _task_results(emb: EmbeddingSet, config: RunConfig
         for k in range(1, count):
             workers.append(_start_worker(emb, config, plan[k::count]))
         for k, tasks in enumerate(plan):
+            results = None
             if k % count:
-                yield from _received_chunk(*workers[k % count - 1], emb,
-                                           config, tasks)
+                process, receive = workers[k % count - 1]
+                try:
+                    results = receive.recv()
+                except EOFError:
+                    process.join()
+                    raise RunError(
+                        f"the worker for tasks {tasks.start}-{tasks.stop - 1}"
+                        f" exited with code {process.exitcode} before "
+                        f"sending its results") from None
             else:
-                yield from _run_tasks(emb, config, tasks)
+                with contextlib.suppress(Exception):
+                    results = _chunk_results(emb, config, tasks)
+            if results is None:
+                # A task's bits do not depend on its chunk or process, so
+                # alone it gives the result it gives there: the chunk's
+                # exception is raised after the results of the tasks
+                # before its own.
+                results = (result for i in tasks for result in
+                           _chunk_results(emb, config, range(i, i + 1)))
+            yield from results
     finally:
         for process, receive in workers:
             process.terminate()

@@ -687,10 +687,11 @@ def test_chunk_raises_a_finish_error_after_the_earlier_outcomes(
     tag_tasks(monkeypatch)
     monkeypatch.setattr(harness, "_score_stack",
                         raising_at(2, harness._score_stack))
+    monkeypatch.setattr(harness, "worker_count", lambda n_tasks: 1)
     cfg = small_config(**{"synthetic": "8,25,16,2.0,1.0", "head.lr": 1e3,
-                          "proto.epochs": 20})
+                          "proto.epochs": 20, "n_tasks": 4})
     emb = harness._resolve_pool(cfg)
-    results = harness._run_tasks(emb, cfg, range(4))
+    results = harness._task_results(emb, cfg)
     earlier = [next(results) for _ in range(2)]
     alone = []
     for i in range(2):
@@ -893,6 +894,74 @@ def test_worker_chunk_error_keeps_its_one_worker_type_and_text(
     assert len(runs[0][0]) == 15
     with pytest.raises(error, match="^bad task at 15$"):
         run_eval(cfg)
+
+
+def test_failed_worker_chunk_runs_here_one_task_at_a_time(monkeypatch):
+    # Any stack that holds task 15 raises. At MAX_STACK 10 the 20 tasks
+    # run as chunks 0-9 and 10-19; at W=2 the worker sends None for
+    # 10-19, and this process runs that chunk only one task at a time,
+    # never again as a stack, up to the W=1 error after tasks 0-14.
+    real_run_chunk = harness._run_chunk
+    calls = []  # a worker appends to its own copy
+
+    def run_chunk(emb, config, rngs, diags):
+        first = task_index(rngs[0], config)
+        calls.append((first, len(rngs)))
+        if first <= 15 < first + len(rngs):
+            raise ValueError("bad task 15")
+        return real_run_chunk(emb, config, rngs, diags)
+
+    monkeypatch.setattr(harness, "_run_chunk", run_chunk)
+    monkeypatch.setattr(harness, "MAX_STACK", 10)
+    cfg = small_config(**{"n_tasks": 20, "proto.epochs": 20})
+    emb = harness._resolve_pool(cfg)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        calls.clear()
+        earlier = []
+        with pytest.raises(ValueError, match="^bad task 15$"):
+            for outcome, diag in harness._task_results(emb, cfg):
+                earlier.append((outcome, diag.as_dict()))
+        runs.append(earlier)
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1] and len(runs[0]) == 15
+    assert [call for call in calls if call[0] >= 10 and call[1] > 1] == []
+    assert calls == [(0, 10)] + [(i, 1) for i in range(10, 16)]
+
+
+class LockedAbort(EpisodeAbort):
+    """An abort that does not pickle: it holds a lock."""
+
+    def __init__(self, reason):
+        super().__init__(reason)
+        self.lock = threading.Lock()
+
+
+def test_worker_chunk_whose_results_do_not_pickle_runs_here(monkeypatch):
+    # The stacked mean returns, and does not raise, an abort holding a
+    # lock for task 120 of 200. At W=2 it lands in the worker's chunk
+    # 101-133, whose results then do not pickle: the worker sends None,
+    # and this process runs the chunk again. At W=1 and 3 it runs here.
+    # Every W gives the same report, with the abort counted once.
+    tag_tasks(monkeypatch)
+    real_banks = harness._prototype_banks
+
+    def banks(prepared, config):
+        return [LockedAbort("locked") if p.task == 120 else bank
+                for p, bank in zip(prepared, real_banks(prepared, config))]
+
+    monkeypatch.setattr(harness, "_prototype_banks", banks)
+    cfg = small_config(**{"n_tasks": 200, "proto.strategy": "mean"})
+    texts = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, "worker_count",
+                            lambda n_tasks: min(workers, n_tasks))
+        texts.append(report_text(cfg))
+        assert multiprocessing.active_children() == []
+    assert texts[0] == texts[1] == texts[2]
+    assert '"abort:locked": 1' in texts[0]
 
 
 def test_workers_send_each_chunk_as_it_ends(monkeypatch):
